@@ -71,9 +71,9 @@
 // (default interned -- the id-space fast path; reference is the legacy
 // string path). Both produce bit-identical annotations.
 //
-// --kernel simd|unrolled|reference: select the dense/sparse product
-// kernels (default simd -- the compile-time dispatched AVX2/NEON/scalar
-// kernel; see DESIGN.md §10). Every kernel produces bit-identical
+// --kernel simd|reference: select the dense/sparse product kernels
+// (default simd -- the compile-time dispatched AVX2/NEON/scalar kernel;
+// see DESIGN.md §10). Every kernel produces bit-identical
 // annotations; the switch exists for oracle comparison and debugging.
 //
 // --perf-json FILE: write the batch's wall/stage timings and perf
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
         "                        [--timeout-seconds S]\n"
         "                        [--load-library lib|standard]\n"
         "                        [--frontend interned|reference]\n"
-        "                        [--kernel simd|unrolled|reference]\n"
+        "                        [--kernel simd|reference]\n"
         "                        [--perf-json perf.json]\n"
         "                        [--svg layout.svg]\n");
     return kExitUsage;
@@ -207,9 +207,6 @@ int main(int argc, char** argv) {
   if (kernel == "simd") {
     gana::set_matmul_kernel(gana::MatmulKernel::Simd);
     gana::set_spmm_kernel(gana::SpmmKernel::Simd);
-  } else if (kernel == "unrolled") {
-    gana::set_matmul_kernel(gana::MatmulKernel::Unrolled);
-    gana::set_spmm_kernel(gana::SpmmKernel::Reference);
   } else if (kernel == "reference") {
     gana::set_matmul_kernel(gana::MatmulKernel::Reference);
     gana::set_spmm_kernel(gana::SpmmKernel::Reference);
@@ -287,8 +284,17 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", library.diag().render().c_str());
     return kExitIo;
   }
-  gana::core::Annotator annotator(model.get(), classes, library.take(),
-                                  prepare);
+  // The Annotator rejects a model whose widths do not fit the feature
+  // builder and the --domain's classes.
+  std::unique_ptr<gana::core::Annotator> owned_annotator;
+  try {
+    owned_annotator = std::make_unique<gana::core::Annotator>(
+        model.get(), classes, library.take(), prepare);
+  } catch (const gana::DiagError& e) {
+    std::fprintf(stderr, "error: %s\n", e.diag().render().c_str());
+    return kExitIo;
+  }
+  gana::core::Annotator& annotator = *owned_annotator;
   // Per-cache capacities, each falling back to the shared knob.
   const int shared_capacity = std::max(args.get_int("cache-capacity", 0), 0);
   const auto cache_capacity = [&](const char* flag) {

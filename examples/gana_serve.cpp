@@ -115,7 +115,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "gana-serve: %s\n", library.diag().render().c_str());
     return 2;
   }
-  gana::core::Annotator annotator(model.get(), classes, library.take());
+  // The Annotator rejects a model whose widths do not fit the feature
+  // builder and the --domain's classes.
+  std::unique_ptr<gana::core::Annotator> annotator;
+  try {
+    annotator = std::make_unique<gana::core::Annotator>(model.get(), classes,
+                                                        library.take());
+  } catch (const gana::DiagError& e) {
+    std::fprintf(stderr, "gana-serve: %s\n", e.diag().render().c_str());
+    return 2;
+  }
 
   gana::serve::ServerConfig config;
   config.socket_path = args.get("socket");
@@ -155,7 +164,7 @@ int main(int argc, char** argv) {
                 plan.alloc_failure, plan.stage_error, plan.stage_delay);
   }
 
-  gana::serve::Server server(annotator, config);
+  gana::serve::Server server(*annotator, config);
   std::string error;
   if (!server.start(&error)) {
     std::fprintf(stderr, "error: cannot start server: %s\n", error.c_str());

@@ -13,5 +13,5 @@ cmake --build --preset asan -j"$(nproc)" \
   primitive_matching_test frontend_test kernel_equivalence_test \
   batch_scaling_test serve_test soak_test deadline_test \
   fault_injection_test diag_json_test util_test shard_test \
-  incremental_test artifact_test gana_shard
+  incremental_test artifact_test pipeline_test gana_shard
 ctest --preset asan

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <functional>
 #include <new>
+#include <string>
 #include <utility>
 
 #include "gcn/trainer.hpp"
@@ -117,7 +118,24 @@ Annotator::Annotator(const gcn::GcnModel* model,
     : model_(model),
       class_names_(std::move(class_names)),
       library_(std::move(library)),
-      prepare_(prepare) {}
+      prepare_(prepare) {
+  if (model_ == nullptr) return;
+  const gcn::ModelConfig& cfg = model_->config();
+  if (cfg.in_features != kNumFeatures) {
+    throw DiagError(make_diag(
+        DiagCode::ModelMismatch, Stage::Gcn,
+        "model expects " + std::to_string(cfg.in_features) +
+            " input features; the annotator builds " +
+            std::to_string(kNumFeatures)));
+  }
+  if (cfg.num_classes > class_names_.size()) {
+    throw DiagError(make_diag(
+        DiagCode::ModelMismatch, Stage::Gcn,
+        "model outputs " + std::to_string(cfg.num_classes) +
+            " classes; the annotator names only " +
+            std::to_string(class_names_.size())));
+  }
+}
 
 AnnotateResult Annotator::annotate(const datagen::LabeledCircuit& input,
                                    std::uint64_t sample_seed) const {

@@ -5,10 +5,9 @@
 //   (port knowledge) -> hierarchy tree + constraints.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
-
-#include <memory>
 
 #include "core/features.hpp"
 #include "core/hierarchy.hpp"
@@ -120,6 +119,15 @@ struct AnnotateResult {
 /// many worker threads concurrently -- see core::BatchRunner.
 class Annotator {
  public:
+  /// Throws DiagError (ModelMismatch, stage gcn) when `model` does not
+  /// fit: its input width must be the kNumFeatures columns
+  /// build_features emits, and every class it outputs must have a name
+  /// (fewer classes than names is fine: it predicts a prefix of the
+  /// vocabulary). The layers check shapes only with asserts, compiled
+  /// out of release builds, where a wider model would read past every
+  /// feature row and an extra class would export as null. Checking
+  /// here means no CLI, server, shard worker or session built on an
+  /// Annotator ever runs a mismatched model.
   Annotator(const gcn::GcnModel* model, std::vector<std::string> class_names,
             primitives::PrimitiveLibrary library =
                 primitives::PrimitiveLibrary::standard(),

@@ -344,9 +344,10 @@ Matrix Relu::forward(const Matrix& x, const GraphSample& /*sample*/,
 void Relu::infer_into(const Matrix& x, const GraphSample& /*sample*/,
                       InferWorkspace& /*ws*/, Matrix& out) const {
   out.copy_from(x);
-  for (auto& v : out.data()) {
-    if (!(v > 0.0)) v = 0.0;
-  }
+  // A select, not a branch: ReLU inputs are positive about half the
+  // time at random, so a branch here would mispredict on about every
+  // other entry. NaN and -0.0 map to +0.0, as in forward().
+  for (auto& v : out.data()) v = v > 0.0 ? v : 0.0;
 }
 
 Matrix Relu::backward(const Matrix& grad_out) {

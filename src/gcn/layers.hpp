@@ -41,6 +41,10 @@ class Layer {
   /// call); bit-identical to the workspace path.
   [[nodiscard]] Matrix infer(const Matrix& x, const GraphSample& sample) const;
 
+  /// True when infer_into is the identity, so GcnModel::infer may skip
+  /// the layer instead of copying its input through.
+  [[nodiscard]] virtual bool infers_identity() const { return false; }
+
   /// Given dLoss/dOutput, accumulates parameter gradients and returns
   /// dLoss/dInput. Must follow a forward() call.
   virtual Matrix backward(const Matrix& grad_out) = 0;
@@ -134,6 +138,7 @@ class Dropout : public Layer {
                  Rng& rng) override;
   void infer_into(const Matrix& x, const GraphSample& sample,
                   InferWorkspace& ws, Matrix& out) const override;
+  [[nodiscard]] bool infers_identity() const override { return true; }
   Matrix backward(const Matrix& grad_out) override;
 
  private:

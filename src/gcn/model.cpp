@@ -70,6 +70,7 @@ const Matrix& GcnModel::infer(const GraphSample& sample,
     // natural granularity (aborting mid-kernel would buy little and cost
     // a branch per tile).
     check_deadline(Stage::Gcn);
+    if (layer->infers_identity()) continue;  // eval-mode dropout
     layer->infer_into(*cur, sample, ws, *next);
     cur = next;
     next = (next == &ws.act_a) ? &ws.act_b : &ws.act_a;

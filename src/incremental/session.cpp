@@ -268,23 +268,34 @@ primitives::AnnotateOutcome AnnotationSession::incremental_annotate(
 
   const RegionPartition part = partition_regions(g);
   const std::size_t nregions = part.elements.size();
+  // A design that is one region has nothing to splice: re-matching its
+  // region is re-matching the whole graph, and canonically labelling a
+  // large region costs far more than the match (on the phased array it
+  // exhausts the leaf budget and falls back to id order anyway). Every
+  // pattern then takes the whole-graph path and the result is kept
+  // under the whole-structure key alone, so a renumbered copy of a
+  // one-region design re-matches instead of reusing region lists.
+  const bool single_region = nregions == 1;
   std::vector<RegionSubgraph> subs;
-  subs.reserve(nregions);
-  for (const auto& elems : part.elements) {
-    subs.push_back(build_region_subgraph(g, elems, options_.canon_leaf_budget));
+  if (!single_region) {
+    subs.reserve(nregions);
+    for (const auto& elems : part.elements) {
+      subs.push_back(
+          build_region_subgraph(g, elems, options_.canon_leaf_budget));
+    }
   }
 
   const std::vector<std::size_t> order = library.priority_order();
   const iso::CandidateIndex whole_index(g);
   std::vector<primitives::PatternMatchList> lists(order.size());
-  std::vector<bool> region_fresh(nregions, false);
+  std::vector<bool> region_fresh(nregions, single_region);
   std::vector<std::unique_ptr<iso::CandidateIndex>> region_index(nregions);
   bool truncated = false;
 
   for (std::size_t i = 0; i < order.size() && !truncated; ++i) {
     const std::size_t li = order[i];
     const primitives::PrimitiveSpec& spec = library.spec(li);
-    if (!pattern_safe_[li]) {
+    if (single_region || !pattern_safe_[li]) {
       // Whole-graph pattern: exactly the cold matching stage.
       lists[i] =
           primitives::match_library_pattern(spec, g, whole_index, opt.match);

@@ -16,6 +16,8 @@
 //     region-safe patterns are matched per region with results cached
 //     under the region's canonical structure key, so an edit re-matches
 //     only the regions it touched; the remaining patterns are matched
+//     whole-graph. A design that is a single region skips the split
+//     (and its canonical labelling) and matches every pattern
 //     whole-graph. A whole-graph annotation store short-circuits both
 //     when the structural hash is unchanged;
 //   * everything downstream of extraction (CCC vote, stand-alone

@@ -114,7 +114,7 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
 
 namespace {
 
-/// Original scalar ikj product. The bit-identity oracle for the unrolled
+/// Original scalar ikj product: the bit-identity oracle for the Simd
 /// kernel, and the pre-fast-path baseline bench/gcn_inference measures
 /// against. ikj keeps the inner loop sequential over both B and C rows.
 void matmul_rows_reference(const Matrix& a, const Matrix& b, Matrix& c) {
@@ -130,66 +130,16 @@ void matmul_rows_reference(const Matrix& a, const Matrix& b, Matrix& c) {
   }
 }
 
-/// 4-way k-unrolled ikj product. Bit-identical to the reference by
-/// construction: each c(i,j) still accumulates over strictly increasing
-/// k one rounded add at a time (no reassociation, and no FMA contraction
-/// on targets without hardware FMA), zero a(i,k) still skip their add.
-/// Groups containing a zero fall back to the scalar loop so the skip
-/// semantics match exactly; all-nonzero groups (the common case against
-/// dense weight matrices) keep the accumulator in a register across four
-/// B rows, quartering the c-row load/store traffic that bounds the
-/// reference kernel on the small matrices GCN inference produces.
-void matmul_rows_unrolled(const Matrix& a, const Matrix& b, Matrix& c) {
-  const std::size_t kk = a.cols();
-  const std::size_t n = b.cols();
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* arow = a.row_ptr(i);
-    double* crow = c.row_ptr(i);
-    std::size_t k = 0;
-    for (; k + 4 <= kk; k += 4) {
-      const double a0 = arow[k], a1 = arow[k + 1];
-      const double a2 = arow[k + 2], a3 = arow[k + 3];
-      if (a0 != 0.0 && a1 != 0.0 && a2 != 0.0 && a3 != 0.0) {
-        const double* b0 = b.row_ptr(k);
-        const double* b1 = b.row_ptr(k + 1);
-        const double* b2 = b.row_ptr(k + 2);
-        const double* b3 = b.row_ptr(k + 3);
-        for (std::size_t j = 0; j < n; ++j) {
-          double t = crow[j];
-          t += a0 * b0[j];
-          t += a1 * b1[j];
-          t += a2 * b2[j];
-          t += a3 * b3[j];
-          crow[j] = t;
-        }
-        continue;
-      }
-      for (std::size_t q = k; q < k + 4; ++q) {
-        const double aiq = arow[q];
-        if (aiq == 0.0) continue;
-        const double* brow = b.row_ptr(q);
-        for (std::size_t j = 0; j < n; ++j) crow[j] += aiq * brow[j];
-      }
-    }
-    for (; k < kk; ++k) {
-      const double aik = arow[k];
-      if (aik == 0.0) continue;
-      const double* brow = b.row_ptr(k);
-      for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-    }
-  }
-}
-
 /// The Simd id resolved at compile time (linalg/kernels.hpp): the
 /// explicitly vectorized kernel when the build carries one, otherwise
-/// the unrolled scalar loop.
+/// the reference loop.
 void matmul_rows_simd(const Matrix& a, const Matrix& b, Matrix& c) {
 #if defined(GANA_SIMD_AVX2)
   linalg::matmul_rows_avx2(a, b, c);
 #elif defined(GANA_SIMD_NEON)
   linalg::matmul_rows_neon(a, b, c);
 #else
-  matmul_rows_unrolled(a, b, c);
+  matmul_rows_reference(a, b, c);
 #endif
 }
 
@@ -209,9 +159,6 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& c) {
   switch (g_matmul_kernel) {
     case MatmulKernel::Reference:
       matmul_rows_reference(a, b, c);
-      break;
-    case MatmulKernel::Unrolled:
-      matmul_rows_unrolled(a, b, c);
       break;
     case MatmulKernel::Simd:
       matmul_rows_simd(a, b, c);

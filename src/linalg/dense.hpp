@@ -171,16 +171,14 @@ class Matrix {
 /// output element -- each c(i,j) accumulates a(i,k)*b(k,j) over strictly
 /// increasing k, one rounded multiply and one rounded add at a time, and
 /// multiplications by an exact zero a(i,k) are skipped -- so their
-/// results are bit-identical (linalg_test and kernel_equivalence_test
-/// pin this). `Reference` is the original loop, kept as the correctness
+/// results are bit-identical (kernel_equivalence_test pins this).
+/// `Reference` is the original loop, kept as the correctness
 /// oracle and as the baseline the inference bench measures the fast path
-/// against; `Unrolled` processes four k-rows per pass to cut c-row
-/// load/store traffic; `Simd` is the explicitly vectorized kernel the
-/// build compiled in (AVX2 on x86-64, NEON on aarch64, the unrolled
-/// scalar loop elsewhere -- see linalg/kernels.hpp) and is the default.
+/// against; `Simd` is the explicitly vectorized kernel the build
+/// compiled in (AVX2 on x86-64, NEON on aarch64, the Reference loop
+/// elsewhere -- see linalg/kernels.hpp) and is the default.
 enum class MatmulKernel {
   Reference,  ///< original scalar ikj loop (oracle)
-  Unrolled,   ///< 4-way k-unrolled scalar ikj loop
   Simd,       ///< compile-time dispatched AVX2/NEON/scalar (default)
 };
 

@@ -29,7 +29,6 @@ const char* simd_kernel_name() {
 const std::vector<MatmulKernelInfo>& registered_matmul_kernels() {
   static const std::vector<MatmulKernelInfo> kernels = {
       {MatmulKernel::Reference, "reference"},
-      {MatmulKernel::Unrolled, "unrolled"},
       {MatmulKernel::Simd, simd_kernel_name()},
   };
   return kernels;

@@ -5,8 +5,8 @@
 // is decided at *compile time* -- CMake compiles `kernels_avx2.cpp`
 // with -mavx2 on x86-64 hosts (and defines GANA_SIMD_AVX2), compiles
 // `kernels_neon.cpp` into real code on aarch64 hosts (GANA_SIMD_NEON),
-// and otherwise the `Simd` kernel id resolves to the scalar unrolled
-// loop. There is no cpuid probing at run time: the binary targets the
+// and otherwise the `Simd` kernel id resolves to the Reference loop.
+// There is no cpuid probing at run time: the binary targets the
 // build host, and every kernel id stays runtime-selectable through
 // `set_matmul_kernel` / `set_spmm_kernel` so tests and benches can pit
 // any kernel against the Reference oracle.
@@ -55,10 +55,12 @@ struct SpmmKernelInfo {
 namespace linalg {
 
 #if defined(GANA_SIMD_AVX2)
-/// AVX2 matmul row kernel: accumulates C += A*B over pre-zeroed C.
-/// Mirrors the unrolled scalar loop's structure (4-way k groups, zero
-/// groups fall back to per-k skip semantics) with the j loop vectorized
-/// four doubles wide using separate mul/add (never FMA).
+/// AVX2 matmul kernel: writes C = A*B into C, which must already have
+/// A's row count and B's column count. Row-compressed: each block of
+/// rows has its nonzero (k, a(i,k)) pairs compacted without branches,
+/// then accumulates packed column panels of B over them, four doubles
+/// per vector with separate mul/add (never FMA); outputs narrower than
+/// a vector are stored through a lane mask.
 void matmul_rows_avx2(const Matrix& a, const Matrix& b, Matrix& c);
 
 /// AVX2 spmm row-range kernel over raw CSR arrays; accumulation order

@@ -29,185 +29,236 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 namespace gana::linalg {
 
-// Register-blocked layout: tiles of 4 output rows x 8 columns (two
-// 4-wide vectors), with k innermost and the 8 accumulators held in
-// registers for the whole k loop. Rationale: without FMA the add in
-// each element's accumulation chain has ~4-cycle latency, so a kernel
-// with one running vector per element chain stalls on it; eight
-// *independent* chains (4 rows x 2 vectors) keep the multiply/add
-// ports busy instead.
+namespace {
+
+// Row-compressed layout. A GCN's left operands are ReLU outputs and
+// Chebyshev stacks of them: between 10% and 70% of their entries are
+// exact zeros, scattered at random. A kernel that tests a(i,k) != 0.0
+// inside its k loop mispredicts that branch about half the time, and
+// the mispredictions, not the flops, then set its speed. This kernel
+// instead compacts each row's nonzero (k, a(i,k)) pairs once, with no
+// branch, and accumulates every column panel over that list. A row
+// with half its entries zero then costs half the flops of a dense one.
 //
-// The 8-wide column panels are processed j-outermost over a *packed*
-// copy of B[:, j..j+8): the panel's k*8 doubles are copied once into a
-// contiguous thread-local buffer and every row tile then streams it
-// sequentially. For the tall-thin shapes the ChebConv layers feed this
-// kernel (m of a few tens, k in the hundreds), the unpacked layout
-// re-walks all of B once per 4-row tile in n-strided 64-byte touches --
-// with m = 15 rows that is 4 strided sweeps per panel and most of each
-// cache line unused; the packed panel is 8 * k doubles that stay
-// resident across tiles. Packing is a pure data movement: the per-
-// element arithmetic is untouched (strictly increasing k, one rounded
-// mul + one rounded add per term, a(i,k) == 0.0 terms skipped per row
-// exactly like the reference), so bit-identity is preserved.
+// Scratch stays bounded: rows are compressed kRowBlock at a time, so a
+// thread holds kRowBlock * k pairs plus one packed copy of B, never a
+// compressed copy of all of A.
+constexpr std::size_t kRowBlock = 32;
+/// At most eight 4-double vectors per panel: eight independent add
+/// chains per row, which is what the add latency needs without FMA.
+constexpr std::size_t kMaxPanelVecs = 8;
+/// A packed panel (k rows of its width) should stay in L1 while every
+/// row of a block streams it.
+constexpr std::size_t kPanelBytes = 32 * 1024;
+
+/// Panel width in columns for a k-deep product: 32, halved while the
+/// panel would overflow kPanelBytes, down to 8. Narrower panels
+/// interleave rows (accumulate_block) to keep eight chains in flight.
+std::size_t panel_width(std::size_t kk) {
+  std::size_t width = 4 * kMaxPanelVecs;
+  while (width > 8 && kk * width * sizeof(double) > kPanelBytes) width /= 2;
+  return width;
+}
+
+/// One compressed row: its nonzero entries in increasing k.
+struct RowList {
+  const std::size_t* k;
+  const double* v;
+  std::size_t n;
+};
+
+/// Per 4-bit lane mask: the 32-bit lane indices that move the selected
+/// 64-bit lanes to the front in order (for _mm256_permutevar8x32), and
+/// how many lanes are selected.
+struct PackTable {
+  alignas(32) std::int32_t lanes[16][8];
+  std::size_t count[16];
+  constexpr PackTable() : lanes(), count() {
+    for (int mask = 0; mask < 16; ++mask) {
+      std::size_t out = 0;
+      for (int lane = 0; lane < 4; ++lane) {
+        if ((mask >> lane) & 1) {
+          lanes[mask][2 * out] = 2 * lane;
+          lanes[mask][2 * out + 1] = 2 * lane + 1;
+          ++out;
+        }
+      }
+      count[mask] = out;
+    }
+  }
+};
+constexpr PackTable kPack;
+
+/// Writes the nonzero entries of `a[0..kk)` to (ks, vs), keeping their
+/// order, and returns how many there are; both outputs need kk slots.
+/// Four entries at a time: compare, then left-pack the nonzero
+/// lanes with one permute and store all four, advancing the cursor by
+/// the nonzero count -- there is no branch on the data. The test is the
+/// reference's `!= 0.0`: -0.0 is skipped, NaN kept (unordered compare).
+std::size_t compress_row(const double* a, std::size_t kk, std::size_t* ks,
+                         double* vs) {
+  std::size_t count = 0;
+  std::size_t k = 0;
+  __m256i idx = _mm256_setr_epi64x(0, 1, 2, 3);
+  const __m256i step = _mm256_set1_epi64x(4);
+  for (; k + 4 <= kk; k += 4) {
+    const __m256d v = _mm256_loadu_pd(a + k);
+    const int mask = _mm256_movemask_pd(
+        _mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_NEQ_UQ));
+    const __m256i perm = _mm256_load_si256(
+        reinterpret_cast<const __m256i*>(kPack.lanes[mask]));
+    const __m256i packed =
+        _mm256_permutevar8x32_epi32(_mm256_castpd_si256(v), perm);
+    _mm256_storeu_pd(vs + count, _mm256_castsi256_pd(packed));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(ks + count),
+                        _mm256_permutevar8x32_epi32(idx, perm));
+    count += kPack.count[mask];
+    idx = _mm256_add_epi64(idx, step);
+  }
+  for (; k < kk; ++k) {
+    const double v = a[k];
+    ks[count] = k;
+    vs[count] = v;
+    count += static_cast<std::size_t>(v != 0.0);
+  }
+  return count;
+}
+
+/// Lane mask for the first `lanes` (1..4) doubles of a vector.
+__m256i lane_mask(std::size_t lanes) {
+  alignas(32) static constexpr std::int64_t kMasks[5][4] = {
+      {0, 0, 0, 0},    {-1, 0, 0, 0},   {-1, -1, 0, 0},
+      {-1, -1, -1, 0}, {-1, -1, -1, -1}};
+  return _mm256_load_si256(reinterpret_cast<const __m256i*>(kMasks[lanes]));
+}
+
+/// Accumulates R rows' products with one packed panel of NV vectors and
+/// stores the first `width` columns of each. Every accumulator starts
+/// at +0.0, the value matmul_into's resize left in C, and takes its
+/// row's terms in list order (increasing k), one rounded multiply and
+/// one rounded add each, so each element sees the Reference kernel's
+/// exact operation sequence. The R rows run in lockstep over their
+/// common prefix only to give the core R * NV independent add chains
+/// when the panel is narrow; each row's tail then runs alone.
+template <int R, int NV>
+void accumulate_rows(const RowList* rows, const double* panel,
+                     double* const* c, std::size_t width) {
+  __m256d s[R][NV];
+  for (int r = 0; r < R; ++r) {
+    for (int q = 0; q < NV; ++q) s[r][q] = _mm256_setzero_pd();
+  }
+  // Term t of row r: s[r] += a(i, k_t) * B(k_t, panel columns).
+  const auto term = [&](int r, std::size_t t) {
+    const __m256d v = _mm256_set1_pd(rows[r].v[t]);
+    const double* bk = panel + rows[r].k[t] * (4 * NV);
+    for (int q = 0; q < NV; ++q) {
+      s[r][q] = _mm256_add_pd(s[r][q],
+                              _mm256_mul_pd(v, _mm256_loadu_pd(bk + 4 * q)));
+    }
+  };
+  std::size_t common = rows[0].n;
+  for (int r = 1; r < R; ++r) common = std::min(common, rows[r].n);
+  for (std::size_t t = 0; t < common; ++t) {
+    for (int r = 0; r < R; ++r) term(r, t);
+  }
+  for (int r = 0; r < R; ++r) {
+    for (std::size_t t = common; t < rows[r].n; ++t) term(r, t);
+  }
+  // Columns past `width` are padding lanes: computed, never stored.
+  const std::size_t full = width / 4;
+  const __m256i tail = lane_mask(width % 4);
+  for (int r = 0; r < R; ++r) {
+    for (std::size_t q = 0; q < full; ++q) {
+      _mm256_storeu_pd(c[r] + 4 * q, s[r][q]);
+    }
+    if (full < static_cast<std::size_t>(NV)) {
+      _mm256_maskstore_pd(c[r] + 4 * full, tail, s[r][full]);
+    }
+  }
+}
+
+/// All rows of a block against one panel of NV vectors. Narrow panels
+/// interleave several rows so the adds still overlap.
+template <int NV>
+void accumulate_block(const RowList* rows, std::size_t count,
+                      const double* panel, double* const* c,
+                      std::size_t width) {
+  constexpr int kRows = NV <= 2 ? 4 : (NV <= 4 ? 2 : 1);
+  std::size_t r = 0;
+  for (; r + kRows <= count; r += kRows) {
+    accumulate_rows<kRows, NV>(rows + r, panel, c + r, width);
+  }
+  for (; r < count; ++r) accumulate_rows<1, NV>(rows + r, panel, c + r, width);
+}
+
+using BlockFn = void (*)(const RowList*, std::size_t, const double*,
+                         double* const*, std::size_t);
+constexpr BlockFn kBlockFns[kMaxPanelVecs] = {
+    accumulate_block<1>, accumulate_block<2>, accumulate_block<3>,
+    accumulate_block<4>, accumulate_block<5>, accumulate_block<6>,
+    accumulate_block<7>, accumulate_block<8>};
+
+/// Per-thread scratch, reused across calls.
+struct Scratch {
+  /// B in panel-major order: each panel holds its columns of every row
+  /// of B contiguously, its width rounded up to whole vectors
+  /// and the extra lanes zeroed. Streaming one panel touches consecutive
+  /// memory, where B's own rows (n doubles apart) would alias the same
+  /// cache sets at power-of-two n.
+  std::vector<double> packed;
+  std::vector<std::size_t> ks;  ///< kRowBlock rows of k indices
+  std::vector<double> vs;       ///< kRowBlock rows of values
+};
+
+}  // namespace
+
 void matmul_rows_avx2(const Matrix& a, const Matrix& b, Matrix& c) {
   const std::size_t m = a.rows();
   const std::size_t kk = a.cols();
   const std::size_t n = b.cols();
-  thread_local std::vector<double> packed;
-  if (n >= 8 && packed.size() < kk * 8) packed.resize(kk * 8);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    double* p = packed.data();
-    for (std::size_t k = 0; k < kk; ++k) {
-      const double* bk = b.row_ptr(k) + j;
-      _mm256_storeu_pd(p + k * 8, _mm256_loadu_pd(bk));
-      _mm256_storeu_pd(p + k * 8 + 4, _mm256_loadu_pd(bk + 4));
-    }
-    std::size_t i = 0;
-    for (; i + 4 <= m; i += 4) {
-      const double* a0 = a.row_ptr(i + 0);
-      const double* a1 = a.row_ptr(i + 1);
-      const double* a2 = a.row_ptr(i + 2);
-      const double* a3 = a.row_ptr(i + 3);
-      double* c0 = c.row_ptr(i + 0);
-      double* c1 = c.row_ptr(i + 1);
-      double* c2 = c.row_ptr(i + 2);
-      double* c3 = c.row_ptr(i + 3);
-      __m256d s00 = _mm256_loadu_pd(c0 + j);
-      __m256d s01 = _mm256_loadu_pd(c0 + j + 4);
-      __m256d s10 = _mm256_loadu_pd(c1 + j);
-      __m256d s11 = _mm256_loadu_pd(c1 + j + 4);
-      __m256d s20 = _mm256_loadu_pd(c2 + j);
-      __m256d s21 = _mm256_loadu_pd(c2 + j + 4);
-      __m256d s30 = _mm256_loadu_pd(c3 + j);
-      __m256d s31 = _mm256_loadu_pd(c3 + j + 4);
-      for (std::size_t k = 0; k < kk; ++k) {
-        const __m256d bv0 = _mm256_loadu_pd(p + k * 8);
-        const __m256d bv1 = _mm256_loadu_pd(p + k * 8 + 4);
-        if (a0[k] != 0.0) {
-          const __m256d v = _mm256_set1_pd(a0[k]);
-          s00 = _mm256_add_pd(s00, _mm256_mul_pd(v, bv0));
-          s01 = _mm256_add_pd(s01, _mm256_mul_pd(v, bv1));
-        }
-        if (a1[k] != 0.0) {
-          const __m256d v = _mm256_set1_pd(a1[k]);
-          s10 = _mm256_add_pd(s10, _mm256_mul_pd(v, bv0));
-          s11 = _mm256_add_pd(s11, _mm256_mul_pd(v, bv1));
-        }
-        if (a2[k] != 0.0) {
-          const __m256d v = _mm256_set1_pd(a2[k]);
-          s20 = _mm256_add_pd(s20, _mm256_mul_pd(v, bv0));
-          s21 = _mm256_add_pd(s21, _mm256_mul_pd(v, bv1));
-        }
-        if (a3[k] != 0.0) {
-          const __m256d v = _mm256_set1_pd(a3[k]);
-          s30 = _mm256_add_pd(s30, _mm256_mul_pd(v, bv0));
-          s31 = _mm256_add_pd(s31, _mm256_mul_pd(v, bv1));
-        }
-      }
-      _mm256_storeu_pd(c0 + j, s00);
-      _mm256_storeu_pd(c0 + j + 4, s01);
-      _mm256_storeu_pd(c1 + j, s10);
-      _mm256_storeu_pd(c1 + j + 4, s11);
-      _mm256_storeu_pd(c2 + j, s20);
-      _mm256_storeu_pd(c2 + j + 4, s21);
-      _mm256_storeu_pd(c3 + j, s30);
-      _mm256_storeu_pd(c3 + j + 4, s31);
-    }
-    for (; i < m; ++i) {
-      const double* ar = a.row_ptr(i);
-      double* cr = c.row_ptr(i);
-      __m256d s0 = _mm256_loadu_pd(cr + j);
-      __m256d s1 = _mm256_loadu_pd(cr + j + 4);
-      for (std::size_t k = 0; k < kk; ++k) {
-        if (ar[k] == 0.0) continue;
-        const __m256d v = _mm256_set1_pd(ar[k]);
-        s0 = _mm256_add_pd(s0, _mm256_mul_pd(v, _mm256_loadu_pd(p + k * 8)));
-        s1 = _mm256_add_pd(s1,
-                           _mm256_mul_pd(v, _mm256_loadu_pd(p + k * 8 + 4)));
-      }
-      _mm256_storeu_pd(cr + j, s0);
-      _mm256_storeu_pd(cr + j + 4, s1);
+  if (m == 0 || n == 0) return;
+  thread_local Scratch s;
+
+  const std::size_t panel = panel_width(kk);
+  const std::size_t panels = (n + panel - 1) / panel;
+  s.packed.resize(kk * ((n + 3) / 4) * 4);
+  for (std::size_t p = 0; p < panels; ++p) {
+    const std::size_t j0 = p * panel;
+    const std::size_t width = std::min(panel, n - j0);
+    const std::size_t stride = (width + 3) / 4 * 4;
+    double* dst = s.packed.data() + kk * j0;
+    for (std::size_t k = 0; k < kk; ++k, dst += stride) {
+      const double* src = b.row_ptr(k) + j0;
+      std::copy(src, src + width, dst);
+      std::fill(dst + width, dst + stride, 0.0);
     }
   }
-  if (j >= n) return;
-  // Column tail (n % 8): row-tiled directly over B, as before packing.
-  const std::size_t jtail = j;
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const double* a0 = a.row_ptr(i + 0);
-    const double* a1 = a.row_ptr(i + 1);
-    const double* a2 = a.row_ptr(i + 2);
-    const double* a3 = a.row_ptr(i + 3);
-    double* c0 = c.row_ptr(i + 0);
-    double* c1 = c.row_ptr(i + 1);
-    double* c2 = c.row_ptr(i + 2);
-    double* c3 = c.row_ptr(i + 3);
-    j = jtail;
-    for (; j + 4 <= n; j += 4) {
-      __m256d s0 = _mm256_loadu_pd(c0 + j);
-      __m256d s1 = _mm256_loadu_pd(c1 + j);
-      __m256d s2 = _mm256_loadu_pd(c2 + j);
-      __m256d s3 = _mm256_loadu_pd(c3 + j);
-      for (std::size_t k = 0; k < kk; ++k) {
-        const __m256d bv = _mm256_loadu_pd(b.row_ptr(k) + j);
-        if (a0[k] != 0.0) {
-          s0 = _mm256_add_pd(s0, _mm256_mul_pd(_mm256_set1_pd(a0[k]), bv));
-        }
-        if (a1[k] != 0.0) {
-          s1 = _mm256_add_pd(s1, _mm256_mul_pd(_mm256_set1_pd(a1[k]), bv));
-        }
-        if (a2[k] != 0.0) {
-          s2 = _mm256_add_pd(s2, _mm256_mul_pd(_mm256_set1_pd(a2[k]), bv));
-        }
-        if (a3[k] != 0.0) {
-          s3 = _mm256_add_pd(s3, _mm256_mul_pd(_mm256_set1_pd(a3[k]), bv));
-        }
-      }
-      _mm256_storeu_pd(c0 + j, s0);
-      _mm256_storeu_pd(c1 + j, s1);
-      _mm256_storeu_pd(c2 + j, s2);
-      _mm256_storeu_pd(c3 + j, s3);
+
+  s.ks.resize(kRowBlock * kk);
+  s.vs.resize(kRowBlock * kk);
+  RowList rows[kRowBlock] = {};
+  double* crows[kRowBlock] = {};
+  for (std::size_t i0 = 0; i0 < m; i0 += kRowBlock) {
+    const std::size_t count = std::min(kRowBlock, m - i0);
+    for (std::size_t r = 0; r < count; ++r) {
+      std::size_t* ks = s.ks.data() + r * kk;
+      double* vs = s.vs.data() + r * kk;
+      rows[r] = {ks, vs, compress_row(a.row_ptr(i0 + r), kk, ks, vs)};
     }
-    for (; j < n; ++j) {
-      double s0 = c0[j], s1 = c1[j], s2 = c2[j], s3 = c3[j];
-      for (std::size_t k = 0; k < kk; ++k) {
-        const double bkj = b.row_ptr(k)[j];
-        if (a0[k] != 0.0) s0 += a0[k] * bkj;
-        if (a1[k] != 0.0) s1 += a1[k] * bkj;
-        if (a2[k] != 0.0) s2 += a2[k] * bkj;
-        if (a3[k] != 0.0) s3 += a3[k] * bkj;
+    for (std::size_t p = 0; p < panels; ++p) {
+      const std::size_t j0 = p * panel;
+      const std::size_t width = std::min(panel, n - j0);
+      for (std::size_t r = 0; r < count; ++r) {
+        crows[r] = c.row_ptr(i0 + r) + j0;
       }
-      c0[j] = s0;
-      c1[j] = s1;
-      c2[j] = s2;
-      c3[j] = s3;
-    }
-  }
-  // Remainder rows (< 4) of the column tail.
-  for (; i < m; ++i) {
-    const double* ar = a.row_ptr(i);
-    double* cr = c.row_ptr(i);
-    j = jtail;
-    for (; j + 4 <= n; j += 4) {
-      __m256d s = _mm256_loadu_pd(cr + j);
-      for (std::size_t k = 0; k < kk; ++k) {
-        if (ar[k] == 0.0) continue;
-        s = _mm256_add_pd(s, _mm256_mul_pd(_mm256_set1_pd(ar[k]),
-                                           _mm256_loadu_pd(b.row_ptr(k) + j)));
-      }
-      _mm256_storeu_pd(cr + j, s);
-    }
-    for (; j < n; ++j) {
-      double s = cr[j];
-      for (std::size_t k = 0; k < kk; ++k) {
-        if (ar[k] != 0.0) s += ar[k] * b.row_ptr(k)[j];
-      }
-      cr[j] = s;
+      kBlockFns[(width + 3) / 4 - 1](rows, count, s.packed.data() + kk * j0,
+                                     crows, width);
     }
   }
 }

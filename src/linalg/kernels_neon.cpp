@@ -1,6 +1,7 @@
 // NEON matmul/spmm kernels (aarch64 builds only).
 //
-// Structure mirrors kernels_avx2.cpp with 2-double lanes. CMake forces
+// The same per-element contract as kernels_avx2.cpp (k order, zero
+// skips, separate multiply and add), with 2-double lanes. CMake forces
 // -ffp-contract=off on this translation unit (and on the scalar kernel
 // units) because aarch64 has baseline FMA: without it the compiler
 // would contract the scalar tails' mul+add into fmadd and break bit

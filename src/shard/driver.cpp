@@ -261,8 +261,12 @@ Result<bool> SliceRunner::init(const PipelineOptions& options) {
     if (!lib.ok()) return lib.diag();
     library = lib.take();
   }
-  impl->annotator = std::make_unique<core::Annotator>(
-      impl->model.get(), class_names_for(options.domain), std::move(library));
+  try {
+    impl->annotator = std::make_unique<core::Annotator>(
+        impl->model.get(), class_names_for(options.domain), std::move(library));
+  } catch (const DiagError& e) {
+    return e.diag();  // the model does not fit the domain's annotator
+  }
   if (options.caches) {
     const std::size_t cap = options.cache_capacity;
     impl->annotator->set_sample_cache(

@@ -44,6 +44,7 @@ const char* to_string(DiagCode c) {
     case DiagCode::FormatError: return "format-error";
     case DiagCode::Skipped: return "skipped";
     case DiagCode::WorkerFailed: return "worker-failed";
+    case DiagCode::ModelMismatch: return "model-mismatch";
     case DiagCode::Internal: return "internal";
   }
   return "?";
@@ -72,7 +73,8 @@ const std::vector<DiagCode>& all_diag_codes() {
       DiagCode::Truncated,       DiagCode::DeadlineExceeded,
       DiagCode::Overloaded,      DiagCode::IoError,
       DiagCode::FormatError,     DiagCode::Skipped,
-      DiagCode::WorkerFailed,    DiagCode::Internal,
+      DiagCode::WorkerFailed,    DiagCode::ModelMismatch,
+      DiagCode::Internal,
   };
   return codes;
 }

@@ -71,6 +71,7 @@ enum class DiagCode {
   FormatError,   ///< binary artifact malformed (magic/version/checksum)
   Skipped,       ///< batch task cancelled by fail-fast before it ran
   WorkerFailed,  ///< shard worker process crashed or exited nonzero
+  ModelMismatch, ///< model's input/output width does not fit the annotator
   Internal,      ///< unexpected exception escaping a pipeline stage
 };
 

@@ -14,6 +14,8 @@
 
 #include "core/export.hpp"
 #include "core/pipeline.hpp"
+#include "datagen/phased_array.hpp"
+#include "datagen/rf_gen.hpp"
 #include "gcn/model.hpp"
 #include "graph/structural_hash.hpp"
 #include "incremental/canonical.hpp"
@@ -21,6 +23,7 @@
 #include "incremental/session.hpp"
 #include "spice/parser.hpp"
 #include "util/perf.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace gana {
@@ -46,13 +49,15 @@ spice::Netlist two_block_netlist() {
   return spice::parse_netlist(kTwoBlockNetlist);
 }
 
-std::string cold_json(const spice::Netlist& netlist) {
+std::string cold_json(const spice::Netlist& netlist,
+                      const std::vector<std::string>& classes = {"ota",
+                                                                 "bias"}) {
   // A fresh Annotator: no cache shared with the session under test, so
   // the reference bytes are a genuinely independent cold run.
-  const core::Annotator annotator(nullptr, {"ota", "bias"});
+  const core::Annotator annotator(nullptr, classes);
   const auto r = annotator.try_annotate(netlist, "incr");
   EXPECT_TRUE(r.ok()) << r.diag().message;
-  return r.ok() ? core::annotation_to_json(r.value(), {"ota", "bias"}) : "";
+  return r.ok() ? core::annotation_to_json(r.value(), classes) : "";
 }
 
 std::string session_json(incremental::AnnotationSession& session,
@@ -169,6 +174,69 @@ TEST(IncrementalSession, OneDeviceEditInvalidatesExactlyItsRegion) {
   EXPECT_EQ(delta.incr_regions, 2u);
   EXPECT_EQ(delta.incr_region_reuses, 1u);
   EXPECT_EQ(delta.incr_region_recomputes, 1u);
+}
+
+// --- Property: a one-region design skips the canonical search -----------
+
+TEST(IncrementalSession, SingleRegionStructuralEditSkipsCanonicalSearch) {
+  // The phased array is one region (its blocks share signal nets), and
+  // canonically labelling it exhausts the leaf budget. A structural edit
+  // must match it whole-graph instead: no canonical fallback counted,
+  // bytes equal to a cold annotation.
+  Rng rng(1);
+  const datagen::LabeledCircuit design =
+      datagen::generate_phased_array({}, rng);
+  const std::vector<std::string>& classes = datagen::rf_class_names();
+  const core::Annotator annotator(nullptr, classes);
+  incremental::AnnotationSession session(&annotator);
+  const auto signal = [](const std::string& net) {
+    return !spice::is_supply_net(net) && !spice::is_ground_net(net);
+  };
+
+  const spice::Netlist rev0 = design.netlist;
+  PerfSnapshot before = perf_snapshot();
+  EXPECT_EQ(session_json(session, rev0), cold_json(rev0, classes));
+  EXPECT_EQ((perf_snapshot() - before).incr_canon_fallbacks, 0u);
+  EXPECT_EQ(session.last_stats().regions, 1u);
+
+  // Rewire one passive between signal nets: move its second pin to
+  // another device's signal net.
+  spice::Netlist rev1 = rev0;
+  spice::Device* passive = nullptr;
+  for (spice::Device& d : rev1.devices) {
+    if ((d.type == spice::DeviceType::Resistor ||
+         d.type == spice::DeviceType::Capacitor) &&
+        signal(d.pins[0]) && signal(d.pins[1])) {
+      passive = &d;
+      break;
+    }
+  }
+  ASSERT_NE(passive, nullptr);
+  std::string target;
+  for (const spice::Device& d : rev1.devices) {
+    const std::string& net = d.pins[0];
+    if (signal(net) && net != passive->pins[0] && net != passive->pins[1]) {
+      target = net;
+      break;
+    }
+  }
+  ASSERT_FALSE(target.empty());
+  passive->pins[1] = target;
+
+  before = perf_snapshot();
+  EXPECT_EQ(session_json(session, rev1), cold_json(rev1, classes));
+  const PerfSnapshot delta = perf_snapshot() - before;
+  EXPECT_EQ(delta.incr_canon_fallbacks, 0u);
+  const incremental::SessionStats& stats = session.last_stats();
+  EXPECT_TRUE(stats.structure_changed);
+  EXPECT_FALSE(stats.annotation_reused);
+  EXPECT_FALSE(stats.fallback_cold);
+  EXPECT_EQ(stats.regions, 1u);
+  EXPECT_EQ(stats.region_recomputes, 1u);
+
+  // Reverting hits the whole-structure store.
+  EXPECT_EQ(session_json(session, rev0), cold_json(rev0, classes));
+  EXPECT_TRUE(session.last_stats().annotation_reused);
 }
 
 // --- Property: value-only edits take the patch fast path ----------------

@@ -5,7 +5,9 @@
 // shape -- including dimensions that exercise SIMD remainder lanes (odd
 // columns), degenerate 1xN / Nx1 products, `*_into` buffers reused
 // across shrinking and growing shapes, exact-zero skip semantics (±0.0
-// sprinkled into the left operand), and Inf/NaN propagation. Comparison
+// sprinkled into the left operand, ReLU-like zero-heavy and all-zero
+// rows, all-zero operands), row counts that leave a partial row block,
+// outputs narrower than one vector, and Inf/NaN propagation. Comparison
 // is bitwise over the raw doubles -- signed zeros and Inf signs count;
 // NaNs compare as a class (payload/sign of a NaN surviving a multi-NaN
 // accumulation is a codegen accident, see bitwise_equal) -- and the
@@ -70,13 +72,38 @@ constexpr std::size_t kDims[] = {1, 2, 3, 4, 5, 7, 8, 9, 11, 13,
                                  16, 17, 24, 31, 32, 33, 47, 64};
 constexpr std::size_t kDimCount = sizeof(kDims) / sizeof(kDims[0]);
 
-/// Left operands get exact ±0.0 sprinkled in (~1/4 of entries) because
-/// the reference matmul skips a(i,k) == 0.0 terms and every kernel must
-/// skip the exact same terms; right operands stay dense.
-void fill_left(Matrix& m, Rng& rng) {
-  for (auto& v : m.data()) {
-    v = rng.chance(0.25) ? (rng.chance(0.5) ? 0.0 : -0.0)
-                         : rng.uniform(-2.0, 2.0);
+/// How a left operand is filled. The reference matmul skips a(i,k) ==
+/// 0.0 terms and every kernel must skip the exact same terms; the Simd
+/// kernel compacts them out of each row before any product, so rows
+/// that are mostly or entirely zero take paths of their own.
+enum class LeftFill {
+  Mixed,      ///< ~1/4 of entries exact ±0.0
+  ZeroHeavy,  ///< >= 1/2 exact ±0.0 (ReLU-like), plus all-zero rows
+  AllZero,    ///< every entry ±0.0
+};
+
+double signed_zero(Rng& rng) { return rng.chance(0.5) ? 0.0 : -0.0; }
+
+/// Right operands stay dense.
+void fill_left(Matrix& m, Rng& rng, LeftFill fill = LeftFill::Mixed) {
+  switch (fill) {
+    case LeftFill::Mixed:
+      for (auto& v : m.data()) {
+        v = rng.chance(0.25) ? signed_zero(rng) : rng.uniform(-2.0, 2.0);
+      }
+      break;
+    case LeftFill::ZeroHeavy:
+      for (std::size_t i = 0; i < m.rows(); ++i) {
+        const bool zero_row = rng.chance(0.125);
+        for (std::size_t k = 0; k < m.cols(); ++k) {
+          m(i, k) = zero_row || rng.chance(0.6) ? signed_zero(rng)
+                                                : rng.uniform(-2.0, 2.0);
+        }
+      }
+      break;
+    case LeftFill::AllZero:
+      for (auto& v : m.data()) v = signed_zero(rng);
+      break;
   }
 }
 
@@ -108,10 +135,10 @@ std::string case_label(std::uint64_t seed, std::size_t m, std::size_t k,
 /// caller's output buffers so capacity-reuse paths are exercised too.
 void check_matmul_case(std::uint64_t seed, std::size_t m, std::size_t k,
                        std::size_t n, bool nonfinite, Matrix& out_ref,
-                       Matrix& out_alt) {
+                       Matrix& out_alt, LeftFill fill = LeftFill::Mixed) {
   Rng rng(seed);
   Matrix a(m, k), b(k, n);
-  fill_left(a, rng);
+  fill_left(a, rng, fill);
   fill_right(b, rng);
   if (nonfinite) {
     inject_nonfinite(a, rng);
@@ -123,7 +150,8 @@ void check_matmul_case(std::uint64_t seed, std::size_t m, std::size_t k,
     set_matmul_kernel(info.id);
     matmul_into(a, b, out_alt);
     ASSERT_TRUE(bitwise_equal(out_ref, out_alt))
-        << case_label(seed, m, k, n, info.name);
+        << case_label(seed, m, k, n, info.name)
+        << " fill=" << static_cast<int>(fill) << " nonfinite=" << nonfinite;
   }
 }
 
@@ -152,6 +180,9 @@ TEST(KernelEquivalence, MatmulRandomShapesBitwiseEqual) {
     const std::size_t n = kDims[shape_rng.index(kDimCount)];
     check_matmul_case(seed, m, k, n, /*nonfinite=*/false, out_ref, out_alt);
     if (HasFatalFailure()) return;
+    check_matmul_case(~seed, m, k, n, /*nonfinite=*/false, out_ref, out_alt,
+                      LeftFill::ZeroHeavy);
+    if (HasFatalFailure()) return;
   }
 }
 
@@ -166,6 +197,10 @@ TEST(KernelEquivalence, MatmulDegenerateShapes) {
     check_matmul_case(++seed, 5, d, 1, false, out_ref, out_alt);
     if (HasFatalFailure()) return;
     check_matmul_case(++seed, d, 1, d, false, out_ref, out_alt);
+    if (HasFatalFailure()) return;
+    // An all-zero left operand: every output stays the reference's +0.0.
+    check_matmul_case(++seed, d, d, d, false, out_ref, out_alt,
+                      LeftFill::AllZero);
     if (HasFatalFailure()) return;
   }
 }
@@ -188,6 +223,25 @@ TEST(KernelEquivalence, MatmulChebConvShapes) {
     if (HasFatalFailure()) return;
     check_matmul_case(++seed, s[0], s[1], s[2], true, out_ref, out_alt);
     if (HasFatalFailure()) return;
+  }
+  // The Simd kernel compresses rows 32 at a time, so row counts one past
+  // a block (33, 65) and the phased array's 876 leave a partial block;
+  // 876x64x512 and 876x512x6 are that design's dense-layer products.
+  // n = 1..3 at k = 512 are the classifier's outputs, narrower than one
+  // vector. Each runs with ReLU-like zero-heavy rows (some all zero),
+  // an all-zero operand, and the mixed fill, finite and non-finite.
+  const std::size_t wide[][3] = {{33, 144, 32}, {65, 256, 64}, {876, 64, 512},
+                                 {876, 512, 6}, {64, 512, 1},  {65, 512, 2},
+                                 {876, 512, 3}, {97, 512, 1},  {64, 512, 3}};
+  for (const auto& s : wide) {
+    for (const LeftFill fill :
+         {LeftFill::ZeroHeavy, LeftFill::AllZero, LeftFill::Mixed}) {
+      for (const bool nonfinite : {false, true}) {
+        check_matmul_case(++seed, s[0], s[1], s[2], nonfinite, out_ref,
+                          out_alt, fill);
+        if (HasFatalFailure()) return;
+      }
+    }
   }
 }
 
@@ -216,6 +270,9 @@ TEST(KernelEquivalence, MatmulNonFinitePassThrough) {
     const std::size_t k = kDims[shape_rng.index(kDimCount)];
     const std::size_t n = kDims[shape_rng.index(kDimCount)];
     check_matmul_case(seed, m, k, n, /*nonfinite=*/true, out_ref, out_alt);
+    if (HasFatalFailure()) return;
+    check_matmul_case(~seed, m, k, n, /*nonfinite=*/true, out_ref, out_alt,
+                      LeftFill::ZeroHeavy);
     if (HasFatalFailure()) return;
   }
 }

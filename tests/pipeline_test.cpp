@@ -2,9 +2,16 @@
 
 #include "core/pipeline.hpp"
 
+#include <cstdio>
+#include <string>
+
+#include "gcn/serialize.hpp"
+#include "shard/driver.hpp"
 #include "spice/parser.hpp"
+#include "util/diag.hpp"
 #include "datagen/dataset.hpp"
 #include "datagen/phased_array.hpp"
+#include "datagen/rf_gen.hpp"
 #include "datagen/sc_filter.hpp"
 #include "gcn/trainer.hpp"
 
@@ -145,6 +152,69 @@ TEST(Annotator, StageTimingsPopulated) {
   const auto r = annotator.annotate(circuit);
   EXPECT_GE(r.seconds_gcn, 0.0);
   EXPECT_GE(r.seconds_post, 0.0);
+}
+
+// --- Model shape checks --------------------------------------------------
+//
+// The layers check shapes with asserts only, which release builds
+// compile out: a model wider than the 18 features would read past every
+// feature row, one with more classes than names would export null
+// classes. The Annotator must reject both with a structured diag, and
+// everything built on an Annotator inherits that.
+
+gcn::ModelConfig small_model_config() {
+  gcn::ModelConfig cfg;
+  cfg.conv_channels = {8, 8};
+  cfg.cheb_k = 3;
+  cfg.fc_hidden = 16;
+  return cfg;
+}
+
+TEST(ModelShape, CheckpointWithWrongInFeaturesIsRejected) {
+  gcn::ModelConfig cfg = small_model_config();
+  cfg.in_features = 20;
+  const std::string path = testing::TempDir() + "gana_model_in20.ckpt";
+  gcn::save_model_file(gcn::GcnModel(cfg), path);
+  auto loaded = gcn::load_model_any(path);
+  ASSERT_TRUE(loaded.ok()) << "the checkpoint itself is well-formed";
+  const gcn::GcnModel model = loaded.take();
+
+  try {
+    const Annotator annotator(&model, {"ota", "bias"});
+    ADD_FAILURE() << "a 20-feature model was accepted";
+  } catch (const DiagError& e) {
+    EXPECT_EQ(e.diag().code, DiagCode::ModelMismatch);
+    EXPECT_EQ(e.diag().stage, Stage::Gcn);
+    EXPECT_NE(e.diag().message.find("20"), std::string::npos)
+        << e.diag().message;
+  }
+
+  // gana-shard's worker start-up builds an Annotator, so it fails with
+  // the same diag instead of annotating anything.
+  shard::PipelineOptions options;
+  options.load_model = path;
+  const auto slice = shard::annotate_slice(
+      {}, {}, options, [](std::size_t, const shard::NetlistRecord&) {
+        return true;
+      });
+  ASSERT_FALSE(slice.ok());
+  EXPECT_EQ(slice.diag().code, DiagCode::ModelMismatch);
+  std::remove(path.c_str());
+}
+
+TEST(ModelShape, MoreClassesThanNamesIsRejected) {
+  gcn::ModelConfig cfg = small_model_config();
+  cfg.num_classes = 3;
+  const gcn::GcnModel model(cfg);
+  try {
+    const Annotator annotator(&model, {"ota", "bias"});
+    ADD_FAILURE() << "a 3-class model was accepted for 2 class names";
+  } catch (const DiagError& e) {
+    EXPECT_EQ(e.diag().code, DiagCode::ModelMismatch);
+  }
+  // Every class has a name: exact fit, or a prefix of a larger vocabulary.
+  EXPECT_NO_THROW(Annotator(&model, {"lna", "mixer", "osc"}));
+  EXPECT_NO_THROW(Annotator(&model, datagen::rf_class_names()));
 }
 
 }  // namespace
