@@ -215,8 +215,31 @@ int main(int argc, char** argv) {
     return kExitUsage;
   }
   const bool keep_going = args.has("keep-going");
-  const std::size_t jobs =
-      static_cast<std::size_t>(std::max(args.get_int("jobs", 1), 0));
+  // Numeric flags are read before any work starts: a malformed value
+  // is a usage error, never a silent default.
+  std::size_t jobs = 0, prep_capacity = 0, annotation_capacity = 0,
+              inference_capacity = 0;
+  int circuits = 0, epochs = 0;
+  double timeout_seconds = 0.0;
+  try {
+    jobs = static_cast<std::size_t>(std::max(args.get_int("jobs", 1), 0));
+    circuits = args.get_int("circuits", 150);
+    epochs = args.get_int("epochs", 25);
+    // Per-cache capacities, each falling back to the shared knob.
+    const int shared_capacity =
+        std::max(args.get_int("cache-capacity", 0), 0);
+    const auto cache_capacity = [&](const char* flag) {
+      return static_cast<std::size_t>(
+          std::max(args.get_int(flag, shared_capacity), 0));
+    };
+    prep_capacity = cache_capacity("prep-cache-capacity");
+    annotation_capacity = cache_capacity("annotation-cache-capacity");
+    inference_capacity = cache_capacity("inference-cache-capacity");
+    timeout_seconds = args.get_double("timeout-seconds", 0.0);
+  } catch (const gana::ArgError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return kExitUsage;
+  }
 
   // --- Parse. Each file independently yields a netlist or a located
   // diagnostic; --keep-going pushes past failures instead of stopping.
@@ -260,9 +283,8 @@ int main(int argc, char** argv) {
     std::printf("loaded model from %s (%zu parameters)\n",
                 args.get("load-model").c_str(), model->parameter_count());
   } else if (args.has("train")) {
-    model = train_quick_model(
-        domain, static_cast<std::size_t>(args.get_int("circuits", 150)),
-        args.get_int("epochs", 25));
+    model = train_quick_model(domain, static_cast<std::size_t>(circuits),
+                              epochs);
   }
   if (model && args.has("save-model")) {
     gana::gcn::save_model_file(*model, args.get("save-model"));
@@ -295,31 +317,25 @@ int main(int argc, char** argv) {
     return kExitIo;
   }
   gana::core::Annotator& annotator = *owned_annotator;
-  // Per-cache capacities, each falling back to the shared knob.
-  const int shared_capacity = std::max(args.get_int("cache-capacity", 0), 0);
-  const auto cache_capacity = [&](const char* flag) {
-    return static_cast<std::size_t>(
-        std::max(args.get_int(flag, shared_capacity), 0));
-  };
   if (args.has("sample-cache")) {
-    annotator.set_sample_cache(std::make_shared<gana::gcn::SamplePrepCache>(
-        cache_capacity("prep-cache-capacity")));
+    annotator.set_sample_cache(
+        std::make_shared<gana::gcn::SamplePrepCache>(prep_capacity));
   }
   if (args.has("annotation-cache")) {
     annotator.set_annotation_cache(
         std::make_shared<gana::primitives::AnnotationCache>(
-            cache_capacity("annotation-cache-capacity")));
+            annotation_capacity));
   }
   if (args.has("inference-cache")) {
     // Attached after any --train / --load-model: set_inference_cache
     // captures the weights fingerprint at this point.
-    annotator.set_inference_cache(std::make_shared<gana::gcn::InferenceCache>(
-        cache_capacity("inference-cache-capacity")));
+    annotator.set_inference_cache(
+        std::make_shared<gana::gcn::InferenceCache>(inference_capacity));
   }
   gana::core::BatchOptions bopt;
   bopt.policy = keep_going ? gana::core::FailurePolicy::CollectAll
                            : gana::core::FailurePolicy::FailFast;
-  bopt.timeout_seconds = args.get_double("timeout-seconds", 0.0);
+  bopt.timeout_seconds = timeout_seconds;
   gana::core::BatchOutcome batch;
   if (args.has("session")) {
     // Edit-sequence replay: each input is the next revision of one

@@ -56,9 +56,15 @@ int main(int argc, char** argv) {
 
   gana::serve::ClientOptions copt;
   copt.socket_path = args.get("socket");
-  const double timeout = args.get_double("timeout-seconds", 0.0);
-  if (timeout > 0.0) copt.timeout_seconds = timeout;
-  copt.max_retries = std::max(args.get_int("retries", copt.max_retries), 0);
+  double timeout = 0.0;
+  try {
+    timeout = args.get_double("timeout-seconds", 0.0);
+    if (timeout > 0.0) copt.timeout_seconds = timeout;
+    copt.max_retries = std::max(args.get_int("retries", copt.max_retries), 0);
+  } catch (const gana::ArgError& e) {
+    std::fprintf(stderr, "gana-client: %s\n", e.what());
+    return kExitUsage;
+  }
   gana::serve::Client client(copt);
 
   if (args.has("ping")) {

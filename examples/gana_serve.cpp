@@ -90,6 +90,49 @@ int main(int argc, char** argv) {
   }
   const std::string domain = args.get("domain", "ota");
 
+  // Numeric flags are read before any work starts: a malformed value
+  // is a usage error, never a silent default.
+  gana::serve::ServerConfig config;
+  gana::FaultPlan plan;
+  std::uint64_t fault_seed = 1;
+  try {
+    config.socket_path = args.get("socket");
+    config.jobs =
+        static_cast<std::size_t>(std::max(args.get_int("jobs", 0), 0));
+    config.max_inflight = static_cast<std::size_t>(
+        std::max(args.get_int("max-inflight", 0), 0));
+    config.default_timeout_seconds = args.get_double("timeout-seconds", 0.0);
+    config.write_timeout_seconds = args.get_double(
+        "write-timeout-seconds", config.write_timeout_seconds);
+    config.max_sessions = static_cast<std::size_t>(
+        std::max(args.get_int("max-sessions", 0), 0));
+    config.cache_capacity = static_cast<std::size_t>(
+        std::max(args.get_int("cache-capacity", 0), 0));
+    const auto cache_override = [&args](const char* flag) {
+      std::optional<std::size_t> capacity;
+      if (args.has(flag)) {
+        capacity =
+            static_cast<std::size_t>(std::max(args.get_int(flag, 0), 0));
+      }
+      return capacity;
+    };
+    config.prep_cache_capacity = cache_override("prep-cache-capacity");
+    config.annotation_cache_capacity =
+        cache_override("annotation-cache-capacity");
+    config.inference_cache_capacity =
+        cache_override("inference-cache-capacity");
+    config.seed = static_cast<std::uint64_t>(args.get_int(
+        "seed", static_cast<int>(gana::core::kDefaultSampleSeed)));
+    plan.alloc_failure = args.get_double("fault-alloc", 0.0);
+    plan.stage_error = args.get_double("fault-error", 0.0);
+    plan.stage_delay = args.get_double("fault-delay", 0.0);
+    plan.delay_seconds = args.get_double("fault-delay-seconds", 0.01);
+    fault_seed = static_cast<std::uint64_t>(args.get_int("fault-seed", 1));
+  } catch (const gana::ArgError& e) {
+    std::fprintf(stderr, "gana-serve: %s\n", e.what());
+    return 1;
+  }
+
   // Warm state, paid once: the model (optional) and the Annotator with
   // its parsed primitive library.
   std::unique_ptr<gana::gcn::GcnModel> model;
@@ -126,40 +169,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  gana::serve::ServerConfig config;
-  config.socket_path = args.get("socket");
-  config.jobs = static_cast<std::size_t>(std::max(args.get_int("jobs", 0), 0));
-  config.max_inflight =
-      static_cast<std::size_t>(std::max(args.get_int("max-inflight", 0), 0));
-  config.default_timeout_seconds = args.get_double("timeout-seconds", 0.0);
-  config.write_timeout_seconds =
-      args.get_double("write-timeout-seconds", config.write_timeout_seconds);
-  config.max_sessions =
-      static_cast<std::size_t>(std::max(args.get_int("max-sessions", 0), 0));
-  config.cache_capacity =
-      static_cast<std::size_t>(std::max(args.get_int("cache-capacity", 0), 0));
-  const auto cache_override = [&args](const char* flag) {
-    std::optional<std::size_t> capacity;
-    if (args.has(flag)) {
-      capacity = static_cast<std::size_t>(std::max(args.get_int(flag, 0), 0));
-    }
-    return capacity;
-  };
-  config.prep_cache_capacity = cache_override("prep-cache-capacity");
-  config.annotation_cache_capacity =
-      cache_override("annotation-cache-capacity");
-  config.inference_cache_capacity = cache_override("inference-cache-capacity");
-  config.seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<int>(gana::core::kDefaultSampleSeed)));
-
-  gana::FaultPlan plan;
-  plan.alloc_failure = args.get_double("fault-alloc", 0.0);
-  plan.stage_error = args.get_double("fault-error", 0.0);
-  plan.stage_delay = args.get_double("fault-delay", 0.0);
-  plan.delay_seconds = args.get_double("fault-delay-seconds", 0.01);
   if (!plan.empty()) {
-    gana::FaultInjector::instance().arm(
-        static_cast<std::uint64_t>(args.get_int("fault-seed", 1)), plan);
+    gana::FaultInjector::instance().arm(fault_seed, plan);
     std::printf("fault injector armed (alloc %.3f, error %.3f, delay %.3f)\n",
                 plan.alloc_failure, plan.stage_error, plan.stage_delay);
   }

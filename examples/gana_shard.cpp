@@ -292,8 +292,14 @@ int main(int argc, char** argv) {
     return kExitOk;
   }
   if (args.has("worker")) return gana::shard::worker_main(args);
-  if (args.has("datagen")) return run_datagen(args);
-  if (args.has("pack-model")) return run_pack_model(args);
-  if (args.has("pack-library")) return run_pack_library(args);
-  return run_driver(args);
+  try {
+    if (args.has("datagen")) return run_datagen(args);
+    if (args.has("pack-model")) return run_pack_model(args);
+    if (args.has("pack-library")) return run_pack_library(args);
+    return run_driver(args);
+  } catch (const gana::ArgError& e) {
+    std::fprintf(stderr, "gana-shard: %s\n", e.what());
+    print_usage();
+    return kExitUsage;
+  }
 }

@@ -12,7 +12,12 @@
 int main(int argc, char** argv) {
   const gana::Args args(argc, argv);
   gana::datagen::PhasedArrayOptions opt;
-  opt.channels = args.get_int("channels", 4);
+  try {
+    opt.channels = args.get_int("channels", 4);
+  } catch (const gana::ArgError& e) {
+    std::fprintf(stderr, "phased_array_demo: %s\n", e.what());
+    return 1;
+  }
 
   gana::Rng rng(7);
   const auto circuit = gana::datagen::generate_phased_array(opt, rng);

@@ -9,10 +9,16 @@
 
 int main(int argc, char** argv) {
   const gana::Args args(argc, argv);
-  const std::size_t circuits =
-      static_cast<std::size_t>(args.get_int("circuits", 200));
-  const int epochs = args.get_int("epochs", 40);
-  const int k = args.get_int("k", 8);
+  std::size_t circuits = 0;
+  int epochs = 0, k = 0;
+  try {
+    circuits = static_cast<std::size_t>(args.get_int("circuits", 200));
+    epochs = args.get_int("epochs", 40);
+    k = args.get_int("k", 8);
+  } catch (const gana::ArgError& e) {
+    std::fprintf(stderr, "train_gcn: %s\n", e.what());
+    return 1;
+  }
   const bool pooling = args.has("pooling");
 
   std::printf("generating %zu OTA circuits...\n", circuits);

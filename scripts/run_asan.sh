@@ -11,7 +11,7 @@ cmake --build --preset asan -j"$(nproc)" \
   --target corpus_harness_test robustness_test diag_test \
   batch_failure_test spice_parser_test spice_flatten_test vf2_test \
   primitive_matching_test frontend_test kernel_equivalence_test \
-  batch_scaling_test serve_test soak_test deadline_test \
+  infer_workspace_test batch_scaling_test serve_test soak_test deadline_test \
   fault_injection_test diag_json_test util_test shard_test \
   incremental_test artifact_test pipeline_test gana_shard
 ctest --preset asan

@@ -128,11 +128,11 @@ Annotator::Annotator(const gcn::GcnModel* model,
             " input features; the annotator builds " +
             std::to_string(kNumFeatures)));
   }
-  if (cfg.num_classes > class_names_.size()) {
+  if (cfg.num_classes == 0 || cfg.num_classes > class_names_.size()) {
     throw DiagError(make_diag(
         DiagCode::ModelMismatch, Stage::Gcn,
         "model outputs " + std::to_string(cfg.num_classes) +
-            " classes; the annotator names only " +
+            " classes; the annotator names " +
             std::to_string(class_names_.size())));
   }
 }

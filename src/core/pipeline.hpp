@@ -121,9 +121,9 @@ class Annotator {
  public:
   /// Throws DiagError (ModelMismatch, stage gcn) when `model` does not
   /// fit: its input width must be the kNumFeatures columns
-  /// build_features emits, and every class it outputs must have a name
-  /// (fewer classes than names is fine: it predicts a prefix of the
-  /// vocabulary). The layers check shapes only with asserts, compiled
+  /// build_features emits, and it must output at least one class, each
+  /// with a name (fewer classes than names is fine: it predicts a prefix
+  /// of the vocabulary). The layers check shapes only with asserts, compiled
   /// out of release builds, where a wider model would read past every
   /// feature row and an extra class would export as null. Checking
   /// here means no CLI, server, shard worker or session built on an

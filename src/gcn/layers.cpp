@@ -67,6 +67,15 @@ SamplePrep make_sample_prep(const SparseMatrix& adjacency, int pool_levels,
       prep.cluster_maps.push_back(c.cluster_maps[l]);
       push_level(c.adjacency[l]);
     }
+    // Coarsening stops once the graph is down to one vertex, but the
+    // model still pools pool_levels times: the levels left over map
+    // that vertex (or none) to itself.
+    const SparseMatrix& last = c.adjacency.back();
+    for (std::size_t l = c.levels(); l < static_cast<std::size_t>(pool_levels);
+         ++l) {
+      prep.cluster_maps.emplace_back(last.rows(), 0);
+      push_level(last);
+    }
   }
   return prep;
 }
@@ -99,17 +108,6 @@ GraphSample make_sample(const SparseMatrix& adjacency, Matrix features,
   s.prop = std::move(prep.prop);
   s.prop_t = std::move(prep.prop_t);
   return s;
-}
-
-// ---------------------------------------------------------------------------
-// Layer (allocating inference wrapper)
-// ---------------------------------------------------------------------------
-
-Matrix Layer::infer(const Matrix& x, const GraphSample& sample) const {
-  InferWorkspace ws;
-  Matrix out;
-  infer_into(x, sample, ws, out);
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -166,51 +164,29 @@ Matrix ChebConv::forward(const Matrix& x, const GraphSample& sample,
   return y;
 }
 
-void ChebConv::infer_into(const Matrix& x, const GraphSample& sample,
-                          InferWorkspace& ws, Matrix& out) const {
-  // Same arithmetic, in the same order, as the evaluation-mode forward();
-  // all intermediates live in the workspace, so a shared model is
-  // read-only and a warm workspace allocates nothing.
+const Matrix& ChebConv::infer_graph(const Matrix& x, const GraphSample& sample,
+                                    InferWorkspace& ws,
+                                    Matrix& /*out*/) const {
+  // The same recurrence as forward(), with each T_k written straight
+  // into its column slice of z: T_0 = X is copied in, and every later
+  // step reads the slices before it.
   assert(x.cols() == in_);
   assert(static_cast<std::size_t>(level_) < sample.lhat.size());
   const SparseMatrix& lhat = sample.lhat[static_cast<std::size_t>(level_)];
   const std::size_t n = x.rows();
   assert(lhat.rows() == n);
 
-  ws.z.resize(n, static_cast<std::size_t>(k_) * in_);
-  // Ring-buffered recurrence: T_k lands in ws.t[k % 3], which is never
-  // T_{k-1} or T_{k-2} (k, k-1, k-2 are distinct mod 3).
-  const Matrix* t_prev2 = nullptr;  // T_{k-2}
-  const Matrix* t_prev = &x;        // T_{k-1}
-  for (int k = 0; k < k_; ++k) {
-    const Matrix* t_cur;
-    if (k == 0) {
-      t_cur = &x;
-    } else {
-      Matrix& buf = ws.t[static_cast<std::size_t>(k % 3)];
-      if (k == 1) {
-        lhat.multiply_into(x, buf);
-      } else {
-        lhat.multiply_into(*t_prev, buf);
-        buf *= 2.0;
-        buf -= *t_prev2;
-      }
-      t_cur = &buf;
-    }
-    for (std::size_t r = 0; r < n; ++r) {
-      double* zrow = ws.z.row_ptr(r) + static_cast<std::size_t>(k) * in_;
-      const double* trow = t_cur->row_ptr(r);
-      for (std::size_t c = 0; c < in_; ++c) zrow[c] = trow[c];
-    }
-    t_prev2 = t_prev;
-    t_prev = t_cur;
-  }
-
-  matmul_into(ws.z, weight_, out);
+  ws.z.resize_for_overwrite(n, static_cast<std::size_t>(k_) * in_);
   for (std::size_t r = 0; r < n; ++r) {
-    double* yrow = out.row_ptr(r);
-    for (std::size_t c = 0; c < out_; ++c) yrow[c] += bias_(0, c);
+    const double* xrow = x.row_ptr(r);
+    std::copy(xrow, xrow + in_, ws.z.row_ptr(r));
   }
+  for (std::size_t k = 1; k < static_cast<std::size_t>(k_); ++k) {
+    lhat.chebyshev_step_into(
+        ws.z, in_, (k - 1) * in_, k * in_,
+        k >= 2 ? (k - 2) * in_ : SparseMatrix::kNoSlice);
+  }
+  return ws.z;
 }
 
 Matrix ChebConv::backward(const Matrix& grad_out) {
@@ -283,18 +259,20 @@ Matrix SageConv::forward(const Matrix& x, const GraphSample& sample,
   return y;
 }
 
-void SageConv::infer_into(const Matrix& x, const GraphSample& sample,
-                          InferWorkspace& ws, Matrix& out) const {
+const Matrix& SageConv::infer_graph(const Matrix& x, const GraphSample& sample,
+                                    InferWorkspace& ws,
+                                    Matrix& /*out*/) const {
   assert(x.cols() == in_);
   assert(static_cast<std::size_t>(level_) < sample.prop.size());
   const SparseMatrix& p = sample.prop[static_cast<std::size_t>(level_)];
-  p.multiply_into(x, ws.t[0]);
-  hcat_into(x, ws.t[0], ws.z);
-  matmul_into(ws.z, weight_, out);
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    double* yrow = out.row_ptr(r);
-    for (std::size_t c = 0; c < out_; ++c) yrow[c] += bias_(0, c);
+  const std::size_t n = x.rows();
+  ws.z.resize_for_overwrite(n, 2 * in_);
+  for (std::size_t r = 0; r < n; ++r) {
+    const double* xrow = x.row_ptr(r);
+    std::copy(xrow, xrow + in_, ws.z.row_ptr(r));
   }
+  p.chebyshev_step_into(ws.z, in_, 0, in_);
+  return ws.z;
 }
 
 Matrix SageConv::backward(const Matrix& grad_out) {
@@ -341,15 +319,6 @@ Matrix Relu::forward(const Matrix& x, const GraphSample& /*sample*/,
   return y;
 }
 
-void Relu::infer_into(const Matrix& x, const GraphSample& /*sample*/,
-                      InferWorkspace& /*ws*/, Matrix& out) const {
-  out.copy_from(x);
-  // A select, not a branch: ReLU inputs are positive about half the
-  // time at random, so a branch here would mispredict on about every
-  // other entry. NaN and -0.0 map to +0.0, as in forward().
-  for (auto& v : out.data()) v = v > 0.0 ? v : 0.0;
-}
-
 Matrix Relu::backward(const Matrix& grad_out) {
   Matrix g = grad_out;
   auto d = g.data();
@@ -378,11 +347,6 @@ Matrix Dropout::forward(const Matrix& x, const GraphSample& /*sample*/,
     }
   }
   return y;
-}
-
-void Dropout::infer_into(const Matrix& x, const GraphSample& /*sample*/,
-                         InferWorkspace& /*ws*/, Matrix& out) const {
-  out.copy_from(x);  // identity in evaluation mode
 }
 
 Matrix Dropout::backward(const Matrix& grad_out) {
@@ -445,21 +409,6 @@ Matrix BatchNorm::forward(const Matrix& x, const GraphSample& /*sample*/,
   return y;
 }
 
-void BatchNorm::infer_into(const Matrix& x, const GraphSample& /*sample*/,
-                           InferWorkspace& /*ws*/, Matrix& out) const {
-  const std::size_t n = x.rows(), f = x.cols();
-  out.resize(n, f);
-  for (std::size_t c = 0; c < f; ++c) {
-    const double mean = running_mean_(0, c);
-    const double var = running_var_(0, c);
-    const double iv = 1.0 / std::sqrt(var + eps_);
-    for (std::size_t r = 0; r < n; ++r) {
-      const double xh = (x(r, c) - mean) * iv;
-      out(r, c) = gamma_(0, c) * xh + beta_(0, c);
-    }
-  }
-}
-
 Matrix BatchNorm::backward(const Matrix& grad_out) {
   const std::size_t n = grad_out.rows(), f = grad_out.cols();
   Matrix dx(n, f);
@@ -508,15 +457,6 @@ Matrix Dense::forward(const Matrix& x, const GraphSample& /*sample*/,
     for (std::size_t c = 0; c < y.cols(); ++c) yrow[c] += bias_(0, c);
   }
   return y;
-}
-
-void Dense::infer_into(const Matrix& x, const GraphSample& /*sample*/,
-                       InferWorkspace& /*ws*/, Matrix& out) const {
-  matmul_into(x, weight_, out);
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    double* yrow = out.row_ptr(r);
-    for (std::size_t c = 0; c < out.cols(); ++c) yrow[c] += bias_(0, c);
-  }
 }
 
 Matrix Dense::backward(const Matrix& grad_out) {
@@ -575,8 +515,9 @@ Matrix GraclusPool::forward(const Matrix& x, const GraphSample& sample,
   return y;
 }
 
-void GraclusPool::infer_into(const Matrix& x, const GraphSample& sample,
-                             InferWorkspace& ws, Matrix& out) const {
+const Matrix& GraclusPool::infer_graph(const Matrix& x,
+                                       const GraphSample& sample,
+                                       InferWorkspace& ws, Matrix& out) const {
   assert(static_cast<std::size_t>(level_) < sample.cluster_maps.size());
   const std::vector<std::size_t>& cluster_of =
       sample.cluster_maps[static_cast<std::size_t>(level_)];
@@ -608,6 +549,7 @@ void GraclusPool::infer_into(const Matrix& x, const GraphSample& sample,
       for (std::size_t j = 0; j < cols; ++j) out(c, j) *= inv;
     }
   }
+  return out;
 }
 
 Matrix GraclusPool::backward(const Matrix& grad_out) {
@@ -643,8 +585,8 @@ Matrix Unpool::forward(const Matrix& x, const GraphSample& sample,
   return y;
 }
 
-void Unpool::infer_into(const Matrix& x, const GraphSample& sample,
-                        InferWorkspace& /*ws*/, Matrix& out) const {
+const Matrix& Unpool::infer_graph(const Matrix& x, const GraphSample& sample,
+                                  InferWorkspace& /*ws*/, Matrix& out) const {
   assert(static_cast<std::size_t>(level_) < sample.cluster_maps.size());
   const std::vector<std::size_t>& cluster_of =
       sample.cluster_maps[static_cast<std::size_t>(level_)];
@@ -654,6 +596,7 @@ void Unpool::infer_into(const Matrix& x, const GraphSample& sample,
     assert(c < x.rows());
     for (std::size_t j = 0; j < x.cols(); ++j) out(v, j) = x(c, j);
   }
+  return out;
 }
 
 Matrix Unpool::backward(const Matrix& grad_out) {

@@ -26,24 +26,31 @@ class Layer {
   virtual Matrix forward(const Matrix& x, const GraphSample& sample,
                          bool training, Rng& rng) = 0;
 
-  /// Evaluation-mode output into a caller-owned buffer, with NO mutable
-  /// layer state: bit-identical to forward(x, sample, training=false,
-  /// rng) but const, so many threads can run inference through one
-  /// shared model (the parallel batch runtime relies on this). All
-  /// intermediates live in `ws`; once the workspace buffers are warm the
-  /// call performs zero heap allocations. `out` must not alias `x` or a
-  /// workspace buffer the layer uses as scratch (GcnModel's ping-pong
-  /// activations guarantee this).
-  virtual void infer_into(const Matrix& x, const GraphSample& sample,
-                          InferWorkspace& ws, Matrix& out) const = 0;
+  // Evaluation mode. GcnModel::infer runs the network as segments: a
+  // step over the whole graph, then the row-local layers up to the next
+  // graph step as one RowTail. A layer contributes a graph step, tail
+  // stages, or both (a convolution: its basis, then its product). Both
+  // are const -- no mutable layer state -- so many threads can run
+  // inference through one shared model, and together they are
+  // bit-identical to forward(x, sample, training=false, rng).
 
-  /// Allocating convenience wrapper over infer_into (fresh workspace per
-  /// call); bit-identical to the workspace path.
-  [[nodiscard]] Matrix infer(const Matrix& x, const GraphSample& sample) const;
+  /// True when the layer starts with a whole-graph step (infer_graph),
+  /// which ends the tail before it.
+  [[nodiscard]] virtual bool has_graph_step() const { return false; }
 
-  /// True when infer_into is the identity, so GcnModel::infer may skip
-  /// the layer instead of copying its input through.
-  [[nodiscard]] virtual bool infers_identity() const { return false; }
+  /// The whole-graph step: returns what the layer's tail stages (or the
+  /// next layer) read, written into `out` or a workspace buffer. `out`
+  /// must not alias `x`. Called only when has_graph_step().
+  virtual const Matrix& infer_graph(const Matrix& x,
+                                    const GraphSample& /*sample*/,
+                                    InferWorkspace& /*ws*/,
+                                    Matrix& /*out*/) const {
+    return x;
+  }
+
+  /// Appends the layer's row-local part to the segment's tail; nothing
+  /// for graph-only layers and for the eval-mode identity (Dropout).
+  virtual void append_to_tail(RowTail& /*tail*/) const {}
 
   /// Given dLoss/dOutput, accumulates parameter gradients and returns
   /// dLoss/dInput. Must follow a forward() call.
@@ -73,8 +80,13 @@ class ChebConv : public Layer {
 
   Matrix forward(const Matrix& x, const GraphSample& sample, bool training,
                  Rng& rng) override;
-  void infer_into(const Matrix& x, const GraphSample& sample,
-                  InferWorkspace& ws, Matrix& out) const override;
+  [[nodiscard]] bool has_graph_step() const override { return true; }
+  /// The Chebyshev stack, built in place in ws.z.
+  const Matrix& infer_graph(const Matrix& x, const GraphSample& sample,
+                            InferWorkspace& ws, Matrix& out) const override;
+  void append_to_tail(RowTail& tail) const override {
+    tail.product(weight_, bias_);
+  }
   Matrix backward(const Matrix& grad_out) override;
   std::vector<Matrix*> params() override { return {&weight_, &bias_}; }
   std::vector<Matrix*> grads() override { return {&grad_weight_, &grad_bias_}; }
@@ -102,8 +114,13 @@ class SageConv : public Layer {
 
   Matrix forward(const Matrix& x, const GraphSample& sample, bool training,
                  Rng& rng) override;
-  void infer_into(const Matrix& x, const GraphSample& sample,
-                  InferWorkspace& ws, Matrix& out) const override;
+  [[nodiscard]] bool has_graph_step() const override { return true; }
+  /// [x | Px], built in ws.z.
+  const Matrix& infer_graph(const Matrix& x, const GraphSample& sample,
+                            InferWorkspace& ws, Matrix& out) const override;
+  void append_to_tail(RowTail& tail) const override {
+    tail.product(weight_, bias_);
+  }
   Matrix backward(const Matrix& grad_out) override;
   std::vector<Matrix*> params() override { return {&weight_, &bias_}; }
   std::vector<Matrix*> grads() override { return {&grad_weight_, &grad_bias_}; }
@@ -122,8 +139,7 @@ class Relu : public Layer {
  public:
   Matrix forward(const Matrix& x, const GraphSample& sample, bool training,
                  Rng& rng) override;
-  void infer_into(const Matrix& x, const GraphSample& sample,
-                  InferWorkspace& ws, Matrix& out) const override;
+  void append_to_tail(RowTail& tail) const override { tail.relu(); }
   Matrix backward(const Matrix& grad_out) override;
 
  private:
@@ -136,9 +152,6 @@ class Dropout : public Layer {
   explicit Dropout(double rate) : rate_(rate) {}
   Matrix forward(const Matrix& x, const GraphSample& sample, bool training,
                  Rng& rng) override;
-  void infer_into(const Matrix& x, const GraphSample& sample,
-                  InferWorkspace& ws, Matrix& out) const override;
-  [[nodiscard]] bool infers_identity() const override { return true; }
   Matrix backward(const Matrix& grad_out) override;
 
  private:
@@ -153,8 +166,9 @@ class BatchNorm : public Layer {
                      double eps = 1e-5);
   Matrix forward(const Matrix& x, const GraphSample& sample, bool training,
                  Rng& rng) override;
-  void infer_into(const Matrix& x, const GraphSample& sample,
-                  InferWorkspace& ws, Matrix& out) const override;
+  void append_to_tail(RowTail& tail) const override {
+    tail.batch_norm(running_mean_, running_var_, gamma_, beta_, eps_);
+  }
   Matrix backward(const Matrix& grad_out) override;
   std::vector<Matrix*> params() override { return {&gamma_, &beta_}; }
   std::vector<Matrix*> grads() override { return {&grad_gamma_, &grad_beta_}; }
@@ -178,8 +192,9 @@ class Dense : public Layer {
   Dense(std::size_t in_features, std::size_t out_features, Rng& rng);
   Matrix forward(const Matrix& x, const GraphSample& sample, bool training,
                  Rng& rng) override;
-  void infer_into(const Matrix& x, const GraphSample& sample,
-                  InferWorkspace& ws, Matrix& out) const override;
+  void append_to_tail(RowTail& tail) const override {
+    tail.product(weight_, bias_);
+  }
   Matrix backward(const Matrix& grad_out) override;
   std::vector<Matrix*> params() override { return {&weight_, &bias_}; }
   std::vector<Matrix*> grads() override { return {&grad_weight_, &grad_bias_}; }
@@ -197,8 +212,9 @@ class GraclusPool : public Layer {
   GraclusPool(int level, Mode mode) : level_(level), mode_(mode) {}
   Matrix forward(const Matrix& x, const GraphSample& sample, bool training,
                  Rng& rng) override;
-  void infer_into(const Matrix& x, const GraphSample& sample,
-                  InferWorkspace& ws, Matrix& out) const override;
+  [[nodiscard]] bool has_graph_step() const override { return true; }
+  const Matrix& infer_graph(const Matrix& x, const GraphSample& sample,
+                            InferWorkspace& ws, Matrix& out) const override;
   Matrix backward(const Matrix& grad_out) override;
 
  private:
@@ -219,8 +235,9 @@ class Unpool : public Layer {
   explicit Unpool(int level) : level_(level) {}
   Matrix forward(const Matrix& x, const GraphSample& sample, bool training,
                  Rng& rng) override;
-  void infer_into(const Matrix& x, const GraphSample& sample,
-                  InferWorkspace& ws, Matrix& out) const override;
+  [[nodiscard]] bool has_graph_step() const override { return true; }
+  const Matrix& infer_graph(const Matrix& x, const GraphSample& sample,
+                            InferWorkspace& ws, Matrix& out) const override;
   Matrix backward(const Matrix& grad_out) override;
 
  private:

@@ -2,10 +2,56 @@
 
 #include "util/deadline.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 
 namespace gana::gcn {
+
+std::string config_error(const ModelConfig& cfg) {
+  if (cfg.cheb_k < 1 || cfg.cheb_k > kMaxChebK) {
+    return "cheb_k " + std::to_string(cfg.cheb_k) + " outside [1, " +
+           std::to_string(kMaxChebK) + "]";
+  }
+  if (cfg.num_classes < 1) return "num_classes must be at least 1";
+  if (cfg.in_features < 1) return "in_features must be at least 1";
+  if (cfg.fc_hidden < 1) return "fc_hidden must be at least 1";
+  for (const std::size_t c : cfg.conv_channels) {
+    if (c < 1) return "every conv_channels width must be at least 1";
+  }
+  return {};
+}
+
+std::optional<std::size_t> tensor_scalar_count(const ModelConfig& cfg) {
+  // Mirrors the constructor below: a convolution holds its weight and
+  // bias, a batch norm gamma, beta and the two running statistics, a
+  // dense layer its weight and bias.
+  std::size_t total = 0;
+  bool overflow = false;
+  const auto add_product = [&](std::size_t a, std::size_t b) {
+    std::size_t p = 0;
+    overflow = overflow || __builtin_mul_overflow(a, b, &p) ||
+               __builtin_add_overflow(total, p, &total);
+  };
+  const std::size_t taps =
+      cfg.conv_kind == ConvKind::Chebyshev
+          ? static_cast<std::size_t>(std::max(cfg.cheb_k, 0))
+          : 2;
+  std::size_t channels = cfg.in_features;
+  for (const std::size_t out : cfg.conv_channels) {
+    std::size_t rows = 0;
+    overflow = overflow || __builtin_mul_overflow(taps, channels, &rows);
+    add_product(rows, out);
+    add_product(cfg.batch_norm ? 5 : 1, out);
+    channels = out;
+  }
+  add_product(channels, cfg.fc_hidden);
+  add_product(1, cfg.fc_hidden);
+  add_product(cfg.fc_hidden, cfg.num_classes);
+  add_product(1, cfg.num_classes);
+  if (overflow) return std::nullopt;
+  return total;
+}
 
 GcnModel::GcnModel(const ModelConfig& config)
     : config_(config), rng_(config.seed) {
@@ -62,18 +108,33 @@ Matrix GcnModel::infer(const GraphSample& sample) const {
 
 const Matrix& GcnModel::infer(const GraphSample& sample,
                               InferWorkspace& ws) const {
+  // Segment executor: a step over the whole graph (a convolution's
+  // basis, a pool or an unpool), then every row-local layer up to the
+  // next graph step as one RowTail, evaluated per block of rows.
   const Matrix* cur = &sample.features;
-  Matrix* next = &ws.act_a;
-  for (const auto& layer : layers_) {
-    // Per-request deadline checkpoint between layers: inference is the
-    // longest uninterruptible span of the pipeline, and a layer is its
-    // natural granularity (aborting mid-kernel would buy little and cost
-    // a branch per tile).
+  const auto spare = [&ws](const Matrix* m) {
+    return m == &ws.act_a ? &ws.act_b : &ws.act_a;
+  };
+  std::size_t i = 0;
+  while (i < layers_.size()) {
+    // Per-request deadline checkpoints between steps: inference is the
+    // longest uninterruptible span of the pipeline, and a step is its
+    // natural granularity (aborting mid-kernel would buy little and
+    // cost a branch per tile).
     check_deadline(Stage::Gcn);
-    if (layer->infers_identity()) continue;  // eval-mode dropout
-    layer->infer_into(*cur, sample, ws, *next);
-    cur = next;
-    next = (next == &ws.act_a) ? &ws.act_b : &ws.act_a;
+    if (layers_[i]->has_graph_step()) {
+      cur = &layers_[i]->infer_graph(*cur, sample, ws, *spare(cur));
+    }
+    ws.tail.clear();
+    do {
+      layers_[i]->append_to_tail(ws.tail);
+      ++i;
+    } while (i < layers_.size() && !layers_[i]->has_graph_step());
+    if (ws.tail.empty()) continue;
+    check_deadline(Stage::Gcn);
+    Matrix* out = spare(cur);
+    ws.tail.run(*cur, *out);
+    cur = out;
   }
   return *cur;
 }

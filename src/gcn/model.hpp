@@ -10,6 +10,8 @@
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "gcn/layers.hpp"
@@ -45,6 +47,22 @@ struct ModelConfig {
   }
 };
 
+/// Largest Chebyshev filter size a model may have: past the paper's
+/// sweep (Fig. 5 goes to 48), small enough that a corrupt config cannot
+/// turn K x width into an absurd allocation.
+inline constexpr int kMaxChebK = 256;
+
+/// Why `cfg` cannot build a model, or an empty string when it can:
+/// 1 <= cheb_k <= kMaxChebK, num_classes >= 1 and every width >= 1.
+/// Loaders check it before constructing anything.
+[[nodiscard]] std::string config_error(const ModelConfig& cfg);
+
+/// Scalars in every parameter and buffer tensor a model built from
+/// `cfg` holds, or nullopt when the count overflows size_t. Arithmetic
+/// only, so a loader can compare it with a file before it allocates.
+[[nodiscard]] std::optional<std::size_t> tensor_scalar_count(
+    const ModelConfig& cfg);
+
 /// A feed-forward stack of layers with explicit backprop.
 class GcnModel {
  public:
@@ -61,9 +79,12 @@ class GcnModel {
 
   /// Zero-allocation fast path: logits land in a workspace buffer that
   /// is reused (and stays valid) until the next infer call with the same
-  /// workspace. Bit-identical to infer(sample). Activations ping-pong
-  /// between ws.act_a and ws.act_b so no layer reads and writes the same
-  /// buffer; once the workspace is warm for the largest sample shape,
+  /// workspace. Bit-identical to infer(sample) and to forward(sample,
+  /// false) at any compute-pool width. Runs the network as segments: a
+  /// whole-graph step (a convolution's basis, a pool, an unpool), then
+  /// the row-local layers up to the next one as a RowTail, whose row
+  /// blocks fan out over compute_pool() when the caller is not a pool
+  /// worker. Once the workspace is warm for the largest sample shape,
   /// steady-state calls perform zero heap allocations.
   const Matrix& infer(const GraphSample& sample, InferWorkspace& ws) const;
 

@@ -24,6 +24,23 @@ Diag checkpoint_diag(DiagCode code, const std::string& name,
   return d;
 }
 
+/// The config's total scalar count, or a BadValue diag when the config
+/// cannot build a model (out-of-range K, zero widths) or the count
+/// overflows. Both loaders call this before constructing the model.
+Result<std::size_t> checked_scalar_count(const ModelConfig& cfg) {
+  const std::string error = config_error(cfg);
+  if (!error.empty()) {
+    return make_diag(DiagCode::BadValue, Stage::Io,
+                     "model config: " + error);
+  }
+  const auto count = tensor_scalar_count(cfg);
+  if (!count) {
+    return make_diag(DiagCode::BadValue, Stage::Io,
+                     "model config: parameter count overflows");
+  }
+  return *count;
+}
+
 /// All parameter and buffer tensors in declaration order -- the single
 /// tensor ordering shared by the text format, the artifact "shapes" and
 /// "weights" sections, and weights_fingerprint(). GcnModel::params() is
@@ -157,27 +174,59 @@ Result<GcnModel> load_model_result(std::istream& in,
     return fail(DiagCode::FormatError,
                 "checkpoint: missing 'tensors' section");
   }
+  auto expected = checked_scalar_count(cfg);
+  if (!expected.ok()) return fail(DiagCode::BadValue, expected.diag().message);
 
-  GcnModel model(cfg);
-  const auto tensors = all_tensors(model);
-  if (tensors.size() != tensor_count) {
-    return fail(DiagCode::FormatError,
-                "checkpoint: tensor count mismatch (file " +
-                    std::to_string(tensor_count) + ", model " +
-                    std::to_string(tensors.size()) + ")");
-  }
-  for (Matrix* p : tensors) {
-    std::size_t rows = 0, cols = 0;
-    if (!(in >> rows >> cols) || rows != p->rows() || cols != p->cols()) {
-      return fail(DiagCode::FormatError,
-                  "checkpoint: tensor shape mismatch");
+  // Stage the tensors before the model exists: its allocations follow
+  // from the config, so the config must first agree with what the file
+  // holds. Reading stops as soon as the file claims more scalars than
+  // the config has, and staging grows only with data actually read.
+  std::vector<std::pair<std::size_t, std::size_t>> shapes;
+  std::vector<double> values;
+  for (std::size_t t = 0; t < tensor_count; ++t) {
+    std::size_t rows = 0, cols = 0, size = 0;
+    if (!(in >> rows >> cols)) {
+      return fail(DiagCode::FormatError, "checkpoint: truncated tensor header");
     }
-    for (double& v : p->data()) {
+    if (__builtin_mul_overflow(rows, cols, &size) ||
+        size > expected.value() - values.size()) {
+      return fail(DiagCode::BadValue,
+                  "checkpoint: more parameters than the config's " +
+                      std::to_string(expected.value()));
+    }
+    shapes.emplace_back(rows, cols);
+    for (std::size_t i = 0; i < size; ++i) {
+      double v = 0.0;
       if (!(in >> v)) {
         return fail(DiagCode::FormatError,
                     "checkpoint: truncated tensor data");
       }
+      values.push_back(v);
     }
+  }
+  if (values.size() != expected.value()) {
+    return fail(DiagCode::BadValue,
+                "checkpoint: parameter count mismatch (file " +
+                    std::to_string(values.size()) + ", config " +
+                    std::to_string(expected.value()) + ")");
+  }
+
+  GcnModel model(cfg);
+  const auto tensors = all_tensors(model);
+  if (tensors.size() != shapes.size()) {
+    return fail(DiagCode::FormatError,
+                "checkpoint: tensor count mismatch (file " +
+                    std::to_string(shapes.size()) + ", model " +
+                    std::to_string(tensors.size()) + ")");
+  }
+  const double* cursor = values.data();
+  for (std::size_t t = 0; t < tensors.size(); ++t) {
+    Matrix* p = tensors[t];
+    if (shapes[t].first != p->rows() || shapes[t].second != p->cols()) {
+      return fail(DiagCode::FormatError,
+                  "checkpoint: tensor shape mismatch");
+    }
+    for (double& v : p->data()) v = *cursor++;
   }
   return model;
 }
@@ -236,7 +285,7 @@ Result<ModelConfig> decode_config(const util::ArtifactSection& section,
   cfg.in_features = r.u64();
   cfg.num_classes = r.u64();
   cfg.conv_kind = r.u8() == 1 ? ConvKind::SageMean : ConvKind::Chebyshev;
-  cfg.cheb_k = static_cast<int>(r.u32());
+  const std::uint32_t cheb_k = r.u32();
   cfg.fc_hidden = r.u64();
   cfg.use_pooling = r.u8() != 0;
   cfg.pool_mode =
@@ -254,6 +303,14 @@ Result<ModelConfig> decode_config(const util::ArtifactSection& section,
   for (std::uint32_t i = 0; i < channels; ++i) {
     cfg.conv_channels.push_back(r.u64());
   }
+  // Range-checked before narrowing: 0xFFFFFFFF must not become -1.
+  if (cheb_k < 1 || cheb_k > static_cast<std::uint32_t>(kMaxChebK)) {
+    return checkpoint_diag(DiagCode::BadValue, name,
+                           "model config: cheb_k " + std::to_string(cheb_k) +
+                               " outside [1, " + std::to_string(kMaxChebK) +
+                               "]");
+  }
+  cfg.cheb_k = static_cast<int>(cheb_k);
   return cfg;
 }
 
@@ -297,28 +354,56 @@ Result<GcnModel> load_model_artifact(const std::string& path) {
 
   auto cfg = decode_config(config_section.value(), path);
   if (!cfg.ok()) return cfg.diag();
+  auto expected = checked_scalar_count(cfg.value());
+  if (!expected.ok()) {
+    return checkpoint_diag(DiagCode::BadValue, path,
+                           expected.diag().message);
+  }
+
+  // The shapes section must hold exactly the config's scalar count
+  // before the model (whose allocations follow from the config) exists.
+  util::ByteReader shapes(shapes_section.value());
+  const std::uint32_t tensor_count = shapes.u32();
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> file_shapes;
+  std::uint64_t total_doubles = 0;
+  bool overflow = false;
+  for (std::uint32_t t = 0; shapes.ok() && t < tensor_count; ++t) {
+    const std::uint64_t rows = shapes.u64();
+    const std::uint64_t cols = shapes.u64();
+    std::uint64_t size = 0;
+    overflow = overflow || __builtin_mul_overflow(rows, cols, &size) ||
+               __builtin_add_overflow(total_doubles, size, &total_doubles);
+    if (overflow) break;
+    file_shapes.emplace_back(rows, cols);
+  }
+  if (!shapes.ok()) {
+    return checkpoint_diag(DiagCode::FormatError, path,
+                           "model artifact: truncated shapes section");
+  }
+  if (overflow || total_doubles != expected.value()) {
+    return checkpoint_diag(
+        DiagCode::BadValue, path,
+        "model artifact: parameter count mismatch (shapes section " +
+            (overflow ? std::string("overflows") :
+                        std::to_string(total_doubles)) +
+            ", config " + std::to_string(expected.value()) + ")");
+  }
 
   GcnModel model(cfg.value());
   const auto tensors = all_tensors(model);
-
-  util::ByteReader shapes(shapes_section.value());
-  const std::uint32_t tensor_count = shapes.u32();
-  if (!shapes.ok() || tensor_count != tensors.size()) {
+  if (file_shapes.size() != tensors.size()) {
     return checkpoint_diag(
         DiagCode::FormatError, path,
         "model artifact: tensor count mismatch (file " +
-            std::to_string(tensor_count) + ", model " +
+            std::to_string(file_shapes.size()) + ", model " +
             std::to_string(tensors.size()) + ")");
   }
-  std::uint64_t total_doubles = 0;
-  for (const Matrix* p : tensors) {
-    const std::uint64_t rows = shapes.u64();
-    const std::uint64_t cols = shapes.u64();
-    if (!shapes.ok() || rows != p->rows() || cols != p->cols()) {
+  for (std::size_t t = 0; t < tensors.size(); ++t) {
+    if (file_shapes[t].first != tensors[t]->rows() ||
+        file_shapes[t].second != tensors[t]->cols()) {
       return checkpoint_diag(DiagCode::FormatError, path,
                              "model artifact: tensor shape mismatch");
     }
-    total_doubles += rows * cols;
   }
   const auto& weights = weights_section.value();
   if (weights.size != total_doubles * sizeof(double)) {

@@ -1,12 +1,13 @@
 // Reusable buffers for the zero-allocation inference fast path.
 //
-// Every Layer::infer_into writes its output and scratch intermediates
-// into caller-owned matrices whose heap buffers persist across calls
-// (Matrix::resize reuses capacity). After a warm-up pass that grows the
-// buffers to the largest shapes the model produces, steady-state
-// inference through GcnModel::infer(sample, ws) performs zero heap
-// allocations -- pinned by InferWorkspace tests against the perf
-// counters (util/perf.hpp).
+// GcnModel::infer(sample, ws) runs the network as segments (DESIGN.md
+// §7): a step over the whole graph, then a row-local tail evaluated
+// per block of rows. Every buffer either kind of step writes lives
+// here, and its heap storage persists across calls (Matrix::resize
+// reuses capacity). After a warm-up pass that grows the buffers to the
+// largest shapes the model produces, steady-state inference performs
+// zero heap allocations -- pinned by InferWorkspace tests against the
+// perf counters (util/perf.hpp).
 //
 // A workspace is single-threaded mutable state: one per worker thread
 // (the batch runtime keeps a thread_local one). Sharing a workspace
@@ -15,24 +16,24 @@
 
 #include <vector>
 
+#include "gcn/row_tail.hpp"
 #include "linalg/dense.hpp"
 
 namespace gana::gcn {
 
 struct InferWorkspace {
-  /// Ping-pong activation buffers threaded between layers by
-  /// GcnModel::infer; a layer always reads one and writes the other.
+  /// Whole-graph activations between segments, ping-ponged by
+  /// GcnModel::infer: a step always reads one and writes the other.
   Matrix act_a, act_b;
-  /// Stacked Chebyshev basis [T_0 x | ... | T_{K-1} x] (or the [x | Px]
-  /// pair for SageConv); shared by all convolution layers since layers
-  /// run sequentially.
+  /// The convolution basis: the Chebyshev stack [T_0 x | ... | T_{K-1}
+  /// x], each T_k written in place into its column slice, or SageConv's
+  /// [x | Px]. Shared by all convolution layers, which run in turn.
   Matrix z;
-  /// Chebyshev recurrence ring buffer (T_{k-2}, T_{k-1}, T_k rotate
-  /// through these without ever colliding: indices k, k-1, k-2 are
-  /// distinct mod 3).
-  Matrix t[3];
   /// Per-cluster member counts for mean Graclus pooling.
   std::vector<double> scratch;
+  /// The current segment's tail: packed weights, batch-norm scales and
+  /// the calling thread's block scratch (pool threads keep their own).
+  RowTail tail;
 };
 
 }  // namespace gana::gcn

@@ -56,17 +56,15 @@ void Matrix::resize(std::size_t rows, std::size_t cols) {
   cols_ = cols;
 }
 
-void Matrix::copy_from(const Matrix& src) {
+void Matrix::resize_for_overwrite(std::size_t rows, std::size_t cols) {
   view_ = nullptr;  // contents discarded; no need to materialize
-  const std::size_t n = src.size();
+  const std::size_t n = rows * cols;
   if (n > data_.capacity()) {
     perf::count_matrix_alloc(n * sizeof(double));
   }
   data_.resize(n);
-  const double* s = src.ptr();
-  std::copy(s, s + n, data_.begin());
-  rows_ = src.rows_;
-  cols_ = src.cols_;
+  rows_ = rows;
+  cols_ = cols;
 }
 
 Matrix& Matrix::operator+=(const Matrix& other) {
@@ -116,31 +114,22 @@ namespace {
 
 /// Original scalar ikj product: the bit-identity oracle for the Simd
 /// kernel, and the pre-fast-path baseline bench/gcn_inference measures
-/// against. ikj keeps the inner loop sequential over both B and C rows.
-void matmul_rows_reference(const Matrix& a, const Matrix& b, Matrix& c) {
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* arow = a.row_ptr(i);
-    double* crow = c.row_ptr(i);
-    for (std::size_t k = 0; k < a.cols(); ++k) {
+/// against. ikj keeps the inner loop sequential over both B and C rows;
+/// each C row starts from +0.0.
+void matmul_block_reference(const double* a, std::size_t rows,
+                            std::size_t kk, const Matrix& b, double* c) {
+  const std::size_t n = b.cols();
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double* arow = a + i * kk;
+    double* crow = c + i * n;
+    std::fill(crow, crow + n, 0.0);
+    for (std::size_t k = 0; k < kk; ++k) {
       const double aik = arow[k];
       if (aik == 0.0) continue;
       const double* brow = b.row_ptr(k);
-      for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += aik * brow[j];
+      for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
     }
   }
-}
-
-/// The Simd id resolved at compile time (linalg/kernels.hpp): the
-/// explicitly vectorized kernel when the build carries one, otherwise
-/// the reference loop.
-void matmul_rows_simd(const Matrix& a, const Matrix& b, Matrix& c) {
-#if defined(GANA_SIMD_AVX2)
-  linalg::matmul_rows_avx2(a, b, c);
-#elif defined(GANA_SIMD_NEON)
-  linalg::matmul_rows_neon(a, b, c);
-#else
-  matmul_rows_reference(a, b, c);
-#endif
 }
 
 MatmulKernel g_matmul_kernel = MatmulKernel::Simd;
@@ -151,19 +140,54 @@ void set_matmul_kernel(MatmulKernel kernel) { g_matmul_kernel = kernel; }
 
 MatmulKernel matmul_kernel() { return g_matmul_kernel; }
 
+void PackedMatrix::pack(const Matrix& b) {
+  source_ = &b;
+  kernel_ = g_matmul_kernel;
+  rows_ = b.rows();
+  cols_ = b.cols();
+#if defined(GANA_SIMD_AVX2)
+  if (kernel_ == MatmulKernel::Simd) {
+    const std::size_t n = linalg::packed_size_avx2(rows_, cols_);
+    if (n > panels_.capacity()) perf::count_matrix_alloc(n * sizeof(double));
+    panels_.resize(n);
+    linalg::pack_panels_avx2(b, panels_.data());
+  }
+#endif
+}
+
+void matmul_block(const double* a, std::size_t rows, const PackedMatrix& b,
+                  double* c) {
+  if (b.kernel_ == MatmulKernel::Simd) {
+    // The Simd id resolved at compile time (linalg/kernels.hpp): the
+    // explicitly vectorized kernel when the build carries one,
+    // otherwise the reference loop.
+#if defined(GANA_SIMD_AVX2)
+    linalg::matmul_block_avx2(a, rows, b.rows_, b.panels_.data(), b.cols_, c);
+    return;
+#elif defined(GANA_SIMD_NEON)
+    // Thin adapter: the NEON kernel takes whole matrices and accumulates
+    // into a zeroed C, so the block goes through a borrowed view of A
+    // and a per-thread C.
+    thread_local Matrix block;
+    block.resize(rows, b.cols_);
+    linalg::matmul_rows_neon(Matrix::borrow(a, rows, b.rows_), *b.source_,
+                             block);
+    const ConstSpan out = static_cast<const Matrix&>(block).data();
+    std::copy(out.begin(), out.end(), c);
+    return;
+#endif
+  }
+  matmul_block_reference(a, rows, b.rows_, *b.source_, c);
+}
+
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& c) {
   assert(a.cols() == b.rows());
   assert(&c != &a && &c != &b);
-  c.resize(a.rows(), b.cols());
+  c.resize_for_overwrite(a.rows(), b.cols());
   perf::count_matmul(2ull * a.rows() * a.cols() * b.cols());
-  switch (g_matmul_kernel) {
-    case MatmulKernel::Reference:
-      matmul_rows_reference(a, b, c);
-      break;
-    case MatmulKernel::Simd:
-      matmul_rows_simd(a, b, c);
-      break;
-  }
+  thread_local PackedMatrix packed;
+  packed.pack(b);
+  matmul_block(a.data().data(), a.rows(), packed, c.data().data());
 }
 
 Matrix matmul_at_b(const Matrix& a, const Matrix& b) {
@@ -213,19 +237,13 @@ double frobenius_sq(const Matrix& a) {
 }
 
 Matrix hcat(const Matrix& a, const Matrix& b) {
-  Matrix c;
-  hcat_into(a, b, c);
-  return c;
-}
-
-void hcat_into(const Matrix& a, const Matrix& b, Matrix& c) {
   assert(a.rows() == b.rows());
-  assert(&c != &a && &c != &b);
-  c.resize(a.rows(), a.cols() + b.cols());
+  Matrix c(a.rows(), a.cols() + b.cols());
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t j = 0; j < a.cols(); ++j) c(i, j) = a(i, j);
     for (std::size_t j = 0; j < b.cols(); ++j) c(i, a.cols() + j) = b(i, j);
   }
+  return c;
 }
 
 }  // namespace gana

@@ -68,11 +68,11 @@ class MutSpan {
 ///
 /// Invariant: data().size() == rows() * cols().
 ///
-/// Heap discipline: the sized constructor and any `resize`/`copy_from`
-/// that outgrows the current capacity count one allocation in the perf
-/// counters. The inference fast path routes every buffer through
-/// `resize`/`copy_from` on reused workspace matrices, so steady-state
-/// inference performs (and reports) zero allocations.
+/// Heap discipline: the sized constructor and any `resize` or
+/// `resize_for_overwrite` that outgrows the current capacity count one
+/// allocation in the perf counters. The inference fast path routes
+/// every buffer through those on reused workspace matrices, so
+/// steady-state inference performs (and reports) zero allocations.
 ///
 /// Storage is normally owned, but a matrix can also *borrow* read-only
 /// element storage (`Matrix::borrow`) -- the zero-copy path for weight
@@ -134,8 +134,10 @@ class Matrix {
   /// reuse contract of the inference fast path).
   void resize(std::size_t rows, std::size_t cols);
 
-  /// Becomes a copy of `src`, reusing the existing buffer when possible.
-  void copy_from(const Matrix& src);
+  /// Reshapes to rows x cols like `resize`, but leaves the contents
+  /// unspecified: for buffers the caller then overwrites in full, where
+  /// a zero-fill would be a wasted pass over memory.
+  void resize_for_overwrite(std::size_t rows, std::size_t cols);
 
   /// Element-wise in-place operations.
   Matrix& operator+=(const Matrix& other);
@@ -187,6 +189,40 @@ enum class MatmulKernel {
 void set_matmul_kernel(MatmulKernel kernel);
 [[nodiscard]] MatmulKernel matmul_kernel();
 
+/// The right operand of many block products (`matmul_block`), prepared
+/// once. The Simd kernel streams B as column panels, so `pack` copies B
+/// into that layout; the other kernels read B in place and keep a
+/// pointer to it. The layout follows the kernel selected when `pack`
+/// runs, and B must stay alive and unchanged while the packed form is
+/// in use. `pack` reuses capacity; any number of threads may share one
+/// packed operand read-only.
+class PackedMatrix {
+ public:
+  void pack(const Matrix& b);
+
+  [[nodiscard]] std::size_t rows() const { return rows_; }
+  [[nodiscard]] std::size_t cols() const { return cols_; }
+
+ private:
+  friend void matmul_block(const double* a, std::size_t rows,
+                           const PackedMatrix& b, double* c);
+
+  const Matrix* source_ = nullptr;
+  MatmulKernel kernel_ = MatmulKernel::Reference;
+  std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
+  std::vector<double> panels_;  ///< Simd kernels that stream panels
+};
+
+/// C = A * B over `rows` rows: `a` holds them contiguously (rows x
+/// b.rows()), and `c` receives rows x b.cols(), every element
+/// overwritten. Each element is bit-identical to matmul_into's under
+/// the kernel `b` was packed for. Unlike matmul_into it leaves the perf
+/// counters alone, so a caller splitting one product into blocks counts
+/// it once.
+void matmul_block(const double* a, std::size_t rows, const PackedMatrix& b,
+                  double* c);
+
 /// C = A * B. Dimensions must agree (A.cols == B.rows).
 Matrix matmul(const Matrix& a, const Matrix& b);
 
@@ -209,8 +245,5 @@ double frobenius_sq(const Matrix& a);
 
 /// Horizontal concatenation [A | B]; row counts must match.
 Matrix hcat(const Matrix& a, const Matrix& b);
-
-/// [A | B] into a caller-owned buffer; `c` must not alias `a` or `b`.
-void hcat_into(const Matrix& a, const Matrix& b, Matrix& c);
 
 }  // namespace gana

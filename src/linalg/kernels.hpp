@@ -55,24 +55,44 @@ struct SpmmKernelInfo {
 namespace linalg {
 
 #if defined(GANA_SIMD_AVX2)
-/// AVX2 matmul kernel: writes C = A*B into C, which must already have
-/// A's row count and B's column count. Row-compressed: each block of
-/// rows has its nonzero (k, a(i,k)) pairs compacted without branches,
-/// then accumulates packed column panels of B over them, four doubles
-/// per vector with separate mul/add (never FMA); outputs narrower than
-/// a vector are stored through a lane mask.
-void matmul_rows_avx2(const Matrix& a, const Matrix& b, Matrix& c);
+/// AVX2 matmul kernel, in two parts. B is packed once into column
+/// panels (`pack_panels_avx2`, `packed_size_avx2` doubles); then any
+/// number of row blocks multiply against it (`matmul_block_avx2`, safe
+/// to call concurrently on one packed B). The block product is
+/// row-compressed: each group of rows has its nonzero (k, a(i,k)) pairs
+/// compacted without branches, then accumulates every panel over them,
+/// four doubles per vector with separate mul/add (never FMA); outputs
+/// narrower than a vector are stored through a lane mask.
+[[nodiscard]] std::size_t packed_size_avx2(std::size_t k, std::size_t n);
+void pack_panels_avx2(const Matrix& b, double* packed);
+/// C = A * B for `m` contiguous rows of A (m x k) into `m` contiguous
+/// rows of C (m x n), every element overwritten.
+void matmul_block_avx2(const double* a, std::size_t m, std::size_t k,
+                       const double* packed, std::size_t n, double* c);
 
 /// AVX2 spmm row-range kernel over raw CSR arrays; accumulation order
 /// per output row matches the reference loop (strictly increasing k).
 void spmm_rows_avx2(const std::size_t* row_ptr, const std::size_t* col_idx,
                     const double* values, std::size_t begin, std::size_t end,
                     const Matrix& x, Matrix& y);
+
+/// AVX2 row range of SparseMatrix::chebyshev_step_into: x, prev and y
+/// point at row 0 of `width`-column slices of one row-major matrix with
+/// row stride `stride`; y(r) = (A x)(r), then `* 2.0 - prev(r)` unless
+/// prev is null. Same per-element sequence as the reference loop.
+void chebyshev_rows_avx2(const std::size_t* row_ptr,
+                         const std::size_t* col_idx, const double* values,
+                         std::size_t begin, std::size_t end, const double* x,
+                         const double* prev, double* y, std::size_t width,
+                         std::size_t stride);
 #endif
 
 #if defined(GANA_SIMD_NEON)
-/// NEON (aarch64) counterparts of the AVX2 kernels; two doubles per
-/// lane, separate vmul/vadd (never vfma).
+/// NEON (aarch64) counterparts of the AVX2 matmul and spmm kernels;
+/// two doubles per lane, separate vmul/vadd (never vfma). The matmul
+/// accumulates into a zeroed C and reads B in place, so matmul_block
+/// reaches it through a thin adapter; the Chebyshev step has no NEON
+/// kernel and runs the reference loop.
 void matmul_rows_neon(const Matrix& a, const Matrix& b, Matrix& c);
 void spmm_rows_neon(const std::size_t* row_ptr, const std::size_t* col_idx,
                     const double* values, std::size_t begin, std::size_t end,

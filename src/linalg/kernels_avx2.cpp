@@ -47,8 +47,8 @@ namespace {
 // with half its entries zero then costs half the flops of a dense one.
 //
 // Scratch stays bounded: rows are compressed kRowBlock at a time, so a
-// thread holds kRowBlock * k pairs plus one packed copy of B, never a
-// compressed copy of all of A.
+// thread holds kRowBlock * k pairs, never a compressed copy of all of
+// A. The packed copy of B belongs to the caller (PackedMatrix).
 constexpr std::size_t kRowBlock = 32;
 /// At most eight 4-double vectors per panel: eight independent add
 /// chains per row, which is what the add latency needs without FMA.
@@ -140,7 +140,7 @@ __m256i lane_mask(std::size_t lanes) {
 
 /// Accumulates R rows' products with one packed panel of NV vectors and
 /// stores the first `width` columns of each. Every accumulator starts
-/// at +0.0, the value matmul_into's resize left in C, and takes its
+/// at +0.0, where the Reference kernel starts each C row, and takes its
 /// row's terms in list order (increasing k), one rounded multiply and
 /// one rounded add each, so each element sees the Reference kernel's
 /// exact operation sequence. The R rows run in lockstep over their
@@ -204,42 +204,46 @@ constexpr BlockFn kBlockFns[kMaxPanelVecs] = {
     accumulate_block<4>, accumulate_block<5>, accumulate_block<6>,
     accumulate_block<7>, accumulate_block<8>};
 
-/// Per-thread scratch, reused across calls.
+/// Per-thread compression scratch, reused across calls.
 struct Scratch {
-  /// B in panel-major order: each panel holds its columns of every row
-  /// of B contiguously, its width rounded up to whole vectors
-  /// and the extra lanes zeroed. Streaming one panel touches consecutive
-  /// memory, where B's own rows (n doubles apart) would alias the same
-  /// cache sets at power-of-two n.
-  std::vector<double> packed;
   std::vector<std::size_t> ks;  ///< kRowBlock rows of k indices
   std::vector<double> vs;       ///< kRowBlock rows of values
 };
 
 }  // namespace
 
-void matmul_rows_avx2(const Matrix& a, const Matrix& b, Matrix& c) {
-  const std::size_t m = a.rows();
-  const std::size_t kk = a.cols();
-  const std::size_t n = b.cols();
-  if (m == 0 || n == 0) return;
-  thread_local Scratch s;
+// B in panel-major order: each panel holds its columns of every row of
+// B contiguously, its width rounded up to whole vectors and the extra
+// lanes zeroed. Streaming one panel touches consecutive memory, where
+// B's own rows (n doubles apart) would alias the same cache sets at
+// power-of-two n. Every panel but the last is a whole number of
+// vectors wide, so panel p starts at k * j0.
+std::size_t packed_size_avx2(std::size_t kk, std::size_t n) {
+  return kk * ((n + 3) / 4 * 4);
+}
 
+void pack_panels_avx2(const Matrix& b, double* packed) {
+  const std::size_t kk = b.rows();
+  const std::size_t n = b.cols();
   const std::size_t panel = panel_width(kk);
-  const std::size_t panels = (n + panel - 1) / panel;
-  s.packed.resize(kk * ((n + 3) / 4) * 4);
-  for (std::size_t p = 0; p < panels; ++p) {
-    const std::size_t j0 = p * panel;
+  for (std::size_t j0 = 0; j0 < n; j0 += panel) {
     const std::size_t width = std::min(panel, n - j0);
     const std::size_t stride = (width + 3) / 4 * 4;
-    double* dst = s.packed.data() + kk * j0;
+    double* dst = packed + kk * j0;
     for (std::size_t k = 0; k < kk; ++k, dst += stride) {
       const double* src = b.row_ptr(k) + j0;
       std::copy(src, src + width, dst);
       std::fill(dst + width, dst + stride, 0.0);
     }
   }
+}
 
+void matmul_block_avx2(const double* a, std::size_t m, std::size_t kk,
+                       const double* packed, std::size_t n, double* c) {
+  if (m == 0 || n == 0) return;
+  thread_local Scratch s;
+  const std::size_t panel = panel_width(kk);
+  const std::size_t panels = (n + panel - 1) / panel;
   s.ks.resize(kRowBlock * kk);
   s.vs.resize(kRowBlock * kk);
   RowList rows[kRowBlock] = {};
@@ -249,16 +253,16 @@ void matmul_rows_avx2(const Matrix& a, const Matrix& b, Matrix& c) {
     for (std::size_t r = 0; r < count; ++r) {
       std::size_t* ks = s.ks.data() + r * kk;
       double* vs = s.vs.data() + r * kk;
-      rows[r] = {ks, vs, compress_row(a.row_ptr(i0 + r), kk, ks, vs)};
+      rows[r] = {ks, vs, compress_row(a + (i0 + r) * kk, kk, ks, vs)};
     }
     for (std::size_t p = 0; p < panels; ++p) {
       const std::size_t j0 = p * panel;
       const std::size_t width = std::min(panel, n - j0);
       for (std::size_t r = 0; r < count; ++r) {
-        crows[r] = c.row_ptr(i0 + r) + j0;
+        crows[r] = c + (i0 + r) * n + j0;
       }
-      kBlockFns[(width + 3) / 4 - 1](rows, count, s.packed.data() + kk * j0,
-                                     crows, width);
+      kBlockFns[(width + 3) / 4 - 1](rows, count, packed + kk * j0, crows,
+                                     width);
     }
   }
 }
@@ -282,6 +286,76 @@ void spmm_rows_avx2(const std::size_t* row_ptr, const std::size_t* col_idx,
         _mm256_storeu_pd(yrow + j, _mm256_add_pd(yv, _mm256_mul_pd(vv, xv)));
       }
       for (; j < xc; ++j) yrow[j] += v * xrow[j];
+    }
+  }
+}
+
+namespace {
+
+/// One row of the Chebyshev step over one column panel of NV vectors
+/// (`width` in (4 * (NV - 1), 4 * NV]). The accumulators start at +0.0
+/// and take the row's stored entries in order, one rounded multiply and
+/// one rounded add each, as the reference spmm does into its zeroed
+/// output; then `* 2.0` and `- prev`, one rounding each. The last
+/// vector's lanes past `width` load as zero and are never stored: they
+/// belong to the neighbouring slice, or lie past the matrix.
+template <int NV>
+void chebyshev_panel(const std::size_t* col_idx, const double* values,
+                     std::size_t k0, std::size_t k1, const double* x,
+                     const double* prev, double* y, std::size_t width,
+                     std::size_t stride) {
+  constexpr int kLast = NV - 1;
+  const __m256i tail = lane_mask(width - 4 * kLast);
+  __m256d s[NV];
+  for (int q = 0; q < NV; ++q) s[q] = _mm256_setzero_pd();
+  for (std::size_t k = k0; k < k1; ++k) {
+    const __m256d v = _mm256_set1_pd(values[k]);
+    const double* xr = x + col_idx[k] * stride;
+    for (int q = 0; q < kLast; ++q) {
+      s[q] = _mm256_add_pd(s[q], _mm256_mul_pd(v, _mm256_loadu_pd(xr + 4 * q)));
+    }
+    s[kLast] = _mm256_add_pd(
+        s[kLast], _mm256_mul_pd(v, _mm256_maskload_pd(xr + 4 * kLast, tail)));
+  }
+  if (prev != nullptr) {
+    const __m256d two = _mm256_set1_pd(2.0);
+    for (int q = 0; q < kLast; ++q) {
+      s[q] = _mm256_sub_pd(_mm256_mul_pd(s[q], two),
+                           _mm256_loadu_pd(prev + 4 * q));
+    }
+    s[kLast] = _mm256_sub_pd(_mm256_mul_pd(s[kLast], two),
+                             _mm256_maskload_pd(prev + 4 * kLast, tail));
+  }
+  for (int q = 0; q < kLast; ++q) _mm256_storeu_pd(y + 4 * q, s[q]);
+  _mm256_maskstore_pd(y + 4 * kLast, tail, s[kLast]);
+}
+
+using StepFn = void (*)(const std::size_t*, const double*, std::size_t,
+                        std::size_t, const double*, const double*, double*,
+                        std::size_t, std::size_t);
+constexpr StepFn kStepFns[kMaxPanelVecs] = {
+    chebyshev_panel<1>, chebyshev_panel<2>, chebyshev_panel<3>,
+    chebyshev_panel<4>, chebyshev_panel<5>, chebyshev_panel<6>,
+    chebyshev_panel<7>, chebyshev_panel<8>};
+
+}  // namespace
+
+void chebyshev_rows_avx2(const std::size_t* row_ptr,
+                         const std::size_t* col_idx, const double* values,
+                         std::size_t begin, std::size_t end, const double* x,
+                         const double* prev, double* y, std::size_t width,
+                         std::size_t stride) {
+  // A row's accumulators stay in registers across all its stored
+  // entries, up to 32 columns (eight vectors) at a time.
+  constexpr std::size_t kPanel = 4 * kMaxPanelVecs;
+  for (std::size_t r = begin; r < end; ++r) {
+    const std::size_t offset = r * stride;
+    for (std::size_t j0 = 0; j0 < width; j0 += kPanel) {
+      const std::size_t w = std::min(kPanel, width - j0);
+      kStepFns[(w + 3) / 4 - 1](
+          col_idx, values, row_ptr[r], row_ptr[r + 1], x + j0,
+          prev != nullptr ? prev + offset + j0 : nullptr, y + offset + j0, w,
+          stride);
     }
   }
 }

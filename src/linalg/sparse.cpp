@@ -23,6 +23,24 @@ constexpr std::size_t kSpmmRowGrain = 64;
 
 SpmmKernel g_spmm_kernel = SpmmKernel::Simd;
 
+/// Runs `rows_kernel(begin, end)` over [0, rows). Each call owns a
+/// disjoint output row range and every row accumulates in the same
+/// order as the sequential loop, so the product is bit-identical at any
+/// thread count. Products of `work` (nnz x columns) below one L2 cache
+/// stay sequential, as do workers of an outer pool (e.g. the batch
+/// runner), to avoid nested oversubscription.
+template <typename F>
+void for_spmm_rows(std::size_t rows, std::size_t work, F&& rows_kernel) {
+  ThreadPool* pool = compute_pool();
+  const bool parallel = pool != nullptr && !ThreadPool::inside_worker() &&
+                        work >= kParallelSpmmMinWork && rows > kSpmmRowGrain;
+  if (parallel) {
+    parallel_for(pool, rows, kSpmmRowGrain, rows_kernel);
+  } else {
+    rows_kernel(0, rows);
+  }
+}
+
 }  // namespace
 
 void set_spmm_kernel(SpmmKernel kernel) { g_spmm_kernel = kernel; }
@@ -105,12 +123,6 @@ void SparseMatrix::multiply_into(const Matrix& x, Matrix& y) const {
   assert(&y != &x);
   y.resize(rows_, x.cols());
   perf::count_spmm(2ull * nnz() * x.cols());
-  // Row-partitioned kernel: each task owns a disjoint output row range,
-  // and every row's accumulation runs in the same order as the
-  // sequential loop, so the product is bit-identical at any thread
-  // count and under any registered kernel. Workers of an outer pool
-  // (e.g. the batch runner) keep the sequential path to avoid nested
-  // oversubscription.
   auto rows_kernel = [this, &x, &y](std::size_t begin, std::size_t end) {
     if (g_spmm_kernel == SpmmKernel::Simd) {
 #if defined(GANA_SIMD_AVX2)
@@ -134,15 +146,49 @@ void SparseMatrix::multiply_into(const Matrix& x, Matrix& y) const {
       }
     }
   };
-  ThreadPool* pool = compute_pool();
-  const bool parallel = pool != nullptr && !ThreadPool::inside_worker() &&
-                        nnz() * x.cols() >= kParallelSpmmMinWork &&
-                        rows_ > kSpmmRowGrain;
-  if (parallel) {
-    parallel_for(pool, rows_, kSpmmRowGrain, rows_kernel);
-  } else {
-    rows_kernel(0, rows_);
-  }
+  for_spmm_rows(rows_, nnz() * x.cols(), rows_kernel);
+}
+
+void SparseMatrix::chebyshev_step_into(Matrix& z, std::size_t width,
+                                       std::size_t src, std::size_t dst,
+                                       std::size_t prev) const {
+  assert(rows_ == cols_ && z.rows() == rows_);
+  assert(src + width <= z.cols() && dst + width <= z.cols());
+  assert(dst >= src + width || src >= dst + width);
+  assert(prev == kNoSlice ||
+         (prev + width <= z.cols() &&
+          (dst >= prev + width || prev >= dst + width)));
+  perf::count_spmm(2ull * nnz() * width);
+  if (rows_ == 0 || width == 0) return;
+  const std::size_t stride = z.cols();
+  double* base = z.data().data();
+  const double* x = base + src;
+  const double* p = prev == kNoSlice ? nullptr : base + prev;
+  double* y = base + dst;
+  auto rows_kernel = [&](std::size_t begin, std::size_t end) {
+#if defined(GANA_SIMD_AVX2)
+    if (g_spmm_kernel == SpmmKernel::Simd) {
+      linalg::chebyshev_rows_avx2(row_ptr_.data(), col_idx_.data(),
+                                  values_.data(), begin, end, x, p, y, width,
+                                  stride);
+      return;
+    }
+#endif
+    // Reference; also Simd on builds without a vectorized step.
+    for (std::size_t r = begin; r < end; ++r) {
+      double* yrow = y + r * stride;
+      std::fill(yrow, yrow + width, 0.0);
+      for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+        const double v = values_[k];
+        const double* xrow = x + col_idx_[k] * stride;
+        for (std::size_t j = 0; j < width; ++j) yrow[j] += v * xrow[j];
+      }
+      if (p == nullptr) continue;
+      const double* prow = p + r * stride;
+      for (std::size_t j = 0; j < width; ++j) yrow[j] = yrow[j] * 2.0 - prow[j];
+    }
+  };
+  for_spmm_rows(rows_, nnz() * width, rows_kernel);
 }
 
 double SparseMatrix::at(std::size_t r, std::size_t c) const {

@@ -81,6 +81,22 @@ class SparseMatrix {
   /// parallel-dispatch decision. `y` must not alias `x`.
   void multiply_into(const Matrix& x, Matrix& y) const;
 
+  /// Marks the absent `prev` slice of chebyshev_step_into.
+  static constexpr std::size_t kNoSlice = static_cast<std::size_t>(-1);
+
+  /// Strided spmm inside one matrix: the Chebyshev recurrence step, done
+  /// in place on the stacked basis. With S_c the `width` columns of `z`
+  /// starting at column c,
+  ///   S_dst = A S_src                    when prev == kNoSlice,
+  ///   S_dst = (A S_src) * 2.0 - S_prev   otherwise.
+  /// Each element is bit-identical to multiply_into, then `*= 2.0`, then
+  /// `-= T_prev`. A is square with z.rows() rows, the dst slice overlaps
+  /// neither other slice, and the step counts one spmm and splits over
+  /// the compute pool exactly as multiply_into does.
+  void chebyshev_step_into(Matrix& z, std::size_t width, std::size_t src,
+                           std::size_t dst,
+                           std::size_t prev = kNoSlice) const;
+
   /// Returns entry (r, c), 0 if absent. O(log deg) per lookup.
   [[nodiscard]] double at(std::size_t r, std::size_t c) const;
 

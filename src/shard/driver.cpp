@@ -375,42 +375,49 @@ int worker_main(const Args& args) {
     std::fprintf(stderr, "gana-shard worker: --manifest is required\n");
     return 2;
   }
+  // Numeric flags first: a malformed value is a usage error (status 1)
+  // before the manifest is read.
+  ShardRange range;
+  std::size_t shard_index = 0;
+  PipelineOptions pipeline;
+  // Deterministic fault injection for the worker-failure tests: after
+  // emitting N result frames, --crash-after dies exactly as a crashing
+  // worker would and --stall-after hangs until the driver's per-shard
+  // deadline kills the process. Only result frames count, so the hooks
+  // fire mid-grant under the stealing scheduler too.
+  int crash_after = -1, stall_after = -1;
+  try {
+    range.begin =
+        static_cast<std::size_t>(std::max(args.get_int("begin", 0), 0));
+    range.end = static_cast<std::size_t>(std::max(args.get_int("end", 0), 0));
+    shard_index =
+        static_cast<std::size_t>(std::max(args.get_int("shard", 0), 0));
+    pipeline.jobs =
+        static_cast<std::size_t>(std::max(args.get_int("jobs", 1), 1));
+    pipeline.cache_capacity = static_cast<std::size_t>(
+        std::max(args.get_int("cache-capacity", 0), 0));
+    pipeline.timeout_seconds = args.get_double("timeout-seconds", 0.0);
+    crash_after = args.get_int("crash-after", -1);
+    stall_after = args.get_int("stall-after", -1);
+  } catch (const ArgError& e) {
+    std::fprintf(stderr, "gana-shard worker: %s\n", e.what());
+    return 1;
+  }
   auto entries = read_manifest(manifest);
   if (!entries.ok()) {
     std::fprintf(stderr, "gana-shard worker: %s\n",
                  entries.diag().render().c_str());
     return 2;
   }
-  ShardRange range;
-  range.begin = static_cast<std::size_t>(
-      std::max<long long>(0, args.get_int("begin", 0)));
-  range.end = static_cast<std::size_t>(
-      std::max<long long>(0, args.get_int("end", 0)));
-  const std::size_t shard_index = static_cast<std::size_t>(
-      std::max<long long>(0, args.get_int("shard", 0)));
-
-  PipelineOptions pipeline;
-  pipeline.jobs = static_cast<std::size_t>(std::max(args.get_int("jobs", 1), 1));
   const std::string seed_str = args.get("seed");
   pipeline.seed = seed_str.empty()
                       ? core::kDefaultSampleSeed
                       : std::strtoull(seed_str.c_str(), nullptr, 10);
   pipeline.domain = args.get("domain", "ota");
   pipeline.caches = !args.has("no-caches");
-  pipeline.cache_capacity = static_cast<std::size_t>(
-      std::max(args.get_int("cache-capacity", 0), 0));
-  pipeline.timeout_seconds = args.get_double("timeout-seconds", 0.0);
   pipeline.load_model = args.get("load-model");
   pipeline.load_library = args.get("load-library");
   const bool steal = args.has("steal");
-
-  // Deterministic fault injection for the worker-failure tests: after
-  // emitting N result frames, --crash-after dies exactly as a crashing
-  // worker would and --stall-after hangs until the driver's per-shard
-  // deadline kills the process. Only result frames count, so the hooks
-  // fire mid-grant under the stealing scheduler too.
-  const int crash_after = args.get_int("crash-after", -1);
-  const int stall_after = args.get_int("stall-after", -1);
 
   const int out_fd = STDOUT_FILENO;
   std::size_t emitted = 0;

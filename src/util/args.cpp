@@ -1,6 +1,8 @@
 #include "util/args.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <system_error>
 
 #include "util/strings.hpp"
 
@@ -35,14 +37,39 @@ std::string Args::get(const std::string& key,
   return it == flags_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// Parses all of `text` as a T, or throws ArgError naming the flag.
+template <typename T>
+T parse_whole(const std::string& key, const std::string& text,
+              const char* expected) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw ArgError("--" + key + " expects " + expected + ", got '" + text +
+                   "'");
+  }
+  return value;
+}
+
+}  // namespace
+
 int Args::get_int(const std::string& key, int fallback) const {
   auto it = flags_.find(key);
-  return it == flags_.end() ? fallback : std::atoi(it->second.c_str());
+  if (it == flags_.end()) return fallback;
+  return parse_whole<int>(key, it->second, "an integer");
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
   auto it = flags_.find(key);
-  return it == flags_.end() ? fallback : std::atof(it->second.c_str());
+  if (it == flags_.end()) return fallback;
+  const double v = parse_whole<double>(key, it->second, "a number");
+  if (!std::isfinite(v)) {
+    throw ArgError("--" + key + " expects a finite number, got '" +
+                   it->second + "'");
+  }
+  return v;
 }
 
 }  // namespace gana

@@ -3,10 +3,18 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace gana {
+
+/// A flag value that does not parse: a usage error. Every binary turns
+/// it into its usage exit (status 1).
+class ArgError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// Parses `--key value`, `--key=value`, and bare `--flag` arguments.
 /// Positional (non-flag) arguments are collected in order.
@@ -23,7 +31,13 @@ class Args {
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback = "") const;
+  /// The flag's value as an int, or `fallback` when the flag is
+  /// absent. The whole value must be a decimal integer in int's range:
+  /// anything else ("abc", "1x", "1e6", "99999999999", "") throws
+  /// ArgError.
   [[nodiscard]] int get_int(const std::string& key, int fallback) const;
+  /// The flag's value as a finite double ("0.5", "1e-3", "-2"), or
+  /// `fallback` when absent; a malformed value throws ArgError.
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
   [[nodiscard]] const std::vector<std::string>& positional() const {

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -283,6 +284,61 @@ TEST(ModelArtifact, WeightsTamperFailsFingerprintCheck) {
   EXPECT_EQ(r.diag().code, DiagCode::FormatError);
   EXPECT_NE(r.diag().message.find("fingerprint"), std::string::npos)
       << r.diag().message;
+}
+
+/// Saves `model` as an artifact, lets `edit` rewrite the config
+/// section's bytes, then re-seals the container checksum so only the
+/// config checks can reject the file.
+std::string resealed_config_artifact(
+    const gcn::GcnModel& model, const std::string& name,
+    const std::function<void(char* config)>& edit) {
+  const std::string path = temp_path(name);
+  EXPECT_TRUE(gcn::save_model_artifact(model, path).ok());
+  std::string bytes = read_file(path);
+  const auto u64_at = [&bytes](std::size_t at) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) {
+      v |= std::uint64_t(static_cast<std::uint8_t>(bytes[at + i])) << (8 * i);
+    }
+    return v;
+  };
+  const std::uint32_t sections = static_cast<std::uint32_t>(u64_at(40));
+  for (std::uint32_t s = 0; s < sections; ++s) {
+    const std::size_t entry =
+        util::kArtifactHeaderBytes + s * util::kArtifactSectionEntryBytes;
+    if (std::string(bytes.c_str() + entry) == "config") {
+      edit(bytes.data() + u64_at(entry + util::kArtifactSectionNameBytes));
+    }
+  }
+  const std::uint64_t checksum = util::artifact_checksum(
+      reinterpret_cast<const std::uint8_t*>(bytes.data()) +
+          util::kArtifactHeaderBytes,
+      bytes.size() - util::kArtifactHeaderBytes);
+  for (int i = 0; i < 8; ++i) {
+    bytes[32 + i] = static_cast<char>((checksum >> (8 * i)) & 0xff);
+  }
+  write_file(path, bytes);
+  return path;
+}
+
+TEST(ModelArtifact, OutOfRangeConfigIsBadValue) {
+  // Config layout: u64 in_features, u64 num_classes, u8 conv_kind,
+  // u32 cheb_k, ...
+  const gcn::GcnModel model(tiny_config());
+  const std::string huge_k = resealed_config_artifact(
+      model, "cheb_k_max.bin", [](char* config) {
+        std::memset(config + 17, 0xff, 4);  // cheb_k = 0xFFFFFFFF
+      });
+  const std::string no_classes = resealed_config_artifact(
+      model, "no_classes.bin", [](char* config) {
+        std::memset(config + 8, 0, 8);  // num_classes = 0
+      });
+  for (const std::string& path : {huge_k, no_classes}) {
+    SCOPED_TRACE(path);
+    auto r = gcn::load_model_artifact(path);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.diag().code, DiagCode::BadValue) << r.diag().render();
+  }
 }
 
 TEST(ModelArtifact, TextLoaderRejectsDuplicateConfigKey) {

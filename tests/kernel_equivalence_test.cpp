@@ -25,6 +25,7 @@
 #include "linalg/kernels.hpp"
 #include "linalg/sparse.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gana {
 namespace {
@@ -340,6 +341,112 @@ TEST(KernelEquivalence, SpmmDegenerateAndNonFinite) {
     check_spmm_case(0xf00d00 + c, 9, 17, 13, /*nonfinite=*/true, out_ref,
                     out_alt);
     if (HasFatalFailure()) return;
+  }
+}
+
+/// Random CSR matrix like random_sparse, with Inf/NaN among the stored
+/// values as well when `nonfinite`.
+SparseMatrix step_operator(std::size_t n, bool nonfinite, Rng& rng) {
+  SparseMatrix a = random_sparse(n, n, 0.3, rng);
+  if (nonfinite && a.nnz() > 0) {
+    a.values()[rng.index(a.nnz())] = std::numeric_limits<double>::infinity();
+    a.values()[rng.index(a.nnz())] = std::numeric_limits<double>::quiet_NaN();
+  }
+  return a;
+}
+
+/// Column slice [first, first + width) of z as a matrix of its own.
+Matrix slice(const Matrix& z, std::size_t first, std::size_t width) {
+  Matrix out(z.rows(), width);
+  for (std::size_t r = 0; r < z.rows(); ++r) {
+    for (std::size_t j = 0; j < width; ++j) out(r, j) = z(r, first + j);
+  }
+  return out;
+}
+
+/// One Chebyshev step in place on a K-slice stack, checked against the
+/// Reference sequence on separate matrices (multiply_into, then
+/// `*= 2.0`, then `-= T_{k-2}`) for every registered spmm kernel. Every
+/// slice but the destination must come back untouched.
+void check_step_case(std::uint64_t seed, std::size_t n, std::size_t width,
+                     bool recurrence, bool nonfinite) {
+  Rng rng(seed);
+  const SparseMatrix a = step_operator(n, nonfinite, rng);
+  constexpr std::size_t kSlices = 4;
+  Matrix z(n, kSlices * width);
+  fill_right(z, rng);
+  if (nonfinite) inject_nonfinite(z, rng);
+  const std::size_t src = 2 * width, dst = 3 * width;
+  const std::size_t prev = recurrence ? width : SparseMatrix::kNoSlice;
+
+  set_spmm_kernel(SpmmKernel::Reference);
+  Matrix expect;
+  a.multiply_into(slice(z, src, width), expect);
+  if (recurrence) {
+    expect *= 2.0;
+    expect -= slice(z, prev, width);
+  }
+  for (const auto& info : registered_spmm_kernels()) {
+    set_spmm_kernel(info.id);
+    Matrix got = z;
+    a.chebyshev_step_into(got, width, src, dst, prev);
+    const std::string label = case_label(seed, n, n, width, info.name) +
+                              " recurrence=" + std::to_string(recurrence) +
+                              " nonfinite=" + std::to_string(nonfinite);
+    ASSERT_TRUE(bitwise_equal(slice(got, dst, width), expect)) << label;
+    ASSERT_TRUE(bitwise_equal(slice(got, 0, dst), slice(z, 0, dst)))
+        << label << " (other slices changed)";
+  }
+}
+
+TEST(KernelEquivalence, ChebyshevStepMatchesReferenceSequence) {
+  KernelGuard guard;
+  // Widths below, at and past one vector and one 32-column panel; 18
+  // is the feature width of the first ChebConv.
+  std::uint64_t seed = 0xc4eb57e9;
+  for (const std::size_t width : {1, 3, 4, 18, 32, 33}) {
+    for (const std::size_t n : {1, 7, 40}) {
+      for (const bool recurrence : {false, true}) {
+        for (const bool nonfinite : {false, true}) {
+          check_step_case(++seed, n, width, recurrence, nonfinite);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, ChebyshevStepSplitOverComputePool) {
+  // Big enough for the row split (nnz x width past the spmm threshold).
+  KernelGuard guard;
+  const std::size_t saved = compute_threads();
+  set_compute_threads(3);
+  check_step_case(0x57e9b16, 200, 33, /*recurrence=*/true,
+                  /*nonfinite=*/false);
+  set_compute_threads(saved);
+}
+
+TEST(KernelEquivalence, MatmulBlockMatchesWholeProduct) {
+  // One packed B shared by blocks of any row count (the inference tail
+  // runs 32-row blocks plus a remainder) equals the whole product under
+  // the kernel it was packed for.
+  KernelGuard guard;
+  Rng rng(0xb10c);
+  Matrix a(75, 66), b(66, 37);
+  fill_left(a, rng, LeftFill::ZeroHeavy);
+  fill_right(b, rng);
+  for (const auto& info : registered_matmul_kernels()) {
+    set_matmul_kernel(info.id);
+    Matrix whole;
+    matmul_into(a, b, whole);
+    PackedMatrix packed;
+    packed.pack(b);
+    Matrix blocks(a.rows(), b.cols(), -1.0);  // dirty: must be overwritten
+    for (std::size_t r0 = 0; r0 < a.rows(); r0 += 32) {
+      const std::size_t rows = std::min<std::size_t>(32, a.rows() - r0);
+      matmul_block(a.row_ptr(r0), rows, packed, blocks.row_ptr(r0));
+    }
+    EXPECT_TRUE(bitwise_equal(whole, blocks)) << info.name;
   }
 }
 

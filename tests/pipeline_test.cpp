@@ -3,7 +3,10 @@
 #include "core/pipeline.hpp"
 
 #include <cstdio>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "gcn/serialize.hpp"
 #include "shard/driver.hpp"
@@ -215,6 +218,60 @@ TEST(ModelShape, MoreClassesThanNamesIsRejected) {
   // Every class has a name: exact fit, or a prefix of a larger vocabulary.
   EXPECT_NO_THROW(Annotator(&model, {"lna", "mixer", "osc"}));
   EXPECT_NO_THROW(Annotator(&model, datagen::rf_class_names()));
+}
+
+TEST(ModelShape, ZeroClassModelIsRejected) {
+  // softmax would read row[0] of a 0-column matrix on the first call.
+  gcn::ModelConfig cfg = small_model_config();
+  cfg.num_classes = 0;
+  const gcn::GcnModel model(cfg);
+  try {
+    const Annotator annotator(&model, {"ota", "bias"});
+    ADD_FAILURE() << "a 0-class model was accepted";
+  } catch (const DiagError& e) {
+    EXPECT_EQ(e.diag().code, DiagCode::ModelMismatch);
+  }
+}
+
+TEST(ModelShape, TextLoaderRejectsOutOfRangeConfigs) {
+  // A 0-class model crashes softmax on its first call, and an
+  // out-of-range K throws length_error or bad_alloc out of GcnModel's
+  // constructor: each must be a BadValue diag instead.
+  std::stringstream buffer;
+  gcn::save_model(gcn::GcnModel(small_model_config()), buffer);
+  const std::string text = buffer.str();
+  const std::pair<std::string, std::string> cases[] = {
+      {"num_classes", "0"}, {"cheb_k", "-3"}, {"cheb_k", "2000000000"}};
+  for (const auto& [key, value] : cases) {
+    SCOPED_TRACE(key + " " + value);
+    const std::size_t at = text.find("\n" + key + " ");
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t end = text.find('\n', at + 1);
+    std::stringstream in(text.substr(0, at + 1) + key + " " + value +
+                         text.substr(end));
+    const auto loaded = gcn::load_model_result(in, "bad.ckpt");
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.diag().code, DiagCode::BadValue) << loaded.diag().render();
+  }
+}
+
+TEST(ModelShape, ScalarCountMatchesTheModelsTensors) {
+  std::vector<gcn::ModelConfig> configs(4, small_model_config());
+  configs[1].conv_kind = gcn::ConvKind::SageMean;
+  configs[2].batch_norm = false;
+  configs[2].conv_channels = {4, 5, 6};
+  configs[3].use_pooling = true;
+  configs[3].num_classes = 5;
+  for (const gcn::ModelConfig& cfg : configs) {
+    gcn::GcnModel model(cfg);
+    std::size_t total = 0;
+    for (const Matrix* p : model.params()) total += p->size();
+    for (const Matrix* b : model.buffers()) total += b->size();
+    EXPECT_EQ(gcn::tensor_scalar_count(cfg), total);
+  }
+  gcn::ModelConfig huge = small_model_config();
+  huge.fc_hidden = std::size_t{1} << 62;
+  EXPECT_EQ(gcn::tensor_scalar_count(huge), std::nullopt);
 }
 
 }  // namespace

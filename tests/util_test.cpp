@@ -164,6 +164,34 @@ TEST(Args, ParsesFlagsAndPositionals) {
   EXPECT_EQ(args.get_double("missing", 1.5), 1.5);
 }
 
+TEST(Args, NumericValuesParseWhole) {
+  const char* argv[] = {"prog", "--a", "4",     "--b", "-1",
+                        "--c",  "0.5", "--d",   "1e-3"};
+  const Args args(9, argv);
+  EXPECT_EQ(args.get_int("a", 0), 4);
+  EXPECT_EQ(args.get_int("b", 0), -1);
+  EXPECT_EQ(args.get_double("c", 0.0), 0.5);
+  EXPECT_EQ(args.get_double("d", 0.0), 1e-3);
+  EXPECT_EQ(args.get_double("a", 0.0), 4.0);
+}
+
+TEST(Args, MalformedNumericValuesThrow) {
+  // A partial or out-of-range parse is an error, never a truncated
+  // value ("1e6" as the int 1, "1x" as 1, "abc" as 0).
+  const char* argv[] = {"prog",          "--abc", "abc", "--trail", "1x",
+                        "--sci",         "1e6",   "--big",
+                        "99999999999",   "--empty="};
+  const Args args(10, argv);
+  for (const char* key : {"abc", "trail", "sci", "big", "empty"}) {
+    SCOPED_TRACE(key);
+    EXPECT_THROW((void)args.get_int(key, 0), ArgError);
+  }
+  EXPECT_THROW((void)args.get_double("abc", 0.0), ArgError);
+  EXPECT_THROW((void)args.get_double("trail", 0.0), ArgError);
+  EXPECT_THROW((void)args.get_double("empty", 0.0), ArgError);
+  EXPECT_EQ(args.get_double("sci", 0.0), 1e6);
+}
+
 TEST(Args, DeclaredBooleanFlagsDoNotConsumePositionals) {
   const char* argv[] = {"prog", "--session", "rev0.sp", "rev1.sp",
                         "--jobs", "4"};
