@@ -12,7 +12,6 @@
 //                      [--annotation-cache-capacity C]
 //                      [--inference-cache-capacity C]
 //                      [--timeout-seconds S]
-//                      [--frontend interned|reference]
 //                      [--perf-json perf.json]
 //                      [--save-model m.ckpt] [--load-model m.ckpt]
 //
@@ -26,8 +25,9 @@
 //
 // --keep-going: process every input even when some fail; each file gets
 // an [ OK ]/[FAIL] summary line. Without it the run stops at the first
-// failure. Exit codes: 0 all annotated, 1 usage error, 2 I/O error,
-// 3 parse/validation error, 4 annotation error (first failure in input
+// failure. Exit codes: 0 all annotated, 1 usage error (including an
+// unknown flag or a malformed flag value), 2 I/O error, 3
+// parse/validation error, 4 annotation error (first failure in input
 // order decides).
 //
 // --sample-cache: share spectral-operator preparation between
@@ -66,10 +66,6 @@
 // summary line, and drives exit code 5; its siblings are unaffected
 // (implies --keep-going semantics for the timed-out slot only under
 // --keep-going, otherwise the run stops there like any other failure).
-//
-// --frontend interned|reference: select the front-end implementation
-// (default interned -- the id-space fast path; reference is the legacy
-// string path). Both produce bit-identical annotations.
 //
 // --kernel simd|reference: select the dense/sparse product kernels
 // (default simd -- the compile-time dispatched AVX2/NEON/scalar kernel;
@@ -190,7 +186,6 @@ int main(int argc, char** argv) {
         "                        [--inference-cache-capacity C]\n"
         "                        [--timeout-seconds S]\n"
         "                        [--load-library lib|standard]\n"
-        "                        [--frontend interned|reference]\n"
         "                        [--kernel simd|reference]\n"
         "                        [--perf-json perf.json]\n"
         "                        [--svg layout.svg]\n");
@@ -198,11 +193,6 @@ int main(int argc, char** argv) {
   }
   const std::vector<std::string> paths = args.positional();
   const std::string domain = args.get("domain", "ota");
-  const std::string frontend = args.get("frontend", "interned");
-  if (frontend != "interned" && frontend != "reference") {
-    std::fprintf(stderr, "error: unknown --frontend '%s'\n", frontend.c_str());
-    return kExitUsage;
-  }
   const std::string kernel = args.get("kernel", "simd");
   if (kernel == "simd") {
     gana::set_matmul_kernel(gana::MatmulKernel::Simd);
@@ -222,6 +212,11 @@ int main(int argc, char** argv) {
   int circuits = 0, epochs = 0;
   double timeout_seconds = 0.0;
   try {
+    args.reject_unknown(
+        {"domain", "kernel", "jobs", "circuits", "epochs", "cache-capacity",
+         "prep-cache-capacity", "annotation-cache-capacity",
+         "inference-cache-capacity", "timeout-seconds", "load-model",
+         "save-model", "load-library", "perf-json", "svg", "json", "dot"});
     jobs = static_cast<std::size_t>(std::max(args.get_int("jobs", 1), 0));
     circuits = args.get_int("circuits", 150);
     epochs = args.get_int("epochs", 25);
@@ -296,10 +291,6 @@ int main(int argc, char** argv) {
   const std::vector<std::string> classes =
       domain == "rf" ? gana::datagen::rf_class_names()
                      : std::vector<std::string>{"ota", "bias"};
-  gana::core::PrepareOptions prepare;
-  prepare.front_end = frontend == "reference"
-                          ? gana::core::FrontEnd::Reference
-                          : gana::core::FrontEnd::Interned;
   auto library =
       gana::primitives::load_library_any(args.get("load-library", "standard"));
   if (!library.ok()) {
@@ -311,7 +302,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<gana::core::Annotator> owned_annotator;
   try {
     owned_annotator = std::make_unique<gana::core::Annotator>(
-        model.get(), classes, library.take(), prepare);
+        model.get(), classes, library.take());
   } catch (const gana::DiagError& e) {
     std::fprintf(stderr, "error: %s\n", e.diag().render().c_str());
     return kExitIo;

@@ -58,6 +58,7 @@ int main(int argc, char** argv) {
   copt.socket_path = args.get("socket");
   double timeout = 0.0;
   try {
+    args.reject_unknown({"socket", "timeout-seconds", "retries", "json"});
     timeout = args.get_double("timeout-seconds", 0.0);
     if (timeout > 0.0) copt.timeout_seconds = timeout;
     copt.max_retries = std::max(args.get_int("retries", copt.max_retries), 0);

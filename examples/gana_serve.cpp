@@ -96,6 +96,13 @@ int main(int argc, char** argv) {
   gana::FaultPlan plan;
   std::uint64_t fault_seed = 1;
   try {
+    args.reject_unknown(
+        {"socket", "domain", "load-model", "load-library", "jobs",
+         "max-inflight", "max-sessions", "timeout-seconds",
+         "write-timeout-seconds", "cache-capacity", "prep-cache-capacity",
+         "annotation-cache-capacity", "inference-cache-capacity", "seed",
+         "fault-seed", "fault-alloc", "fault-error", "fault-delay",
+         "fault-delay-seconds"});
     config.socket_path = args.get("socket");
     config.jobs =
         static_cast<std::size_t>(std::max(args.get_int("jobs", 0), 0));

@@ -87,6 +87,8 @@ int failure_exit_code(const gana::Diag& d) {
 }
 
 int run_datagen(const gana::Args& args) {
+  args.reject_unknown({"datagen", "dir", "count", "seed", "per-dir",
+                       "ota-fraction", "rf-fraction", "quiet"});
   gana::datagen::CorpusOptions opt;
   opt.dir = args.get("dir");
   if (opt.dir.empty()) {
@@ -121,6 +123,7 @@ int run_datagen(const gana::Args& args) {
 }
 
 int run_pack_model(const gana::Args& args) {
+  args.reject_unknown({"pack-model", "out", "quiet"});
   const std::string in = args.get("pack-model");
   const std::string out = args.get("out");
   if (in.empty() || out.empty()) {
@@ -148,6 +151,7 @@ int run_pack_model(const gana::Args& args) {
 }
 
 int run_pack_library(const gana::Args& args) {
+  args.reject_unknown({"pack-library", "out", "quiet"});
   const std::string in = args.get("pack-library");
   const std::string out = args.get("out");
   if (in.empty() || out.empty()) {
@@ -178,6 +182,11 @@ int run_pack_library(const gana::Args& args) {
 }
 
 int run_driver(const gana::Args& args) {
+  args.reject_unknown(
+      {"manifest", "out", "shards", "jobs", "domain", "keep-going",
+       "scheduler", "shard-timeout-seconds", "timeout-seconds", "seed",
+       "no-caches", "cache-capacity", "load-model", "load-library",
+       "perf-json", "worker-exe", "quiet"});
   const std::string manifest = args.get("manifest");
   if (manifest.empty()) {
     std::fprintf(stderr, "gana-shard: --manifest is required\n");

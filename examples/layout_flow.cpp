@@ -9,6 +9,12 @@
 
 int main(int argc, char** argv) {
   const gana::Args args(argc, argv);
+  try {
+    args.reject_unknown({"out"});
+  } catch (const gana::ArgError& e) {
+    std::fprintf(stderr, "layout_flow: %s\n", e.what());
+    return 1;
+  }
   const std::string out = args.get("out", "sc_filter_layout.svg");
 
   gana::Rng rng(42);

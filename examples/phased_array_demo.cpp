@@ -13,6 +13,7 @@ int main(int argc, char** argv) {
   const gana::Args args(argc, argv);
   gana::datagen::PhasedArrayOptions opt;
   try {
+    args.reject_unknown({"channels"});
     opt.channels = args.get_int("channels", 4);
   } catch (const gana::ArgError& e) {
     std::fprintf(stderr, "phased_array_demo: %s\n", e.what());

@@ -12,6 +12,7 @@ int main(int argc, char** argv) {
   std::size_t circuits = 0;
   int epochs = 0, k = 0;
   try {
+    args.reject_unknown({"circuits", "epochs", "k", "pooling"});
     circuits = static_cast<std::size_t>(args.get_int("circuits", 200));
     epochs = args.get_int("epochs", 40);
     k = args.get_int("k", 8);

@@ -45,6 +45,7 @@ constexpr std::size_t kBatchOverpartition = 4;
 }  // namespace
 
 BatchTimings& BatchTimings::operator+=(const BatchTimings& o) {
+  PerfSnapshot::operator+=(o);
   wall_seconds += o.wall_seconds;
   prepare_seconds += o.prepare_seconds;
   gcn_seconds += o.gcn_seconds;
@@ -52,58 +53,7 @@ BatchTimings& BatchTimings::operator+=(const BatchTimings& o) {
   prepare_wall_seconds += o.prepare_wall_seconds;
   gcn_wall_seconds += o.gcn_wall_seconds;
   post_wall_seconds += o.post_wall_seconds;
-  matrix_allocs += o.matrix_allocs;
-  matrix_alloc_bytes += o.matrix_alloc_bytes;
-  spmm_calls += o.spmm_calls;
-  spmm_flops += o.spmm_flops;
-  matmul_calls += o.matmul_calls;
-  matmul_flops += o.matmul_flops;
-  sample_cache_hits += o.sample_cache_hits;
-  sample_cache_misses += o.sample_cache_misses;
-  inference_cache_hits += o.inference_cache_hits;
-  inference_cache_misses += o.inference_cache_misses;
-  vf2_states += o.vf2_states;
-  vf2_sig_rejections += o.vf2_sig_rejections;
-  vf2_pattern_skips += o.vf2_pattern_skips;
-  annotation_cache_hits += o.annotation_cache_hits;
-  annotation_cache_misses += o.annotation_cache_misses;
-  cache_evictions += o.cache_evictions;
-  parse_bytes += o.parse_bytes;
-  intern_hits += o.intern_hits;
-  intern_misses += o.intern_misses;
-  frontend_allocs += o.frontend_allocs;
-  incr_regions += o.incr_regions;
-  incr_region_reuses += o.incr_region_reuses;
-  incr_region_recomputes += o.incr_region_recomputes;
-  incr_canon_fallbacks += o.incr_canon_fallbacks;
   return *this;
-}
-
-void BatchTimings::apply_perf_delta(const PerfSnapshot& perf) {
-  matrix_allocs = perf.matrix_allocs;
-  matrix_alloc_bytes = perf.matrix_alloc_bytes;
-  spmm_calls = perf.spmm_calls;
-  spmm_flops = perf.spmm_flops;
-  matmul_calls = perf.matmul_calls;
-  matmul_flops = perf.matmul_flops;
-  sample_cache_hits = perf.sample_cache_hits;
-  sample_cache_misses = perf.sample_cache_misses;
-  inference_cache_hits = perf.inference_cache_hits;
-  inference_cache_misses = perf.inference_cache_misses;
-  vf2_states = perf.vf2_states;
-  vf2_sig_rejections = perf.vf2_sig_rejections;
-  vf2_pattern_skips = perf.vf2_pattern_skips;
-  annotation_cache_hits = perf.annotation_cache_hits;
-  annotation_cache_misses = perf.annotation_cache_misses;
-  cache_evictions = perf.cache_evictions;
-  parse_bytes = perf.parse_bytes;
-  intern_hits = perf.intern_hits;
-  intern_misses = perf.intern_misses;
-  frontend_allocs = perf.frontend_allocs;
-  incr_regions = perf.incr_regions;
-  incr_region_reuses = perf.incr_region_reuses;
-  incr_region_recomputes = perf.incr_region_recomputes;
-  incr_canon_fallbacks = perf.incr_canon_fallbacks;
 }
 
 double BatchResult::mean_acc_gcn() const {

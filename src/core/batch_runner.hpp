@@ -35,10 +35,10 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
+#include "util/perf.hpp"
 
 namespace gana {
 class ThreadPool;
-struct PerfSnapshot;
 }
 
 namespace gana::core {
@@ -88,7 +88,7 @@ struct BatchOptions {
 /// Failed tasks contribute nothing to stage sums. The counter deltas
 /// include any concurrent linalg activity in the process -- in the
 /// usual one-batch-at-a-time setup they are exact.
-struct BatchTimings {
+struct BatchTimings : PerfSnapshot {
   double wall_seconds = 0.0;     ///< whole-batch wall clock
   double prepare_seconds = 0.0;  ///< CPU sum: flatten + preprocess + graph
   double gcn_seconds = 0.0;      ///< CPU sum: features + sample + inference
@@ -96,35 +96,13 @@ struct BatchTimings {
   double prepare_wall_seconds = 0.0;  ///< wall sum of the prepare stage
   double gcn_wall_seconds = 0.0;      ///< wall sum of the GCN stage
   double post_wall_seconds = 0.0;     ///< wall sum of the post stage
-  std::uint64_t matrix_allocs = 0;      ///< dense-buffer heap growths
-  std::uint64_t matrix_alloc_bytes = 0;
-  std::uint64_t spmm_calls = 0;
-  std::uint64_t spmm_flops = 0;
-  std::uint64_t matmul_calls = 0;
-  std::uint64_t matmul_flops = 0;
-  std::uint64_t sample_cache_hits = 0;
-  std::uint64_t sample_cache_misses = 0;
-  std::uint64_t inference_cache_hits = 0;
-  std::uint64_t inference_cache_misses = 0;
-  std::uint64_t vf2_states = 0;           ///< VF2 search states explored
-  std::uint64_t vf2_sig_rejections = 0;   ///< signature-lookahead cuts
-  std::uint64_t vf2_pattern_skips = 0;    ///< counting-filter pattern skips
-  std::uint64_t annotation_cache_hits = 0;
-  std::uint64_t annotation_cache_misses = 0;
-  std::uint64_t cache_evictions = 0;   ///< capacity-bounded cache drops
-  std::uint64_t parse_bytes = 0;       ///< netlist text bytes parsed
-  std::uint64_t intern_hits = 0;       ///< SymbolTable lookups of known names
-  std::uint64_t intern_misses = 0;     ///< SymbolTable first-time interns
-  std::uint64_t frontend_allocs = 0;   ///< interned front-end heap allocations
-  std::uint64_t incr_regions = 0;      ///< regions seen by session runs
-  std::uint64_t incr_region_reuses = 0;      ///< regions served from cache
-  std::uint64_t incr_region_recomputes = 0;  ///< regions re-run (dirty cone)
-  std::uint64_t incr_canon_fallbacks = 0;    ///< canonical-order budget hits
 
   /// Copies the perf-counter fields of a counter-window delta into this
   /// record (timing fields are untouched). BatchRunner uses it for every
   /// batch; session-mode drivers use it to report the same JSON schema.
-  void apply_perf_delta(const PerfSnapshot& delta);
+  void apply_perf_delta(const PerfSnapshot& delta) {
+    static_cast<PerfSnapshot&>(*this) = delta;
+  }
 
   /// Field-wise accumulation, for callers that run a corpus as a
   /// sequence of batches (the shard worker's chunked streaming loop)

@@ -91,31 +91,12 @@ std::string batch_timings_to_json(const BatchTimings& t, std::size_t jobs,
       << ",\"post_seconds\":" << t.post_seconds
       << ",\"prepare_wall_seconds\":" << t.prepare_wall_seconds
       << ",\"gcn_wall_seconds\":" << t.gcn_wall_seconds
-      << ",\"post_wall_seconds\":" << t.post_wall_seconds
-      << ",\"matrix_allocs\":" << t.matrix_allocs
-      << ",\"matrix_alloc_bytes\":" << t.matrix_alloc_bytes
-      << ",\"spmm_calls\":" << t.spmm_calls
-      << ",\"spmm_flops\":" << t.spmm_flops
-      << ",\"matmul_calls\":" << t.matmul_calls
-      << ",\"matmul_flops\":" << t.matmul_flops
-      << ",\"sample_cache_hits\":" << t.sample_cache_hits
-      << ",\"sample_cache_misses\":" << t.sample_cache_misses
-      << ",\"inference_cache_hits\":" << t.inference_cache_hits
-      << ",\"inference_cache_misses\":" << t.inference_cache_misses
-      << ",\"vf2_states\":" << t.vf2_states
-      << ",\"vf2_sig_rejections\":" << t.vf2_sig_rejections
-      << ",\"vf2_pattern_skips\":" << t.vf2_pattern_skips
-      << ",\"annotation_cache_hits\":" << t.annotation_cache_hits
-      << ",\"annotation_cache_misses\":" << t.annotation_cache_misses
-      << ",\"cache_evictions\":" << t.cache_evictions
-      << ",\"parse_bytes\":" << t.parse_bytes
-      << ",\"intern_hits\":" << t.intern_hits
-      << ",\"intern_misses\":" << t.intern_misses
-      << ",\"frontend_allocs\":" << t.frontend_allocs
-      << ",\"incr_regions\":" << t.incr_regions
-      << ",\"incr_region_reuses\":" << t.incr_region_reuses
-      << ",\"incr_region_recomputes\":" << t.incr_region_recomputes
-      << ",\"incr_canon_fallbacks\":" << t.incr_canon_fallbacks << "}";
+      << ",\"post_wall_seconds\":" << t.post_wall_seconds;
+  // The counter keys, in counter-table order.
+#define GANA_PERF_JSON(name) out << ",\"" #name "\":" << t.name;
+  GANA_PERF_COUNTERS(GANA_PERF_JSON)
+#undef GANA_PERF_JSON
+  out << "}";
   return out.str();
 }
 

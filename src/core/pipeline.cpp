@@ -1,7 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include <cmath>
-#include <functional>
+#include <map>
 #include <new>
 #include <string>
 #include <utility>
@@ -10,7 +10,6 @@
 #include "graph/builder.hpp"
 #include "graph/laplacian.hpp"
 #include "graph/structural_hash.hpp"
-#include "spice/flatten.hpp"
 #include "spice/interned.hpp"
 #include "util/deadline.hpp"
 #include "util/thread_pool.hpp"
@@ -31,64 +30,71 @@ inline void mark(Stage* stage, Stage s) {
   checkpoint(s);
 }
 
+/// The front end behind prepare_circuit and prepare_netlist: flatten,
+/// preprocess and graph build on the interned path (intern once, work on
+/// SymbolIds, materialize names into `out.flat` at the boundary).
+/// `device_labels` are transferred across preprocessing: removed devices
+/// alias to their surviving representative, which keeps its own label.
+PreparedCircuit prepare(const spice::Netlist& netlist, const std::string& name,
+                        std::vector<std::string> class_names,
+                        std::map<std::string, int> device_labels,
+                        const PrepareOptions& options, Stage* stage) {
+  PreparedCircuit out;
+  out.name = name;
+  out.class_names = std::move(class_names);
+  mark(stage, Stage::Flatten);
+  spice::InternedNetlist flat =
+      spice::flatten_interned(spice::intern_netlist(netlist), name);
+  if (options.preprocess) {
+    mark(stage, Stage::Preprocess);
+    out.preprocess_report =
+        spice::preprocess_interned(flat, options.preprocess_options);
+    for (const auto& alias : out.preprocess_report.alias) {
+      device_labels.erase(alias.first);
+    }
+  }
+  mark(stage, Stage::GraphBuild);
+  out.graph = graph::build_graph(flat);
+  out.flat = spice::materialize_netlist(flat);
+  out.labels = vertex_labels(out.graph, device_labels);
+  return out;
+}
+
+/// Rethrows a failed annotation as the NetlistError carrying its Diag.
+AnnotateResult value_or_throw(Result<AnnotateResult> result) {
+  if (!result.ok()) throw spice::NetlistError(result.diag());
+  return result.take();
+}
+
+/// Rejects Inf/NaN before they reach the solver: a single bad weight
+/// poisons every activation and the argmax silently returns garbage.
+void require_finite(const Matrix& m, Stage stage, const std::string& name,
+                    const std::string& what) {
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      if (!std::isfinite(m(i, j))) {
+        throw spice::NetlistError(make_diag(
+            DiagCode::NonFinite, stage,
+            "non-finite " + what + " at (" + std::to_string(i) + ", " +
+                std::to_string(j) + ") of circuit " + name));
+      }
+    }
+  }
+}
+
 }  // namespace
 
 PreparedCircuit prepare_circuit(const datagen::LabeledCircuit& input,
                                 const PrepareOptions& options, Stage* stage) {
-  PreparedCircuit out;
-  out.name = input.name;
-  out.class_names = input.class_names;
-
-  // Transfer labels across preprocessing: removed devices alias to their
-  // surviving representative (or vanish).
-  std::map<std::string, int> device_labels = input.device_labels;
-
-  if (options.front_end == FrontEnd::Interned) {
-    // Id-space fast path: intern once, then flatten/preprocess/build on
-    // SymbolIds; names materialize only into `out.flat` at the boundary.
-    mark(stage, Stage::Flatten);
-    spice::InternedNetlist flat = spice::flatten_interned(
-        spice::intern_netlist(input.netlist), input.name);
-    if (options.preprocess) {
-      mark(stage, Stage::Preprocess);
-      out.preprocess_report =
-          spice::preprocess_interned(flat, options.preprocess_options);
-      for (const auto& [removed, kept] : out.preprocess_report.alias) {
-        device_labels.erase(removed);
-        (void)kept;  // the representative keeps its own label
-      }
-    }
-    mark(stage, Stage::GraphBuild);
-    out.graph = graph::build_graph(flat);
-    out.flat = spice::materialize_netlist(flat);
-  } else {
-    mark(stage, Stage::Flatten);
-    out.flat = spice::flatten(input.netlist, input.name);
-    if (options.preprocess) {
-      mark(stage, Stage::Preprocess);
-      out.preprocess_report =
-          spice::preprocess(out.flat, options.preprocess_options);
-      for (const auto& [removed, kept] : out.preprocess_report.alias) {
-        device_labels.erase(removed);
-        (void)kept;  // the representative keeps its own label
-      }
-    }
-    mark(stage, Stage::GraphBuild);
-    out.graph = graph::build_graph(out.flat);
-  }
-  out.labels = vertex_labels(out.graph, device_labels);
-  return out;
+  return prepare(input.netlist, input.name, input.class_names,
+                 input.device_labels, options, stage);
 }
 
 PreparedCircuit prepare_netlist(const spice::Netlist& netlist,
                                 std::vector<std::string> class_names,
                                 const std::string& name,
                                 const PrepareOptions& options, Stage* stage) {
-  datagen::LabeledCircuit lc;
-  lc.name = name;
-  lc.netlist = netlist;
-  lc.class_names = std::move(class_names);
-  return prepare_circuit(lc, options, stage);
+  return prepare(netlist, name, std::move(class_names), {}, options, stage);
 }
 
 gcn::GraphSample make_gcn_sample(const PreparedCircuit& prepared,
@@ -139,115 +145,57 @@ Annotator::Annotator(const gcn::GcnModel* model,
 
 AnnotateResult Annotator::annotate(const datagen::LabeledCircuit& input,
                                    std::uint64_t sample_seed) const {
-  Timer prepare_timer;
-  ThreadCpuTimer prepare_cpu;
-  PreparedCircuit prepared = prepare_circuit(input, prepare_);
-  return run(std::move(prepared), prepare_timer.seconds(),
-             prepare_cpu.seconds(), nullptr, sample_seed);
+  return value_or_throw(try_annotate(input, sample_seed));
 }
 
 AnnotateResult Annotator::annotate(const spice::Netlist& netlist,
                                    const std::string& name,
                                    std::uint64_t sample_seed) const {
-  Timer prepare_timer;
-  ThreadCpuTimer prepare_cpu;
-  PreparedCircuit prepared =
-      prepare_netlist(netlist, class_names_, name, prepare_);
-  return run(std::move(prepared), prepare_timer.seconds(),
-             prepare_cpu.seconds(), nullptr, sample_seed);
+  return value_or_throw(try_annotate(netlist, name, sample_seed));
 }
 
 AnnotateResult Annotator::annotate_oracle(
     const datagen::LabeledCircuit& input, std::size_t oracle_classes) const {
-  Timer prepare_timer;
-  ThreadCpuTimer prepare_cpu;
-  PreparedCircuit prepared = prepare_circuit(input, prepare_);
-  const double seconds_prepare = prepare_timer.seconds();
-  const double cpu_seconds_prepare = prepare_cpu.seconds();
-  const std::size_t n = prepared.graph.vertex_count();
-  Matrix probs(n, oracle_classes, 0.0);
-  for (std::size_t v = 0; v < n; ++v) {
-    const int t = prepared.labels[v];
-    if (t >= 0 && t < static_cast<int>(oracle_classes)) {
-      probs(v, static_cast<std::size_t>(t)) = 1.0;
-    } else {
-      for (std::size_t k = 0; k < oracle_classes; ++k) {
-        probs(v, k) = 1.0 / static_cast<double>(oracle_classes);
+  StageHooks hooks;
+  hooks.probabilities = [oracle_classes](const PreparedCircuit& prepared) {
+    const std::size_t n = prepared.graph.vertex_count();
+    Matrix probs(n, oracle_classes, 0.0);
+    for (std::size_t v = 0; v < n; ++v) {
+      const int t = prepared.labels[v];
+      if (t >= 0 && t < static_cast<int>(oracle_classes)) {
+        probs(v, static_cast<std::size_t>(t)) = 1.0;
+      } else {
+        for (std::size_t k = 0; k < oracle_classes; ++k) {
+          probs(v, k) = 1.0 / static_cast<double>(oracle_classes);
+        }
       }
     }
-  }
-  return run(std::move(prepared), seconds_prepare, cpu_seconds_prepare,
-             &probs, kDefaultSampleSeed);
+    return probs;
+  };
+  return value_or_throw(run(
+      input.name,
+      [&](Stage* stage) { return prepare_circuit(input, prepare_, stage); },
+      kDefaultSampleSeed, hooks));
 }
-
-namespace {
-
-/// Runs `body` with stage tracking, converting every escaping exception
-/// into a Diag stamped with the stage that was executing.
-Result<AnnotateResult> guard(const std::string& name,
-                             const std::function<AnnotateResult(Stage*)>& body) {
-  Stage stage = Stage::Flatten;
-  try {
-    return body(&stage);
-  } catch (const DiagError& e) {
-    // Structured failures (NetlistError and every other DiagError
-    // subclass, e.g. sparse-assembly validation) keep their Diag.
-    return e.diag();
-  } catch (const std::bad_alloc&) {
-    return make_diag(DiagCode::BudgetExhausted, stage,
-                     "out of memory annotating circuit " + name);
-  } catch (const std::exception& e) {
-    return make_diag(DiagCode::Internal, stage,
-                     std::string("unexpected error annotating circuit ") +
-                         name + ": " + e.what());
-  }
-}
-
-}  // namespace
 
 Result<AnnotateResult> Annotator::try_annotate(
     const datagen::LabeledCircuit& input, std::uint64_t sample_seed) const {
-  return guard(input.name, [&](Stage* stage) {
-    Timer prepare_timer;
-    ThreadCpuTimer prepare_cpu;
-    PreparedCircuit prepared = prepare_circuit(input, prepare_, stage);
-    return run(std::move(prepared), prepare_timer.seconds(),
-               prepare_cpu.seconds(), nullptr, sample_seed, stage);
-  });
+  return run(
+      input.name,
+      [&](Stage* stage) { return prepare_circuit(input, prepare_, stage); },
+      sample_seed);
 }
 
 Result<AnnotateResult> Annotator::try_annotate(
     const spice::Netlist& netlist, const std::string& name,
     std::uint64_t sample_seed) const {
-  return guard(name, [&](Stage* stage) {
-    Timer prepare_timer;
-    ThreadCpuTimer prepare_cpu;
-    PreparedCircuit prepared =
-        prepare_netlist(netlist, class_names_, name, prepare_, stage);
-    return run(std::move(prepared), prepare_timer.seconds(),
-               prepare_cpu.seconds(), nullptr, sample_seed, stage);
-  });
+  return run(
+      name,
+      [&](Stage* stage) {
+        return prepare_netlist(netlist, class_names_, name, prepare_, stage);
+      },
+      sample_seed);
 }
-
-namespace {
-
-/// Rejects Inf/NaN before they reach the solver: a single bad weight
-/// poisons every activation and the argmax silently returns garbage.
-void require_finite(const Matrix& m, Stage stage, const std::string& name,
-                    const std::string& what) {
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      if (!std::isfinite(m(i, j))) {
-        throw spice::NetlistError(make_diag(
-            DiagCode::NonFinite, stage,
-            "non-finite " + what + " at (" + std::to_string(i) + ", " +
-                std::to_string(j) + ") of circuit " + name));
-      }
-    }
-  }
-}
-
-}  // namespace
 
 Matrix Annotator::compute_probabilities(const PreparedCircuit& prepared,
                                         std::uint64_t sample_seed,
@@ -318,79 +266,114 @@ Matrix Annotator::compute_probabilities(const PreparedCircuit& prepared,
   return probs;
 }
 
-AnnotateResult Annotator::run(PreparedCircuit prepared,
-                              double seconds_prepare,
-                              double cpu_seconds_prepare,
-                              const Matrix* oracle_probs,
-                              std::uint64_t sample_seed, Stage* stage) const {
-  AnnotateResult r;
-  r.prepared = std::move(prepared);
-  r.seconds_prepare = seconds_prepare;
-  r.cpu_seconds_prepare = cpu_seconds_prepare;
+Result<AnnotateResult> Annotator::run(const std::string& name,
+                                      const PrepareFn& prepare,
+                                      std::uint64_t sample_seed,
+                                      const StageHooks& hooks) const {
+  Stage stage = Stage::Flatten;
+  try {
+    AnnotateResult r;
+    Timer prepare_timer;
+    ThreadCpuTimer prepare_cpu;
+    r.prepared = prepare(&stage);
+    r.seconds_prepare = prepare_timer.seconds();
+    r.cpu_seconds_prepare = prepare_cpu.seconds();
+    const graph::CircuitGraph& g = r.prepared.graph;
 
-  // --- GCN classification.
-  Timer gcn_timer;
-  ThreadCpuTimer gcn_cpu;
-  const std::size_t n = r.prepared.graph.vertex_count();
-  if (oracle_probs != nullptr) {
-    mark(stage, Stage::Gcn);
-    r.probabilities = *oracle_probs;
-  } else {
-    r.probabilities = compute_probabilities(r.prepared, sample_seed, stage);
-  }
-  r.gcn_class.assign(n, -1);
-  for (std::size_t v = 0; v < n; ++v) {
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < r.probabilities.cols(); ++c) {
-      if (r.probabilities(v, c) > r.probabilities(v, best)) best = c;
+    // --- GCN classification.
+    Timer gcn_timer;
+    ThreadCpuTimer gcn_cpu;
+    if (hooks.probabilities) {
+      mark(&stage, Stage::Gcn);
+      r.probabilities = hooks.probabilities(r.prepared);
+    } else {
+      r.probabilities = compute_probabilities(r.prepared, sample_seed, &stage);
     }
-    r.gcn_class[v] = static_cast<int>(best);
+    const std::size_t n = g.vertex_count();
+    r.gcn_class.assign(n, -1);
+    for (std::size_t v = 0; v < n; ++v) {
+      std::size_t best = 0;
+      for (std::size_t c = 1; c < r.probabilities.cols(); ++c) {
+        if (r.probabilities(v, c) > r.probabilities(v, best)) best = c;
+      }
+      r.gcn_class[v] = static_cast<int>(best);
+    }
+    const AnnotateResult* stored =
+        hooks.reuse ? hooks.reuse(r.probabilities) : nullptr;
+    r.seconds_gcn = gcn_timer.seconds();
+    r.cpu_seconds_gcn = gcn_cpu.seconds();
+
+    // --- Postprocessing I.
+    Timer post_timer;
+    ThreadCpuTimer post_cpu;
+    mark(&stage, Stage::Primitives);
+    if (stored == nullptr) {
+      r.ccc = graph::channel_connected_components(g);
+      primitives::AnnotateOutcome outcome;
+      if (hooks.extract) {
+        outcome = hooks.extract(g);
+      } else {
+        // Pattern-parallel matching on the shared compute pool (a no-op
+        // when this call already runs on a pool worker, e.g. inside a
+        // BatchRunner task) plus the optional cross-circuit annotation
+        // cache. Neither can change the accepted primitive set.
+        primitives::AnnotateOptions annotate_options;
+        annotate_options.pool = compute_pool();
+        annotate_options.cache = annotation_cache_.get();
+        outcome = primitives::annotate_primitives_guarded(g, library_,
+                                                          annotate_options);
+      }
+      r.post = postprocess_stage1_with_annotation(
+          g, r.ccc, r.probabilities, class_names_, std::move(outcome));
+      if (r.post.primitives_truncated) {
+        r.warnings.push_back(make_diag(
+            DiagCode::Truncated, Stage::Primitives,
+            "VF2 budget exhausted after " + std::to_string(r.post.vf2_states) +
+                " states; primitive annotation of circuit " + r.prepared.name +
+                " is partial"));
+      }
+    }
+    mark(&stage, Stage::Postprocess);
+    if (stored == nullptr) {
+      r.post1_class = vertex_classes(g, r.ccc, r.post.cluster_class);
+      // --- Postprocessing II.
+      postprocess_stage2(g, r.ccc, class_names_, r.post);
+      r.final_class = vertex_classes(g, r.ccc, r.post.cluster_class);
+    }
+
+    // --- Hierarchy + constraints.
+    mark(&stage, Stage::Hierarchy);
+    if (stored == nullptr) {
+      r.hierarchy =
+          build_hierarchy(g, r.ccc, r.post, class_names_, r.prepared.name);
+    } else {
+      r.ccc = stored->ccc;
+      r.post = stored->post;
+      r.post1_class = stored->post1_class;
+      r.final_class = stored->final_class;
+      r.hierarchy = stored->hierarchy;
+      r.warnings = stored->warnings;
+    }
+    r.seconds_post = post_timer.seconds();
+    r.cpu_seconds_post = post_cpu.seconds();
+
+    // --- Accuracy vs. ground truth (when present).
+    r.acc_gcn = accuracy(r.gcn_class, r.prepared.labels);
+    r.acc_post1 = accuracy(r.post1_class, r.prepared.labels);
+    r.acc_post2 = accuracy(r.final_class, r.prepared.labels);
+    return r;
+  } catch (const DiagError& e) {
+    // Structured failures (NetlistError and every other DiagError
+    // subclass, e.g. sparse-assembly validation) keep their Diag.
+    return e.diag();
+  } catch (const std::bad_alloc&) {
+    return make_diag(DiagCode::BudgetExhausted, stage,
+                     "out of memory annotating circuit " + name);
+  } catch (const std::exception& e) {
+    return make_diag(DiagCode::Internal, stage,
+                     std::string("unexpected error annotating circuit ") +
+                         name + ": " + e.what());
   }
-  r.seconds_gcn = gcn_timer.seconds();
-  r.cpu_seconds_gcn = gcn_cpu.seconds();
-
-  // --- Postprocessing I.
-  Timer post_timer;
-  ThreadCpuTimer post_cpu;
-  mark(stage, Stage::Primitives);
-  r.ccc = graph::channel_connected_components(r.prepared.graph);
-  // Pattern-parallel matching on the shared compute pool (a no-op when
-  // this call already runs on a pool worker, e.g. inside a BatchRunner
-  // task) plus the optional cross-circuit annotation cache. Neither can
-  // change the accepted primitive set.
-  primitives::AnnotateOptions annotate_options;
-  annotate_options.pool = compute_pool();
-  annotate_options.cache = annotation_cache_.get();
-  r.post = postprocess_stage1(r.prepared.graph, r.ccc, r.probabilities,
-                              class_names_, library_, annotate_options);
-  if (r.post.primitives_truncated) {
-    r.warnings.push_back(make_diag(
-        DiagCode::Truncated, Stage::Primitives,
-        "VF2 budget exhausted after " + std::to_string(r.post.vf2_states) +
-            " states; primitive annotation of circuit " + r.prepared.name +
-            " is partial"));
-  }
-  mark(stage, Stage::Postprocess);
-  r.post1_class = vertex_classes(r.prepared.graph, r.ccc,
-                                 r.post.cluster_class);
-
-  // --- Postprocessing II.
-  postprocess_stage2(r.prepared.graph, r.ccc, class_names_, r.post);
-  r.final_class =
-      vertex_classes(r.prepared.graph, r.ccc, r.post.cluster_class);
-
-  // --- Hierarchy + constraints.
-  mark(stage, Stage::Hierarchy);
-  r.hierarchy = build_hierarchy(r.prepared.graph, r.ccc, r.post,
-                                class_names_, r.prepared.name);
-  r.seconds_post = post_timer.seconds();
-  r.cpu_seconds_post = post_cpu.seconds();
-
-  // --- Accuracy vs. ground truth (when present).
-  r.acc_gcn = accuracy(r.gcn_class, r.prepared.labels);
-  r.acc_post1 = accuracy(r.post1_class, r.prepared.labels);
-  r.acc_post2 = accuracy(r.final_class, r.prepared.labels);
-  return r;
 }
 
 }  // namespace gana::core

@@ -5,6 +5,7 @@
 //   (port knowledge) -> hierarchy tree + constraints.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "gcn/inference_cache.hpp"
 #include "gcn/sample_cache.hpp"
 #include "graph/ccc.hpp"
+#include "primitives/annotator.hpp"
 #include "primitives/library.hpp"
 #include "spice/preprocess.hpp"
 
@@ -34,19 +36,9 @@ struct PreparedCircuit {
   std::vector<std::string> class_names;
 };
 
-/// Which front-end implementation prepares circuits. Both produce
-/// bit-identical PreparedCircuits (flat netlist, report, graph) -- the
-/// contract pinned by tests/frontend_test.cpp; Reference exists as the
-/// plainly-written oracle, Interned as the fast path.
-enum class FrontEnd {
-  Reference,  ///< legacy string-keyed flatten/preprocess/build
-  Interned,   ///< id-space path over an arena-backed SymbolTable
-};
-
 struct PrepareOptions {
   bool preprocess = true;
   spice::PreprocessOptions preprocess_options;
-  FrontEnd front_end = FrontEnd::Interned;
 };
 
 /// Front end on a labeled circuit (labels survive preprocessing through
@@ -111,6 +103,30 @@ struct AnnotateResult {
   std::vector<Diag> warnings;
 };
 
+/// Builds the prepared circuit of one annotation. `stage` tracks the
+/// stage executing (prepare_circuit and prepare_netlist take it as their
+/// last argument).
+using PrepareFn = std::function<PreparedCircuit(Stage* stage)>;
+
+/// Optional replacements for stages of Annotator::run. An empty member
+/// runs the standard stage. Every hook must keep run's output equal to
+/// what the standard stage would produce for the same input -- the
+/// incremental session (incremental/session.hpp) fills `reuse` and
+/// `extract` to skip work, never to change the answer.
+struct StageHooks {
+  /// Replaces the GCN stage (features, sample prep, inference,
+  /// softmax): per-vertex class probabilities of the prepared circuit.
+  std::function<Matrix(const PreparedCircuit&)> probabilities;
+  /// Receives the probabilities before the post stages. A non-null
+  /// return is a stored result whose CCC, primitives, classes,
+  /// hierarchy and warnings are re-emitted instead of recomputed; the
+  /// stage marks still fire.
+  std::function<const AnnotateResult*(const Matrix& probabilities)> reuse;
+  /// Replaces whole-graph primitive extraction.
+  std::function<primitives::AnnotateOutcome(const graph::CircuitGraph&)>
+      extract;
+};
+
 /// Ties a trained model, its class vocabulary, and the primitive library
 /// into a reusable annotator.
 ///
@@ -134,7 +150,8 @@ class Annotator {
             PrepareOptions prepare = {});
 
   /// Runs the full pipeline. Ground-truth labels in `input` are used only
-  /// to fill the accuracy fields.
+  /// to fill the accuracy fields. Throws spice::NetlistError carrying
+  /// the Diag try_annotate would return.
   AnnotateResult annotate(const datagen::LabeledCircuit& input,
                           std::uint64_t sample_seed = kDefaultSampleSeed) const;
 
@@ -153,14 +170,25 @@ class Annotator {
   /// Fault-isolated annotation: never throws on malformed or adversarial
   /// input. Any exception escaping a pipeline stage -- structured
   /// NetlistError or otherwise -- comes back as a Diag stamped with the
-  /// stage that was executing. Successful results are bit-identical to
-  /// the throwing `annotate` path.
+  /// stage that was executing.
   [[nodiscard]] Result<AnnotateResult> try_annotate(
       const datagen::LabeledCircuit& input,
       std::uint64_t sample_seed = kDefaultSampleSeed) const;
   [[nodiscard]] Result<AnnotateResult> try_annotate(
       const spice::Netlist& netlist, const std::string& name,
       std::uint64_t sample_seed = kDefaultSampleSeed) const;
+
+  /// The one annotation path every entry point above (and the
+  /// incremental session) runs: `prepare`, then the GCN stage and
+  /// argmax, CCC, primitive extraction and Postprocessing I,
+  /// Postprocessing II, the hierarchy and the accuracies, each under the
+  /// stage marks (deadline and fault-injection checkpoints). Never
+  /// throws: any exception escaping a stage comes back as a Diag stamped
+  /// with the stage that was executing, labelled with `name`.
+  [[nodiscard]] Result<AnnotateResult> run(const std::string& name,
+                                           const PrepareFn& prepare,
+                                           std::uint64_t sample_seed,
+                                           const StageHooks& hooks = {}) const;
 
   /// Attaches a sample-prep cache shared by all annotate calls (and all
   /// threads -- the cache is internally synchronized). Pass nullptr to
@@ -208,20 +236,6 @@ class Annotator {
     return annotation_cache_;
   }
 
-  /// GCN class probabilities for a prepared circuit: features, (cached)
-  /// spectral prep, inference, softmax. Exactly the GCN stage of the
-  /// full pipeline -- annotate() calls this -- exposed so the
-  /// incremental session engine can reuse the stage (and its caches)
-  /// while replacing primitive extraction with region-level reuse.
-  /// Honors the attached sample and inference caches; with no model it
-  /// returns the uniform fallback distribution. The inference-cache key
-  /// folds in a fingerprint of the feature *values*, so circuits that
-  /// share a structure but differ in sizing buckets never alias.
-  [[nodiscard]] Matrix compute_probabilities(
-      const PreparedCircuit& prepared,
-      std::uint64_t sample_seed = kDefaultSampleSeed,
-      Stage* stage = nullptr) const;
-
   [[nodiscard]] const std::vector<std::string>& class_names() const {
     return class_names_;
   }
@@ -234,9 +248,15 @@ class Annotator {
   [[nodiscard]] const gcn::GcnModel* model() const { return model_; }
 
  private:
-  AnnotateResult run(PreparedCircuit prepared, double seconds_prepare,
-                     double cpu_seconds_prepare, const Matrix* oracle_probs,
-                     std::uint64_t sample_seed, Stage* stage = nullptr) const;
+  /// GCN class probabilities for a prepared circuit: features, (cached)
+  /// spectral prep, inference, softmax -- the GCN stage of run().
+  /// Honors the attached sample and inference caches; with no model it
+  /// returns the uniform fallback distribution. The inference-cache key
+  /// folds in a fingerprint of the feature *values*, so circuits that
+  /// share a structure but differ in sizing buckets never alias.
+  [[nodiscard]] Matrix compute_probabilities(const PreparedCircuit& prepared,
+                                             std::uint64_t sample_seed,
+                                             Stage* stage) const;
 
   const gcn::GcnModel* model_;  ///< not owned; may be null (uniform probabilities)
   std::vector<std::string> class_names_;

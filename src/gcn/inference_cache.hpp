@@ -29,31 +29,10 @@
 
 namespace gana::gcn {
 
-class InferenceCache {
- public:
-  using Stats = ShardedCache<Matrix>::Stats;
-
-  InferenceCache() = default;
-  /// Bounds the cache to roughly `capacity` entries total (0 =
-  /// unbounded); at capacity each shard FIFO-evicts its oldest entry.
-  /// Eviction only costs recomputation -- results stay bit-identical.
-  explicit InferenceCache(std::size_t capacity)
-      : cache_(per_shard_capacity_for(capacity)) {}
-
-  /// Cached per-vertex probabilities for `key`, or nullptr (counts a
-  /// hit/miss).
-  [[nodiscard]] std::shared_ptr<const Matrix> find(std::uint64_t key);
-
-  /// Inserts `probs` for `key`; returns the winning entry (the existing
-  /// one if another worker inserted first).
-  std::shared_ptr<const Matrix> insert(std::uint64_t key,
-                                       std::shared_ptr<const Matrix> probs);
-
-  [[nodiscard]] Stats stats() const;
-  void clear();
-
- private:
-  ShardedCache<Matrix> cache_;
-};
+/// Per-vertex class probabilities per inference key; counts into
+/// inference_cache_hits / inference_cache_misses.
+using InferenceCache =
+    CountedCache<Matrix, perf::detail::inference_cache_hits,
+                 perf::detail::inference_cache_misses>;
 
 }  // namespace gana::gcn

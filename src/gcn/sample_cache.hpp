@@ -24,30 +24,10 @@
 
 namespace gana::gcn {
 
-class SamplePrepCache {
- public:
-  using Stats = ShardedCache<SamplePrep>::Stats;
-
-  SamplePrepCache() = default;
-  /// Bounds the cache to roughly `capacity` entries total (0 =
-  /// unbounded); at capacity each shard FIFO-evicts its oldest entry.
-  /// Eviction only costs recomputation -- results stay bit-identical.
-  explicit SamplePrepCache(std::size_t capacity)
-      : cache_(per_shard_capacity_for(capacity)) {}
-
-  /// Cached prep for `key`, or nullptr (counts a hit/miss).
-  [[nodiscard]] std::shared_ptr<const SamplePrep> find(std::uint64_t key);
-
-  /// Inserts `prep` for `key`; returns the winning entry (the existing
-  /// one if another worker inserted first).
-  std::shared_ptr<const SamplePrep> insert(
-      std::uint64_t key, std::shared_ptr<const SamplePrep> prep);
-
-  [[nodiscard]] Stats stats() const;
-  void clear();
-
- private:
-  ShardedCache<SamplePrep> cache_;
-};
+/// Spectral sample prep per sample key; counts into
+/// sample_cache_hits / sample_cache_misses.
+using SamplePrepCache =
+    CountedCache<SamplePrep, perf::detail::sample_cache_hits,
+                 perf::detail::sample_cache_misses>;
 
 }  // namespace gana::gcn

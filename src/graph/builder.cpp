@@ -22,8 +22,15 @@ NetRole classify_net(const std::string& name, const spice::Netlist& netlist) {
   return NetRole::Internal;
 }
 
-CircuitGraph build_graph(const spice::Netlist& netlist,
-                         const BuildOptions& options) {
+double characteristic_value(const spice::Device& d) {
+  if (spice::is_mos(d.type)) {
+    const auto w = d.params.find("w");
+    if (w != d.params.end()) return w->second;
+  }
+  return d.value;
+}
+
+CircuitGraph build_graph(const spice::Netlist& netlist) {
   if (!netlist.is_flat()) {
     throw spice::NetlistError(
         make_diag(DiagCode::NotFlat, Stage::GraphBuild,
@@ -36,13 +43,7 @@ CircuitGraph build_graph(const spice::Netlist& netlist,
     Vertex v;
     v.name = d.name;
     v.dtype = d.type;
-    v.value = d.value;
-    if (spice::is_mos(d.type)) {
-      // MOS devices carry their width as the characteristic value (drives
-      // the low/medium/high feature bucket).
-      auto w = d.params.find("w");
-      if (w != d.params.end()) v.value = w->second;
-    }
+    v.value = characteristic_value(d);
     v.hier_depth = d.hier_depth;
     v.device_index = di;
     g.add_element(std::move(v));
@@ -66,19 +67,14 @@ CircuitGraph build_graph(const spice::Netlist& netlist,
       const std::uint8_t bits[4] = {kLabelDrain, kLabelGate, kLabelSource, 0};
       for (std::size_t pi = 0; pi < 4; ++pi) {
         const std::string& net = d.pins[pi];
-        const bool rail =
-            spice::is_supply_net(net) || spice::is_ground_net(net);
-        if (pi == spice::kBody) {
-          if (rail || !options.include_floating_body) continue;
+        if (pi == spice::kBody &&
+            (spice::is_supply_net(net) || spice::is_ground_net(net))) {
+          continue;  // rail-tied body
         }
-        if (rail && !options.include_rails) continue;
         g.connect(di, net_vertex(net), bits[pi]);
       }
     } else {
       for (const std::string& net : d.pins) {
-        const bool rail =
-            spice::is_supply_net(net) || spice::is_ground_net(net);
-        if (rail && !options.include_rails) continue;
         g.connect(di, net_vertex(net), 0);
       }
     }
@@ -122,8 +118,7 @@ class NetRoleCache {
 
 }  // namespace
 
-CircuitGraph build_graph(const spice::InternedNetlist& netlist,
-                         const BuildOptions& options) {
+CircuitGraph build_graph(const spice::InternedNetlist& netlist) {
   if (!netlist.is_flat()) {
     throw spice::NetlistError(
         make_diag(DiagCode::NotFlat, Stage::GraphBuild,
@@ -168,19 +163,12 @@ CircuitGraph build_graph(const spice::InternedNetlist& netlist,
       const std::uint8_t bits[4] = {kLabelDrain, kLabelGate, kLabelSource, 0};
       for (std::size_t pi = 0; pi < 4; ++pi) {
         const spice::SymbolId net = d.pins[pi];
-        const bool rail = roles.rail(net);
-        if (pi == spice::kBody) {
-          if (rail || !options.include_floating_body) continue;
-        }
-        if (rail && !options.include_rails) continue;
+        if (pi == spice::kBody && roles.rail(net)) continue;  // rail-tied
         g.connect(di, net_vertex(net), bits[pi]);
       }
     } else {
       for (std::size_t pi = 0; pi < d.pins.size(); ++pi) {
-        const spice::SymbolId net = d.pins[pi];
-        const bool rail = roles.rail(net);
-        if (rail && !options.include_rails) continue;
-        g.connect(di, net_vertex(net), 0);
+        g.connect(di, net_vertex(d.pins[pi]), 0);
       }
     }
   }

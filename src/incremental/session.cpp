@@ -3,18 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <functional>
-#include <new>
 #include <utility>
 
-#include "graph/ccc.hpp"
+#include "graph/builder.hpp"
 #include "graph/structural_hash.hpp"
 #include "incremental/region.hpp"
 #include "isomorph/candidate_index.hpp"
 #include "primitives/annotator.hpp"
-#include "util/deadline.hpp"
 #include "util/perf.hpp"
-#include "util/timer.hpp"
 
 namespace gana::incremental {
 
@@ -25,32 +21,6 @@ using spice::Device;
 using spice::Netlist;
 
 namespace {
-
-/// Stage tracking + per-stage checkpoint, as in core/pipeline.cpp.
-inline void mark(Stage* stage, Stage s) {
-  if (stage != nullptr) *stage = s;
-  checkpoint(s);
-}
-
-/// Exception-to-Diag guard, mirroring Annotator::try_annotate so session
-/// failures are indistinguishable from cold-path failures.
-Result<AnnotateResult> guard(
-    const std::string& name,
-    const std::function<AnnotateResult(Stage*)>& body) {
-  Stage stage = Stage::Flatten;
-  try {
-    return body(&stage);
-  } catch (const DiagError& e) {
-    return e.diag();
-  } catch (const std::bad_alloc&) {
-    return make_diag(DiagCode::BudgetExhausted, stage,
-                     "out of memory annotating circuit " + name);
-  } catch (const std::exception& e) {
-    return make_diag(DiagCode::Internal, stage,
-                     std::string("unexpected error annotating circuit ") +
-                         name + ": " + e.what());
-  }
-}
 
 bool finite_device(const Device& d) {
   if (!std::isfinite(d.value)) return false;
@@ -73,6 +43,24 @@ bool same_except_sizing(const Device& a, const Device& b) {
   if ((ma == a.params.end()) != (mb == b.params.end())) return false;
   if (ma != a.params.end() && ma->second != mb->second) return false;
   return true;
+}
+
+/// Applies the sizing of `nd` to flat device `fi` of `p`, whose element
+/// vertex is `vertex`: the same value, params and characteristic value
+/// the front end would build from the edited netlist.
+void apply_sizing(PreparedCircuit& p, std::size_t fi, std::size_t vertex,
+                  const Device& nd) {
+  Device& fd = p.flat.devices[fi];
+  fd.value = nd.value;
+  fd.params = nd.params;
+  fd.src_line = nd.src_line;
+  p.graph.vertex(vertex).value = graph::characteristic_value(fd);
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() && !a.empty() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(double)) == 0;
 }
 
 bool device_equal(const Device& a, const Device& b) {
@@ -127,41 +115,66 @@ AnnotationSession::AnnotationSession(const core::Annotator* annotator,
 Result<AnnotateResult> AnnotationSession::reannotate(const Netlist& netlist,
                                                      const std::string& name) {
   stats_ = SessionStats{};
-  Result<AnnotateResult> result = guard(name, [&](Stage* stage) {
-    Timer prepare_timer;
-    ThreadCpuTimer prepare_cpu;
-    PreparedCircuit prepared;
-    if (!try_patch_prepare(netlist, name, prepared)) {
-      stats_.full_prepare = true;
-      prepared =
-          core::prepare_netlist(netlist, annotator_->class_names(), name,
-                                annotator_->prepare_options(), stage);
-      diff_flat(prepared.flat);
-    }
-    // The patch path cannot move the structural hash (it rewrites only
-    // sizings), so the hash is recomputed only after a full prepare.
-    stats_.structure_changed =
-        stats_.full_prepare &&
-        (!has_prev_ ||
-         graph::structural_hash(prepared.graph) != prev_graph_hash_);
-    return run_incremental(std::move(prepared), prepare_timer.seconds(),
-                           prepare_cpu.seconds(), stage);
-  });
-  if (result.ok()) {
-    if (stats_.full_prepare) {
-      remember(netlist, result.value().prepared);
-    } else {
-      remember_patched(netlist);
-    }
-    if (!stats_.result_reused) store_derived(result.value());
+  bool reused = false;
+  core::StageHooks hooks;
+  // Sizing-loop fast path: a value patch plus bit-identical
+  // probabilities means CCC, extraction, both postprocess stages, and
+  // the hierarchy all run on inputs equal to the previous revision's
+  // (structure and names are patch-path invariants; values are read by
+  // nothing downstream of the GCN).
+  hooks.reuse = [&](const Matrix& probabilities) -> const AnnotateResult* {
+    reused = !stats_.full_prepare &&
+             same_bits(probabilities, prev_.probabilities);
+    return reused ? &prev_ : nullptr;
+  };
+  hooks.extract = [this](const CircuitGraph& g) {
+    return incremental_annotate(g);
+  };
+  Result<AnnotateResult> result = annotator_->run(
+      name,
+      [&](Stage* stage) { return prepare_revision(netlist, name, stage); },
+      options_.sample_seed, hooks);
+  if (!result.ok()) return result;
+  if (reused) {
+    stats_.annotation_reused = true;
+    stats_.result_reused = true;
+    stats_.regions = prev_regions_;
+    stats_.region_reuses = prev_regions_;
+    perf::count_incremental_regions(prev_regions_, prev_regions_, 0);
+  } else {
+    prev_ = result.value();
+    prev_regions_ = stats_.regions;
+  }
+  if (stats_.full_prepare) {
+    remember(netlist);
+  } else {
+    remember_patched(netlist);
   }
   return result;
+}
+
+PreparedCircuit AnnotationSession::prepare_revision(const Netlist& netlist,
+                                                    const std::string& name,
+                                                    Stage* stage) {
+  PreparedCircuit prepared;
+  // The patch path cannot move the structural hash (it rewrites only
+  // sizings), so the hash is recomputed only after a full prepare.
+  if (try_patch_prepare(netlist, name, prepared)) {
+    stats_.structure_changed = false;
+    return prepared;
+  }
+  prepared = core::prepare_netlist(netlist, annotator_->class_names(), name,
+                                   annotator_->prepare_options(), stage);
+  diff_flat(prepared.flat);
+  stats_.structure_changed =
+      !has_prev_ || graph::structural_hash(prepared.graph) != prev_graph_hash_;
+  return prepared;
 }
 
 bool AnnotationSession::try_patch_prepare(const Netlist& input,
                                           const std::string& name,
                                           PreparedCircuit& out) {
-  if (!has_prev_ || name != prev_prepared_.name) return false;
+  if (!has_prev_ || name != prev_.prepared.name) return false;
   const Netlist& prev = prev_input_;
   if (prev.title != input.title || prev.globals != input.globals ||
       prev.port_labels != input.port_labels) {
@@ -193,21 +206,11 @@ bool AnnotationSession::try_patch_prepare(const Netlist& input,
     if (prev_flat_index_.find(dev) == prev_flat_index_.end()) return false;
   }
 
-  out = prev_prepared_;
+  out = prev_.prepared;
   for (std::size_t i : changed) {
     const Device& nd = input.devices[i];
     const std::size_t fi = prev_flat_index_.at(nd.name);
-    Device& fd = out.flat.devices[fi];
-    fd.value = nd.value;
-    fd.params = nd.params;
-    fd.src_line = nd.src_line;
-    // Mirror graph::build_graph's characteristic-value rule.
-    graph::Vertex& v = out.graph.vertex(prev_device_vertex_[fi]);
-    v.value = nd.value;
-    if (spice::is_mos(nd.type)) {
-      const auto w = nd.params.find("w");
-      if (w != nd.params.end()) v.value = w->second;
-    }
+    apply_sizing(out, fi, prev_device_vertex_[fi], nd);
   }
   stats_.full_prepare = false;
   stats_.devices_changed = changed.size();
@@ -228,11 +231,11 @@ void AnnotationSession::diff_flat(const Netlist& flat) {
       continue;
     }
     ++matched;
-    if (!device_equal(prev_prepared_.flat.devices[it->second], d)) {
+    if (!device_equal(prev_.prepared.flat.devices[it->second], d)) {
       ++stats_.devices_changed;
     }
   }
-  stats_.devices_removed = prev_prepared_.flat.devices.size() - matched;
+  stats_.devices_removed = prev_.prepared.flat.devices.size() - matched;
 }
 
 primitives::AnnotateOutcome AnnotationSession::incremental_annotate(
@@ -409,120 +412,9 @@ primitives::AnnotateOutcome AnnotationSession::incremental_annotate(
   return outcome;
 }
 
-AnnotateResult AnnotationSession::run_incremental(PreparedCircuit prepared,
-                                                  double seconds_prepare,
-                                                  double cpu_seconds_prepare,
-                                                  Stage* stage) {
-  AnnotateResult r;
-  r.prepared = std::move(prepared);
-  r.seconds_prepare = seconds_prepare;
-  r.cpu_seconds_prepare = cpu_seconds_prepare;
-
-  // --- GCN classification (shared with the cold pipeline, including
-  // its sample-prep and inference caches).
-  Timer gcn_timer;
-  ThreadCpuTimer gcn_cpu;
-  const std::size_t n = r.prepared.graph.vertex_count();
-  r.probabilities =
-      annotator_->compute_probabilities(r.prepared, options_.sample_seed, stage);
-
-  // Sizing-loop fast path: a value patch plus bit-identical
-  // probabilities means CCC, extraction, both postprocess stages, and
-  // the hierarchy all run on inputs equal to the previous revision's
-  // (structure and names are patch-path invariants; values are read by
-  // nothing downstream of the GCN). Re-emit the stored outputs. The
-  // stage marks still fire so fault-injection draws stay aligned with
-  // the recompute path.
-  if (!stats_.full_prepare && derived_.valid &&
-      r.probabilities.rows() == derived_.probabilities.rows() &&
-      r.probabilities.cols() == derived_.probabilities.cols() &&
-      !r.probabilities.empty() &&
-      std::memcmp(r.probabilities.data().data(),
-                  derived_.probabilities.data().data(),
-                  r.probabilities.size() * sizeof(double)) == 0) {
-    r.gcn_class = derived_.gcn_class;
-    r.seconds_gcn = gcn_timer.seconds();
-    r.cpu_seconds_gcn = gcn_cpu.seconds();
-    Timer reuse_timer;
-    ThreadCpuTimer reuse_cpu;
-    mark(stage, Stage::Primitives);
-    r.ccc = derived_.ccc;
-    r.post = derived_.post;
-    mark(stage, Stage::Postprocess);
-    r.post1_class = derived_.post1_class;
-    r.final_class = derived_.final_class;
-    mark(stage, Stage::Hierarchy);
-    r.hierarchy = derived_.hierarchy;
-    r.warnings = derived_.warnings;
-    r.seconds_post = reuse_timer.seconds();
-    r.cpu_seconds_post = reuse_cpu.seconds();
-    stats_.annotation_reused = true;
-    stats_.result_reused = true;
-    stats_.regions = derived_.regions;
-    stats_.region_reuses = derived_.regions;
-    perf::count_incremental_regions(stats_.regions, stats_.region_reuses, 0);
-    r.acc_gcn = core::accuracy(r.gcn_class, r.prepared.labels);
-    r.acc_post1 = core::accuracy(r.post1_class, r.prepared.labels);
-    r.acc_post2 = core::accuracy(r.final_class, r.prepared.labels);
-    return r;
-  }
-
-  r.gcn_class.assign(n, -1);
-  for (std::size_t v = 0; v < n; ++v) {
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < r.probabilities.cols(); ++c) {
-      if (r.probabilities(v, c) > r.probabilities(v, best)) best = c;
-    }
-    r.gcn_class[v] = static_cast<int>(best);
-  }
-  r.seconds_gcn = gcn_timer.seconds();
-  r.cpu_seconds_gcn = gcn_cpu.seconds();
-
-  // --- Postprocessing I, with region-level primitive extraction.
-  Timer post_timer;
-  ThreadCpuTimer post_cpu;
-  mark(stage, Stage::Primitives);
-  r.ccc = graph::channel_connected_components(r.prepared.graph);
-  primitives::AnnotateOutcome outcome =
-      incremental_annotate(r.prepared.graph);
-  r.post = core::postprocess_stage1_with_annotation(
-      r.prepared.graph, r.ccc, r.probabilities, annotator_->class_names(),
-      std::move(outcome));
-  if (r.post.primitives_truncated) {
-    r.warnings.push_back(make_diag(
-        DiagCode::Truncated, Stage::Primitives,
-        "VF2 budget exhausted after " + std::to_string(r.post.vf2_states) +
-            " states; primitive annotation of circuit " + r.prepared.name +
-            " is partial"));
-  }
-  mark(stage, Stage::Postprocess);
-  r.post1_class =
-      core::vertex_classes(r.prepared.graph, r.ccc, r.post.cluster_class);
-
-  // --- Postprocessing II.
-  core::postprocess_stage2(r.prepared.graph, r.ccc,
-                           annotator_->class_names(), r.post);
-  r.final_class =
-      core::vertex_classes(r.prepared.graph, r.ccc, r.post.cluster_class);
-
-  // --- Hierarchy + constraints.
-  mark(stage, Stage::Hierarchy);
-  r.hierarchy = core::build_hierarchy(r.prepared.graph, r.ccc, r.post,
-                                      annotator_->class_names(),
-                                      r.prepared.name);
-  r.seconds_post = post_timer.seconds();
-  r.cpu_seconds_post = post_cpu.seconds();
-
-  r.acc_gcn = core::accuracy(r.gcn_class, r.prepared.labels);
-  r.acc_post1 = core::accuracy(r.post1_class, r.prepared.labels);
-  r.acc_post2 = core::accuracy(r.final_class, r.prepared.labels);
-  return r;
-}
-
-void AnnotationSession::remember(const Netlist& input,
-                                 const PreparedCircuit& prepared) {
+void AnnotationSession::remember(const Netlist& input) {
+  const PreparedCircuit& prepared = prev_.prepared;
   prev_input_ = input;
-  prev_prepared_ = prepared;
   prev_graph_hash_ = graph::structural_hash(prepared.graph);
   prev_flat_index_.clear();
   for (std::size_t i = 0; i < prepared.flat.devices.size(); ++i) {
@@ -554,30 +446,8 @@ void AnnotationSession::remember_patched(const Netlist& input) {
     const Device& nd = input.devices[i];
     prev_input_.devices[i] = nd;
     const std::size_t fi = prev_flat_index_.at(nd.name);
-    Device& fd = prev_prepared_.flat.devices[fi];
-    fd.value = nd.value;
-    fd.params = nd.params;
-    fd.src_line = nd.src_line;
-    graph::Vertex& v = prev_prepared_.graph.vertex(prev_device_vertex_[fi]);
-    v.value = nd.value;
-    if (spice::is_mos(nd.type)) {
-      const auto w = nd.params.find("w");
-      if (w != nd.params.end()) v.value = w->second;
-    }
+    apply_sizing(prev_.prepared, fi, prev_device_vertex_[fi], nd);
   }
-}
-
-void AnnotationSession::store_derived(const core::AnnotateResult& r) {
-  derived_.valid = true;
-  derived_.probabilities = r.probabilities;
-  derived_.ccc = r.ccc;
-  derived_.gcn_class = r.gcn_class;
-  derived_.post1_class = r.post1_class;
-  derived_.final_class = r.final_class;
-  derived_.post = r.post;
-  derived_.hierarchy = r.hierarchy;
-  derived_.warnings = r.warnings;
-  derived_.regions = stats_.regions;
 }
 
 }  // namespace gana::incremental

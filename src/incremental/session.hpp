@@ -2,31 +2,34 @@
 //
 // An AnnotationSession holds the artifacts of the previous annotation
 // of one evolving design and re-annotates each edited revision by
-// recomputing only what the edit dirtied:
+// recomputing only what the edit dirtied. It is a reuse policy over
+// core::Annotator::run, the one annotation path, and plugs into it at
+// three points:
 //
-//   * value-only edits (device sizing, same topology) skip the front
-//     end entirely: the previous flat netlist and graph are patched in
-//     place (guarded by the preprocess alias map, whose decisions are
-//     value-independent), features are rebuilt, and the GCN inference
-//     cache -- keyed since this engine's introduction by a fingerprint
-//     of the feature *values* on top of the structural sample key --
-//     serves the probabilities when the edit stays inside its feature
-//     buckets;
-//   * the VF2 sweep is decomposed by region (incremental/region.hpp):
-//     region-safe patterns are matched per region with results cached
-//     under the region's canonical structure key, so an edit re-matches
-//     only the regions it touched; the remaining patterns are matched
-//     whole-graph. A design that is a single region skips the split
-//     (and its canonical labelling) and matches every pattern
-//     whole-graph. A whole-graph annotation store short-circuits both
-//     when the structural hash is unchanged;
-//   * everything downstream of extraction (CCC vote, stand-alone
-//     separation, postprocessing II, hierarchy) is recomputed globally
-//     -- except on the sizing-loop fast path: when a value patch leaves
-//     the GCN probabilities bit-identical (compared, not assumed), every
-//     downstream stage would run on inputs equal to the previous
-//     revision's, so the session re-emits the stored derived result
-//     outright.
+//   * the prepare function: value-only edits (device sizing, same
+//     topology) skip the front end entirely -- the previous flat netlist
+//     and graph are patched (guarded by the preprocess alias map, whose
+//     decisions are value-independent); any other revision runs the
+//     cold prepare plus a flat-level diff against the previous one. The
+//     GCN stage then runs unchanged, and the inference cache -- keyed by
+//     a fingerprint of the feature *values* on top of the structural
+//     sample key -- serves the probabilities when the edit stays inside
+//     its feature buckets;
+//   * the `reuse` hook (the sizing-loop fast path): when a value patch
+//     leaves the GCN probabilities bit-identical (compared, not
+//     assumed), every downstream stage would run on inputs equal to the
+//     previous revision's, so run re-emits the stored result;
+//   * the `extract` hook: the VF2 sweep is decomposed by region
+//     (incremental/region.hpp). Region-safe patterns are matched per
+//     region with results cached under the region's canonical structure
+//     key, so an edit re-matches only the regions it touched; the
+//     remaining patterns are matched whole-graph. A design that is a
+//     single region skips the split (and its canonical labelling) and
+//     matches every pattern whole-graph. A whole-graph annotation store
+//     short-circuits both when the structural hash is unchanged.
+//
+// Everything else -- guard, stage marks, timers, CCC, both postprocess
+// stages, hierarchy, accuracies -- is Annotator::run's own code.
 //
 // Bit-identity contract: reannotate() output equals a cold
 // Annotator::try_annotate of the same netlist, byte for byte, at any
@@ -108,38 +111,22 @@ class AnnotationSession {
     std::size_t regions = 0;  ///< region count of the structure, for stats
   };
 
-  /// Everything downstream of the GCN for the previous revision. When a
-  /// value patch leaves the probabilities bit-identical, these are the
-  /// outputs of pure functions whose inputs did not change, so the next
-  /// revision re-emits them instead of recomputing (the interactive
-  /// sizing-loop fast path: prepare patch + probability compare only).
-  struct StoredDerived {
-    bool valid = false;
-    Matrix probabilities;
-    graph::CccResult ccc;
-    std::vector<int> gcn_class, post1_class, final_class;
-    core::PostprocessResult post;
-    core::HierarchyNode hierarchy;
-    std::vector<Diag> warnings;
-    std::size_t regions = 0;  ///< that revision's region count, for stats
-  };
-
-  core::AnnotateResult run_incremental(core::PreparedCircuit prepared,
-                                       double seconds_prepare,
-                                       double cpu_seconds_prepare,
-                                       Stage* stage);
+  /// The prepare step of one revision: the value patch when it applies,
+  /// else the cold prepare plus the flat diff.
+  core::PreparedCircuit prepare_revision(const spice::Netlist& netlist,
+                                         const std::string& name,
+                                         Stage* stage);
   primitives::AnnotateOutcome incremental_annotate(
       const graph::CircuitGraph& g);
   bool try_patch_prepare(const spice::Netlist& input, const std::string& name,
                          core::PreparedCircuit& out);
   void diff_flat(const spice::Netlist& flat);
-  void remember(const spice::Netlist& input,
-                const core::PreparedCircuit& prepared);
+  /// Rebuilds every index over prev_.prepared after a full prepare.
+  void remember(const spice::Netlist& input);
   /// O(edited devices) baseline update after a successful patch-path
   /// revision: names, structure, and every derived index are unchanged,
   /// so only the edited sizings are folded into the stored baseline.
   void remember_patched(const spice::Netlist& input);
-  void store_derived(const core::AnnotateResult& r);
 
   const core::Annotator* annotator_;
   SessionOptions options_;
@@ -148,14 +135,19 @@ class AnnotationSession {
   // Previous-revision baseline.
   bool has_prev_ = false;
   spice::Netlist prev_input_;
-  core::PreparedCircuit prev_prepared_;
+  /// The last successful revision's result. Its `prepared` is the
+  /// baseline the value patch edits and the flat diff compares against.
+  /// When a value patch leaves the probabilities bit-identical, its
+  /// derived fields are the outputs of pure functions whose inputs did
+  /// not change, so the reuse hook hands it back to Annotator::run.
+  core::AnnotateResult prev_;
+  std::size_t prev_regions_ = 0;  ///< prev_'s region count, for stats
   std::uint64_t prev_graph_hash_ = 0;
   std::unordered_map<std::string, std::size_t> prev_flat_index_;
   std::vector<std::size_t> prev_device_vertex_;  ///< flat index -> vertex id
   std::unordered_map<std::string, bool> prev_alias_names_;  ///< either side
   /// Flat-device indices the last successful patch-path revision edited.
   std::vector<std::size_t> patch_changed_;
-  StoredDerived derived_;
 
   // Match-level stores, keyed by structure. Unbounded: a session tracks
   // one evolving design, so the population is the design's distinct

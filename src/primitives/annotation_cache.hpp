@@ -56,31 +56,10 @@ struct CachedAnnotation {
   bool truncated = false;
 };
 
-class AnnotationCache {
- public:
-  using Stats = ShardedCache<CachedAnnotation>::Stats;
-
-  AnnotationCache() = default;
-  /// Bounds the cache to roughly `capacity` entries total (0 =
-  /// unbounded); at capacity each shard FIFO-evicts its oldest entry.
-  /// Eviction only costs recomputation -- results stay bit-identical.
-  explicit AnnotationCache(std::size_t capacity)
-      : cache_(per_shard_capacity_for(capacity)) {}
-
-  /// Cached annotation for `key`, or nullptr (counts a hit/miss).
-  [[nodiscard]] std::shared_ptr<const CachedAnnotation> find(
-      std::uint64_t key);
-
-  /// Inserts `ann` for `key`; returns the winning entry (the existing
-  /// one if another worker inserted first).
-  std::shared_ptr<const CachedAnnotation> insert(
-      std::uint64_t key, std::shared_ptr<const CachedAnnotation> ann);
-
-  [[nodiscard]] Stats stats() const;
-  void clear();
-
- private:
-  ShardedCache<CachedAnnotation> cache_;
-};
+/// Binding-level annotation per structure key; counts into
+/// annotation_cache_hits / annotation_cache_misses.
+using AnnotationCache =
+    CountedCache<CachedAnnotation, perf::detail::annotation_cache_hits,
+                 perf::detail::annotation_cache_misses>;
 
 }  // namespace gana::primitives

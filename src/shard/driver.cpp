@@ -387,6 +387,11 @@ int worker_main(const Args& args) {
   // fire mid-grant under the stealing scheduler too.
   int crash_after = -1, stall_after = -1;
   try {
+    // Every flag worker_argv emits, plus the two test hooks.
+    args.reject_unknown({"worker", "manifest", "steal", "begin", "end",
+                         "shard", "jobs", "seed", "domain", "no-caches",
+                         "cache-capacity", "timeout-seconds", "load-model",
+                         "load-library", "crash-after", "stall-after"});
     range.begin =
         static_cast<std::size_t>(std::max(args.get_int("begin", 0), 0));
     range.end = static_cast<std::size_t>(std::max(args.get_int("end", 0), 0));

@@ -3,26 +3,30 @@
 #include <charconv>
 #include <cmath>
 #include <system_error>
+#include <utility>
 
 #include "util/strings.hpp"
 
 namespace gana {
 
 Args::Args(int argc, const char* const* argv,
-           std::set<std::string> boolean_flags) {
+           std::set<std::string> boolean_flags)
+    : boolean_flags_(std::move(boolean_flags)) {
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     if (starts_with(a, "--")) {
       std::string body = a.substr(2);
       auto eq = body.find('=');
+      std::string key = body.substr(0, eq);
       if (eq != std::string::npos) {
-        flags_[body.substr(0, eq)] = body.substr(eq + 1);
-      } else if (boolean_flags.count(body) == 0 && i + 1 < argc &&
+        flags_[key] = body.substr(eq + 1);
+      } else if (boolean_flags_.count(key) == 0 && i + 1 < argc &&
                  !starts_with(argv[i + 1], "--")) {
-        flags_[body] = argv[++i];
+        flags_[key] = argv[++i];
       } else {
-        flags_[body] = "true";
+        flags_[key] = "true";
       }
+      flag_order_.push_back(std::move(key));
     } else {
       positional_.push_back(std::move(a));
     }
@@ -30,6 +34,14 @@ Args::Args(int argc, const char* const* argv,
 }
 
 bool Args::has(const std::string& key) const { return flags_.count(key) > 0; }
+
+void Args::reject_unknown(const std::set<std::string>& known) const {
+  for (const std::string& key : flag_order_) {
+    if (known.count(key) == 0 && boolean_flags_.count(key) == 0) {
+      throw ArgError("unknown flag --" + key);
+    }
+  }
+}
 
 std::string Args::get(const std::string& key,
                       const std::string& fallback) const {

@@ -44,8 +44,16 @@ class Args {
     return positional_;
   }
 
+  /// Throws ArgError naming the first flag on the command line that is
+  /// neither in `known` nor one of the constructor's `boolean_flags`: a
+  /// misspelled or retired flag is a usage error, never silently
+  /// ignored.
+  void reject_unknown(const std::set<std::string>& known) const;
+
  private:
   std::map<std::string, std::string> flags_;
+  std::vector<std::string> flag_order_;  ///< flag names, command-line order
+  std::set<std::string> boolean_flags_;
   std::vector<std::string> positional_;
 };
 

@@ -3,100 +3,32 @@
 namespace gana {
 
 namespace perf::detail {
-std::atomic<std::uint64_t> matrix_allocs{0};
-std::atomic<std::uint64_t> matrix_alloc_bytes{0};
-std::atomic<std::uint64_t> spmm_calls{0};
-std::atomic<std::uint64_t> spmm_flops{0};
-std::atomic<std::uint64_t> matmul_calls{0};
-std::atomic<std::uint64_t> matmul_flops{0};
-std::atomic<std::uint64_t> sample_cache_hits{0};
-std::atomic<std::uint64_t> sample_cache_misses{0};
-std::atomic<std::uint64_t> inference_cache_hits{0};
-std::atomic<std::uint64_t> inference_cache_misses{0};
-std::atomic<std::uint64_t> vf2_states{0};
-std::atomic<std::uint64_t> vf2_sig_rejections{0};
-std::atomic<std::uint64_t> vf2_pattern_skips{0};
-std::atomic<std::uint64_t> annotation_cache_hits{0};
-std::atomic<std::uint64_t> annotation_cache_misses{0};
-std::atomic<std::uint64_t> cache_evictions{0};
-std::atomic<std::uint64_t> parse_bytes{0};
-std::atomic<std::uint64_t> intern_hits{0};
-std::atomic<std::uint64_t> intern_misses{0};
-std::atomic<std::uint64_t> frontend_allocs{0};
-std::atomic<std::uint64_t> incr_regions{0};
-std::atomic<std::uint64_t> incr_region_reuses{0};
-std::atomic<std::uint64_t> incr_region_recomputes{0};
-std::atomic<std::uint64_t> incr_canon_fallbacks{0};
+#define GANA_PERF_DEFINE(name) std::atomic<std::uint64_t> name{0};
+GANA_PERF_COUNTERS(GANA_PERF_DEFINE)
+#undef GANA_PERF_DEFINE
 }  // namespace perf::detail
 
 PerfSnapshot PerfSnapshot::operator-(const PerfSnapshot& since) const {
   PerfSnapshot d;
-  d.matrix_allocs = matrix_allocs - since.matrix_allocs;
-  d.matrix_alloc_bytes = matrix_alloc_bytes - since.matrix_alloc_bytes;
-  d.spmm_calls = spmm_calls - since.spmm_calls;
-  d.spmm_flops = spmm_flops - since.spmm_flops;
-  d.matmul_calls = matmul_calls - since.matmul_calls;
-  d.matmul_flops = matmul_flops - since.matmul_flops;
-  d.sample_cache_hits = sample_cache_hits - since.sample_cache_hits;
-  d.sample_cache_misses = sample_cache_misses - since.sample_cache_misses;
-  d.inference_cache_hits = inference_cache_hits - since.inference_cache_hits;
-  d.inference_cache_misses =
-      inference_cache_misses - since.inference_cache_misses;
-  d.vf2_states = vf2_states - since.vf2_states;
-  d.vf2_sig_rejections = vf2_sig_rejections - since.vf2_sig_rejections;
-  d.vf2_pattern_skips = vf2_pattern_skips - since.vf2_pattern_skips;
-  d.annotation_cache_hits = annotation_cache_hits - since.annotation_cache_hits;
-  d.annotation_cache_misses =
-      annotation_cache_misses - since.annotation_cache_misses;
-  d.cache_evictions = cache_evictions - since.cache_evictions;
-  d.parse_bytes = parse_bytes - since.parse_bytes;
-  d.intern_hits = intern_hits - since.intern_hits;
-  d.intern_misses = intern_misses - since.intern_misses;
-  d.frontend_allocs = frontend_allocs - since.frontend_allocs;
-  d.incr_regions = incr_regions - since.incr_regions;
-  d.incr_region_reuses = incr_region_reuses - since.incr_region_reuses;
-  d.incr_region_recomputes =
-      incr_region_recomputes - since.incr_region_recomputes;
-  d.incr_canon_fallbacks = incr_canon_fallbacks - since.incr_canon_fallbacks;
+#define GANA_PERF_SUB(name) d.name = name - since.name;
+  GANA_PERF_COUNTERS(GANA_PERF_SUB)
+#undef GANA_PERF_SUB
   return d;
 }
 
+PerfSnapshot& PerfSnapshot::operator+=(const PerfSnapshot& o) {
+#define GANA_PERF_ADD(name) name += o.name;
+  GANA_PERF_COUNTERS(GANA_PERF_ADD)
+#undef GANA_PERF_ADD
+  return *this;
+}
+
 PerfSnapshot perf_snapshot() {
-  namespace d = perf::detail;
   PerfSnapshot s;
-  s.matrix_allocs = d::matrix_allocs.load(std::memory_order_relaxed);
-  s.matrix_alloc_bytes = d::matrix_alloc_bytes.load(std::memory_order_relaxed);
-  s.spmm_calls = d::spmm_calls.load(std::memory_order_relaxed);
-  s.spmm_flops = d::spmm_flops.load(std::memory_order_relaxed);
-  s.matmul_calls = d::matmul_calls.load(std::memory_order_relaxed);
-  s.matmul_flops = d::matmul_flops.load(std::memory_order_relaxed);
-  s.sample_cache_hits = d::sample_cache_hits.load(std::memory_order_relaxed);
-  s.sample_cache_misses =
-      d::sample_cache_misses.load(std::memory_order_relaxed);
-  s.inference_cache_hits =
-      d::inference_cache_hits.load(std::memory_order_relaxed);
-  s.inference_cache_misses =
-      d::inference_cache_misses.load(std::memory_order_relaxed);
-  s.vf2_states = d::vf2_states.load(std::memory_order_relaxed);
-  s.vf2_sig_rejections =
-      d::vf2_sig_rejections.load(std::memory_order_relaxed);
-  s.vf2_pattern_skips = d::vf2_pattern_skips.load(std::memory_order_relaxed);
-  s.annotation_cache_hits =
-      d::annotation_cache_hits.load(std::memory_order_relaxed);
-  s.annotation_cache_misses =
-      d::annotation_cache_misses.load(std::memory_order_relaxed);
-  s.cache_evictions = d::cache_evictions.load(std::memory_order_relaxed);
-  s.parse_bytes = d::parse_bytes.load(std::memory_order_relaxed);
-  s.intern_hits = d::intern_hits.load(std::memory_order_relaxed);
-  s.intern_misses = d::intern_misses.load(std::memory_order_relaxed);
-  s.frontend_allocs = d::frontend_allocs.load(std::memory_order_relaxed);
-  s.incr_regions = d::incr_regions.load(std::memory_order_relaxed);
-  s.incr_region_reuses =
-      d::incr_region_reuses.load(std::memory_order_relaxed);
-  s.incr_region_recomputes =
-      d::incr_region_recomputes.load(std::memory_order_relaxed);
-  s.incr_canon_fallbacks =
-      d::incr_canon_fallbacks.load(std::memory_order_relaxed);
+#define GANA_PERF_LOAD(name) \
+  s.name = perf::detail::name.load(std::memory_order_relaxed);
+  GANA_PERF_COUNTERS(GANA_PERF_LOAD)
+#undef GANA_PERF_LOAD
   return s;
 }
 

@@ -18,41 +18,53 @@
 
 namespace gana {
 
+/// The counter table. Every per-counter listing -- the PerfSnapshot
+/// fields, the atomics, perf_snapshot(), the snapshot difference and
+/// sum, and the counter keys of core::batch_timings_to_json -- expands
+/// this one list, in this order. Adding a counter means adding its line
+/// here and its increment helper below.
+#define GANA_PERF_COUNTERS(X)                                              \
+  X(matrix_allocs)           /* dense buffers that hit the heap */         \
+  X(matrix_alloc_bytes)      /* bytes requested by those allocs */         \
+  X(spmm_calls)              /* sparse*dense products */                   \
+  X(spmm_flops)              /* 2*nnz*cols per product */                  \
+  X(matmul_calls)            /* dense*dense products */                    \
+  X(matmul_flops)            /* 2*m*n*k per product */                     \
+  X(sample_cache_hits)       /* SamplePrepCache lookups served */          \
+  X(sample_cache_misses)     /* lookups that had to compute */             \
+  X(inference_cache_hits)    /* InferenceCache lookups served */           \
+  X(inference_cache_misses)  /* lookups that ran the GCN */                \
+  X(vf2_states)              /* VF2 search states explored */              \
+  X(vf2_sig_rejections)      /* candidates cut by signature lookahead */   \
+  X(vf2_pattern_skips)       /* patterns cut by the counting filter */     \
+  X(annotation_cache_hits)   /* AnnotationCache lookups served */          \
+  X(annotation_cache_misses) /* lookups that ran the matcher */            \
+  X(cache_evictions)         /* entries dropped by capacity-bounded        \
+                                sharded caches (any cache) */              \
+  X(parse_bytes)             /* netlist text bytes fed to a parser */      \
+  X(intern_hits)             /* SymbolTable lookups of known names */      \
+  X(intern_misses)           /* SymbolTable first-time interns */          \
+  X(frontend_allocs)         /* interned front-end heap allocations        \
+                                (arena chunks, table rehashes,             \
+                                whole-file buffers) */                     \
+  X(incr_regions)            /* regions seen by session runs */            \
+  X(incr_region_reuses)      /* regions fully served by the session's      \
+                                per-structure caches */                    \
+  X(incr_region_recomputes)  /* regions that ran VF2 fresh */              \
+  X(incr_canon_fallbacks)    /* regions whose canonical-order search hit   \
+                                the branch budget */
+
 /// Point-in-time copy of every counter; subtract two snapshots to get
 /// the activity of a region.
 struct PerfSnapshot {
-  std::uint64_t matrix_allocs = 0;       ///< dense buffers that hit the heap
-  std::uint64_t matrix_alloc_bytes = 0;  ///< bytes requested by those allocs
-  std::uint64_t spmm_calls = 0;          ///< sparse*dense products
-  std::uint64_t spmm_flops = 0;          ///< 2*nnz*cols per product
-  std::uint64_t matmul_calls = 0;        ///< dense*dense products
-  std::uint64_t matmul_flops = 0;        ///< 2*m*n*k per product
-  std::uint64_t sample_cache_hits = 0;   ///< SamplePrepCache lookups served
-  std::uint64_t sample_cache_misses = 0; ///< lookups that had to compute
-  std::uint64_t inference_cache_hits = 0;   ///< InferenceCache lookups served
-  std::uint64_t inference_cache_misses = 0; ///< lookups that ran the GCN
-  std::uint64_t vf2_states = 0;          ///< VF2 search states explored
-  std::uint64_t vf2_sig_rejections = 0;  ///< candidates cut by the signature lookahead
-  std::uint64_t vf2_pattern_skips = 0;   ///< patterns cut by the counting filter
-  std::uint64_t annotation_cache_hits = 0;    ///< AnnotationCache lookups served
-  std::uint64_t annotation_cache_misses = 0;  ///< lookups that ran the matcher
-  std::uint64_t cache_evictions = 0;  ///< entries dropped by capacity-bounded
-                                      ///< sharded caches (any cache)
-  std::uint64_t parse_bytes = 0;       ///< netlist text bytes fed to a parser
-  std::uint64_t intern_hits = 0;       ///< SymbolTable lookups of known names
-  std::uint64_t intern_misses = 0;     ///< SymbolTable first-time interns
-  std::uint64_t frontend_allocs = 0;   ///< interned front-end heap allocations
-                                       ///< (arena chunks, table rehashes,
-                                       ///< whole-file buffers)
-  std::uint64_t incr_regions = 0;      ///< regions seen by session runs
-  std::uint64_t incr_region_reuses = 0;     ///< regions fully served by the
-                                            ///< session's per-structure caches
-  std::uint64_t incr_region_recomputes = 0; ///< regions that ran GCN/VF2 fresh
-  std::uint64_t incr_canon_fallbacks = 0;   ///< regions whose canonical-order
-                                            ///< search hit the branch budget
+#define GANA_PERF_FIELD(name) std::uint64_t name = 0;
+  GANA_PERF_COUNTERS(GANA_PERF_FIELD)
+#undef GANA_PERF_FIELD
 
   /// Counterwise difference (this - since).
   [[nodiscard]] PerfSnapshot operator-(const PerfSnapshot& since) const;
+  /// Counterwise sum.
+  PerfSnapshot& operator+=(const PerfSnapshot& o);
 };
 
 /// Reads every counter (relaxed; exact when no kernel is concurrently
@@ -62,30 +74,9 @@ struct PerfSnapshot {
 namespace perf {
 
 namespace detail {
-extern std::atomic<std::uint64_t> matrix_allocs;
-extern std::atomic<std::uint64_t> matrix_alloc_bytes;
-extern std::atomic<std::uint64_t> spmm_calls;
-extern std::atomic<std::uint64_t> spmm_flops;
-extern std::atomic<std::uint64_t> matmul_calls;
-extern std::atomic<std::uint64_t> matmul_flops;
-extern std::atomic<std::uint64_t> sample_cache_hits;
-extern std::atomic<std::uint64_t> sample_cache_misses;
-extern std::atomic<std::uint64_t> inference_cache_hits;
-extern std::atomic<std::uint64_t> inference_cache_misses;
-extern std::atomic<std::uint64_t> vf2_states;
-extern std::atomic<std::uint64_t> vf2_sig_rejections;
-extern std::atomic<std::uint64_t> vf2_pattern_skips;
-extern std::atomic<std::uint64_t> annotation_cache_hits;
-extern std::atomic<std::uint64_t> annotation_cache_misses;
-extern std::atomic<std::uint64_t> cache_evictions;
-extern std::atomic<std::uint64_t> parse_bytes;
-extern std::atomic<std::uint64_t> intern_hits;
-extern std::atomic<std::uint64_t> intern_misses;
-extern std::atomic<std::uint64_t> frontend_allocs;
-extern std::atomic<std::uint64_t> incr_regions;
-extern std::atomic<std::uint64_t> incr_region_reuses;
-extern std::atomic<std::uint64_t> incr_region_recomputes;
-extern std::atomic<std::uint64_t> incr_canon_fallbacks;
+#define GANA_PERF_ATOMIC(name) extern std::atomic<std::uint64_t> name;
+GANA_PERF_COUNTERS(GANA_PERF_ATOMIC)
+#undef GANA_PERF_ATOMIC
 }  // namespace detail
 
 inline void count_matrix_alloc(std::size_t bytes) {
@@ -103,22 +94,6 @@ inline void count_matmul(std::uint64_t flops) {
   detail::matmul_flops.fetch_add(flops, std::memory_order_relaxed);
 }
 
-inline void count_sample_cache_hit() {
-  detail::sample_cache_hits.fetch_add(1, std::memory_order_relaxed);
-}
-
-inline void count_sample_cache_miss() {
-  detail::sample_cache_misses.fetch_add(1, std::memory_order_relaxed);
-}
-
-inline void count_inference_cache_hit() {
-  detail::inference_cache_hits.fetch_add(1, std::memory_order_relaxed);
-}
-
-inline void count_inference_cache_miss() {
-  detail::inference_cache_misses.fetch_add(1, std::memory_order_relaxed);
-}
-
 /// Flushed once per find_subgraph_matches call with locally accumulated
 /// totals (never per search state).
 inline void count_vf2(std::uint64_t states, std::uint64_t sig_rejections) {
@@ -129,14 +104,6 @@ inline void count_vf2(std::uint64_t states, std::uint64_t sig_rejections) {
 
 inline void count_vf2_pattern_skips(std::uint64_t n) {
   detail::vf2_pattern_skips.fetch_add(n, std::memory_order_relaxed);
-}
-
-inline void count_annotation_cache_hit() {
-  detail::annotation_cache_hits.fetch_add(1, std::memory_order_relaxed);
-}
-
-inline void count_annotation_cache_miss() {
-  detail::annotation_cache_misses.fetch_add(1, std::memory_order_relaxed);
 }
 
 inline void count_cache_eviction() {

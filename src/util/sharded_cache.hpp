@@ -32,6 +32,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -172,5 +173,29 @@ static_assert(kCacheShardCount * per_shard_capacity_for(1) >= 1 &&
 static_assert(kCacheShardCount * per_shard_capacity_for(kCacheShardCount + 1) >=
                   kCacheShardCount + 1,
               "summed shard capacity covers the requested total");
+
+/// A ShardedCache that counts every find() into a hit/miss pair of the
+/// process-wide perf counters (util/perf.hpp) and is sized by a
+/// whole-cache capacity. The structural caches are aliases of it:
+/// gcn::SamplePrepCache, gcn::InferenceCache and
+/// primitives::AnnotationCache.
+template <typename V, std::atomic<std::uint64_t>& Hits,
+          std::atomic<std::uint64_t>& Misses>
+class CountedCache : public ShardedCache<V> {
+ public:
+  /// Bounds the cache to roughly `capacity` entries total (0 =
+  /// unbounded); at capacity each shard FIFO-evicts its oldest entry.
+  /// Eviction only costs recomputation -- results stay bit-identical.
+  explicit CountedCache(std::size_t capacity = 0)
+      : ShardedCache<V>(per_shard_capacity_for(capacity)) {}
+
+  /// Cached value for `key`, or nullptr; counts a hit or a miss both on
+  /// the shard and in the perf counters.
+  [[nodiscard]] std::shared_ptr<const V> find(std::uint64_t key) {
+    std::shared_ptr<const V> value = ShardedCache<V>::find(key);
+    (value == nullptr ? Misses : Hits).fetch_add(1, std::memory_order_relaxed);
+    return value;
+  }
+};
 
 }  // namespace gana

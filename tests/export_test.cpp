@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "core/export.hpp"
+#include "util/perf.hpp"
 #include "datagen/ota_gen.hpp"
 #include "spice/parser.hpp"
 
@@ -107,6 +111,122 @@ TEST(Export, DotHandlesUnclassifiedVertices) {
   std::vector<int> no_classes(r.prepared.graph.vertex_count(), -1);
   const std::string dot = graph_to_dot(r.prepared.graph, no_classes, {"x"});
   EXPECT_NE(dot.find("#cccccc"), std::string::npos);  // neutral fill
+}
+
+// --- batch_timings_to_json: the --perf-json payload, the gana-serve
+// metrics payload and the shard worker's perf summary, which bench/e2e's
+// corpus workload parses by key. Key set, key order and bytes are pinned.
+
+PerfSnapshot distinct_counters() {
+  PerfSnapshot p;
+  p.matrix_allocs = 1;
+  p.matrix_alloc_bytes = 1234567890123;
+  p.spmm_calls = 3;
+  p.spmm_flops = 4;
+  p.matmul_calls = 5;
+  p.matmul_flops = 6;
+  p.sample_cache_hits = 7;
+  p.sample_cache_misses = 8;
+  p.inference_cache_hits = 9;
+  p.inference_cache_misses = 10;
+  p.vf2_states = 11;
+  p.vf2_sig_rejections = 12;
+  p.vf2_pattern_skips = 13;
+  p.annotation_cache_hits = 14;
+  p.annotation_cache_misses = 15;
+  p.cache_evictions = 16;
+  p.parse_bytes = 17;
+  p.intern_hits = 18;
+  p.intern_misses = 19;
+  p.frontend_allocs = 20;
+  p.incr_regions = 21;
+  p.incr_region_reuses = 22;
+  p.incr_region_recomputes = 23;
+  p.incr_canon_fallbacks = 24;
+  return p;
+}
+
+BatchTimings distinct_timings() {
+  BatchTimings t;
+  t.wall_seconds = 1.5;
+  t.prepare_seconds = 0.25;
+  t.gcn_seconds = 0.125;
+  t.post_seconds = 2.0;
+  t.prepare_wall_seconds = 0.375;
+  t.gcn_wall_seconds = 3.5;
+  t.post_wall_seconds = 4.25;
+  t.apply_perf_delta(distinct_counters());
+  return t;
+}
+
+TEST(BatchTimingsJson, EmitsEveryKeyOnceInOrder) {
+  const std::string json = batch_timings_to_json(distinct_timings(), 4, 3, 5);
+  const char* const keys[] = {
+      "circuits", "ok", "jobs",
+      // The 7 timing keys.
+      "wall_seconds", "prepare_seconds", "gcn_seconds", "post_seconds",
+      "prepare_wall_seconds", "gcn_wall_seconds", "post_wall_seconds",
+      // The 24 counter keys.
+      "matrix_allocs", "matrix_alloc_bytes", "spmm_calls", "spmm_flops",
+      "matmul_calls", "matmul_flops", "sample_cache_hits",
+      "sample_cache_misses", "inference_cache_hits", "inference_cache_misses",
+      "vf2_states", "vf2_sig_rejections", "vf2_pattern_skips",
+      "annotation_cache_hits", "annotation_cache_misses", "cache_evictions",
+      "parse_bytes", "intern_hits", "intern_misses", "frontend_allocs",
+      "incr_regions", "incr_region_reuses", "incr_region_recomputes",
+      "incr_canon_fallbacks"};
+  std::size_t last = 0;
+  std::size_t count = 0;
+  for (const char* key : keys) {
+    SCOPED_TRACE(key);
+    const std::string quoted = std::string("\"") + key + "\":";
+    const std::size_t at = json.find(quoted);
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_EQ(json.find(quoted, at + 1), std::string::npos) << "twice";
+    EXPECT_GE(at, last) << "out of order";
+    last = at;
+    ++count;
+  }
+  // No other key: every ':' in the flat object belongs to a listed key.
+  EXPECT_EQ(static_cast<std::size_t>(std::count(json.begin(), json.end(), ':')),
+            count);
+}
+
+TEST(BatchTimingsJson, BytesArePinnedForEqualCounters) {
+  EXPECT_EQ(
+      batch_timings_to_json(distinct_timings(), 4, 3, 5),
+      "{\"circuits\":5,\"ok\":3,\"jobs\":4,\"wall_seconds\":1.5,"
+      "\"prepare_seconds\":0.25,\"gcn_seconds\":0.125,\"post_seconds\":2,"
+      "\"prepare_wall_seconds\":0.375,\"gcn_wall_seconds\":3.5,"
+      "\"post_wall_seconds\":4.25,\"matrix_allocs\":1,"
+      "\"matrix_alloc_bytes\":1234567890123,\"spmm_calls\":3,"
+      "\"spmm_flops\":4,\"matmul_calls\":5,\"matmul_flops\":6,"
+      "\"sample_cache_hits\":7,\"sample_cache_misses\":8,"
+      "\"inference_cache_hits\":9,\"inference_cache_misses\":10,"
+      "\"vf2_states\":11,\"vf2_sig_rejections\":12,"
+      "\"vf2_pattern_skips\":13,\"annotation_cache_hits\":14,"
+      "\"annotation_cache_misses\":15,\"cache_evictions\":16,"
+      "\"parse_bytes\":17,\"intern_hits\":18,\"intern_misses\":19,"
+      "\"frontend_allocs\":20,\"incr_regions\":21,"
+      "\"incr_region_reuses\":22,\"incr_region_recomputes\":23,"
+      "\"incr_canon_fallbacks\":24}");
+}
+
+TEST(BatchTimingsJson, PerfDeltaLeavesTimingsAndSumsAddEveryField) {
+  BatchTimings zeroed = distinct_timings();
+  zeroed.apply_perf_delta(PerfSnapshot{});
+  const std::string z = batch_timings_to_json(zeroed, 1, 1, 1);
+  EXPECT_NE(z.find("\"post_wall_seconds\":4.25,"), std::string::npos) << z;
+  EXPECT_NE(z.find("\"matrix_alloc_bytes\":0,"), std::string::npos) << z;
+
+  BatchTimings twice = distinct_timings();
+  twice += distinct_timings();
+  const std::string d = batch_timings_to_json(twice, 1, 1, 1);
+  EXPECT_NE(d.find("\"wall_seconds\":3,"), std::string::npos) << d;
+  EXPECT_NE(d.find("\"post_wall_seconds\":8.5,"), std::string::npos) << d;
+  EXPECT_NE(d.find("\"matrix_alloc_bytes\":2469135780246,"),
+            std::string::npos) << d;
+  EXPECT_NE(d.find("\"incr_canon_fallbacks\":48}"), std::string::npos) << d;
 }
 
 }  // namespace

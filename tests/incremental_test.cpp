@@ -23,6 +23,8 @@
 #include "incremental/session.hpp"
 #include "spice/parser.hpp"
 #include "util/perf.hpp"
+#include "util/deadline.hpp"
+#include "util/fault_injection.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -319,6 +321,79 @@ TEST(IncrementalSession, SizingEditReemitsDerivedResultBitIdentically) {
   spice::Netlist rev4 = rev3;
   rev4.devices[0].params["w"] = 5e-6;
   EXPECT_EQ(session_json(session, rev4), cold_json(rev4));
+  EXPECT_TRUE(session.last_stats().result_reused);
+}
+
+// --- Failure parity: a session fails exactly like a cold run -----------
+
+void expect_same_diag(const Diag& a, const Diag& b) {
+  EXPECT_EQ(a.code, b.code);
+  EXPECT_EQ(a.stage, b.stage);
+  EXPECT_EQ(a.message, b.message);
+  EXPECT_EQ(a.loc.line, b.loc.line);
+}
+
+TEST(IncrementalSession, FailingRevisionReturnsTheColdDiagAndRecovers) {
+  const core::Annotator annotator(nullptr, {"ota", "bias"});
+  incremental::AnnotationSession session(&annotator);
+  const spice::Netlist rev0 = two_block_netlist();
+  EXPECT_EQ(session_json(session, rev0), cold_json(rev0));
+
+  // An instance of an undefined subcircuit fails in flatten (the
+  // parser's validation would reject it first, so it is added here).
+  spice::Netlist bad = rev0;
+  bad.instances.push_back({"x9", "nosuchcell", {"z2", "out2"}, 11});
+  const auto failed = session.reannotate(bad, "incr");
+  const auto cold = annotator.try_annotate(bad, "incr");
+  ASSERT_FALSE(failed.ok());
+  ASSERT_FALSE(cold.ok());
+  EXPECT_EQ(failed.diag().stage, Stage::Flatten);
+  expect_same_diag(failed.diag(), cold.diag());
+
+  // The failure left the baseline alone: the next good revision (a
+  // sizing edit of rev0) still matches a cold run byte for byte.
+  spice::Netlist rev1 = rev0;
+  rev1.devices[0].params["w"] = 3e-6;
+  EXPECT_EQ(session_json(session, rev1), cold_json(rev1));
+  EXPECT_FALSE(session.last_stats().full_prepare);
+}
+
+TEST(IncrementalSession, FastPathRevisionFailsLikeTheColdRun) {
+  const core::Annotator annotator(nullptr, {"ota", "bias"});
+  incremental::AnnotationSession session(&annotator);
+  const spice::Netlist rev0 = two_block_netlist();
+  EXPECT_EQ(session_json(session, rev0), cold_json(rev0));
+  spice::Netlist rev1 = rev0;
+  rev1.devices[0].params["w"] = 3e-6;
+  EXPECT_EQ(session_json(session, rev1), cold_json(rev1));
+  ASSERT_TRUE(session.last_stats().result_reused);
+
+  // A certain fault at the hierarchy stage, inside a request context.
+  FaultInjector& injector = FaultInjector::instance();
+  FaultPlan certain;
+  certain.stage_error = 1.0;
+  injector.arm(1);
+  injector.set_stage_plan(Stage::Hierarchy, certain);
+  spice::Netlist rev2 = rev1;
+  rev2.devices.back().value = 47e3;
+  Result<core::AnnotateResult> failed = Diag{};
+  Result<core::AnnotateResult> cold = Diag{};
+  {
+    const RequestContext ctx{nullptr, 1};
+    const ScopedRequestContext scope(&ctx);
+    failed = session.reannotate(rev2, "incr");
+    cold = annotator.try_annotate(rev2, "incr");
+  }
+  injector.disarm();
+  ASSERT_FALSE(failed.ok());
+  ASSERT_FALSE(cold.ok());
+  EXPECT_EQ(failed.diag().code, cold.diag().code);
+  EXPECT_EQ(failed.diag().stage, Stage::Hierarchy);
+  EXPECT_EQ(failed.diag().stage, cold.diag().stage);
+
+  // The revision that failed was a fast-path one: unarmed, the same
+  // revision re-emits the stored result.
+  EXPECT_EQ(session_json(session, rev2), cold_json(rev2));
   EXPECT_TRUE(session.last_stats().result_reused);
 }
 

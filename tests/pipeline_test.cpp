@@ -157,6 +157,29 @@ TEST(Annotator, StageTimingsPopulated) {
   EXPECT_GE(r.seconds_post, 0.0);
 }
 
+TEST(Annotator, AnnotateThrowsTheDiagTryAnnotateReturns) {
+  // Flatten rejects the instance of an undefined subcircuit (added
+  // after parsing, whose validation would reject it first).
+  auto netlist = spice::parse_netlist(R"(
+m1 x vinp tail gnd! nmos w=4u l=100n
+.end
+)");
+  netlist.instances.push_back({"x1", "nosuchcell", {"x", "out"}, 3});
+  Annotator annotator(nullptr, {"ota", "bias"});
+  const auto tried = annotator.try_annotate(netlist, "malformed");
+  ASSERT_FALSE(tried.ok());
+  try {
+    (void)annotator.annotate(netlist, "malformed");
+    FAIL() << "annotate accepted a malformed netlist";
+  } catch (const spice::NetlistError& e) {
+    EXPECT_EQ(e.diag().code, tried.diag().code);
+    EXPECT_EQ(e.diag().stage, tried.diag().stage);
+    EXPECT_EQ(e.diag().message, tried.diag().message);
+    EXPECT_EQ(e.diag().loc.line, tried.diag().loc.line);
+    EXPECT_EQ(e.diag().render(), tried.diag().render());
+  }
+}
+
 // --- Model shape checks --------------------------------------------------
 //
 // The layers check shapes with asserts only, which release builds

@@ -5,13 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
+#include "core/export.hpp"
+#include "gcn/inference_cache.hpp"
 #include "gcn/sample.hpp"
 #include "gcn/sample_cache.hpp"
 #include "graph/circuit_graph.hpp"
 #include "graph/laplacian.hpp"
 #include "graph/structural_hash.hpp"
 #include "linalg/lanczos.hpp"
+#include "primitives/annotation_cache.hpp"
+#include "util/perf.hpp"
 #include "util/rng.hpp"
 
 namespace gana {
@@ -156,6 +161,69 @@ TEST(SamplePrep, FromPrepBitIdenticalToMakeSample) {
     EXPECT_TRUE(via_prep.prop_t[l].values() == direct.prop_t[l].values());
   }
   EXPECT_TRUE(via_prep.features.data() == direct.features.data());
+}
+
+// --- The three structural caches: each counts one miss, then one hit,
+// into its own perf-counter pair and nowhere else, and splits a
+// whole-cache capacity into per_shard_capacity_for(C) entries per shard.
+
+/// Every counter of a snapshot, rendered in the stable perf JSON.
+std::string counters_json(const PerfSnapshot& p) {
+  core::BatchTimings t;
+  t.apply_perf_delta(p);
+  return core::batch_timings_to_json(t, 1, 0, 0);
+}
+
+template <typename Cache, typename V>
+void expect_counts_only_its_pair(std::uint64_t PerfSnapshot::*hits,
+                                 std::uint64_t PerfSnapshot::*misses) {
+  Cache cache;
+  auto value = std::make_shared<const V>();
+  const PerfSnapshot before = perf_snapshot();
+  EXPECT_EQ(cache.find(7), nullptr);
+  cache.insert(7, value);
+  EXPECT_EQ(cache.find(7), value);
+  const PerfSnapshot delta = perf_snapshot() - before;
+  PerfSnapshot expected;
+  expected.*hits = 1;
+  expected.*misses = 1;
+  EXPECT_EQ(counters_json(delta), counters_json(expected));
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+template <typename Cache, typename V>
+void expect_capacity_split(std::size_t capacity) {
+  SCOPED_TRACE("capacity " + std::to_string(capacity));
+  Cache cache(capacity);
+  const std::size_t per_shard = per_shard_capacity_for(capacity);
+  // Keys that are multiples of 16 (below 2^32) all land on shard 0: one
+  // more than the per-shard cap evicts exactly one entry.
+  auto value = std::make_shared<const V>();
+  for (std::uint64_t k = 0; k <= per_shard; ++k) cache.insert(16 * k, value);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().entries, per_shard);
+}
+
+TEST(CountedCaches, EachCountsOnlyItsOwnHitMissPair) {
+  expect_counts_only_its_pair<gcn::SamplePrepCache, gcn::SamplePrep>(
+      &PerfSnapshot::sample_cache_hits, &PerfSnapshot::sample_cache_misses);
+  expect_counts_only_its_pair<gcn::InferenceCache, Matrix>(
+      &PerfSnapshot::inference_cache_hits,
+      &PerfSnapshot::inference_cache_misses);
+  expect_counts_only_its_pair<primitives::AnnotationCache,
+                              primitives::CachedAnnotation>(
+      &PerfSnapshot::annotation_cache_hits,
+      &PerfSnapshot::annotation_cache_misses);
+}
+
+TEST(CountedCaches, WholeCacheCapacityIsSplitAcrossShards) {
+  for (const std::size_t capacity : {1u, 16u, 17u, 100u}) {
+    expect_capacity_split<gcn::SamplePrepCache, gcn::SamplePrep>(capacity);
+    expect_capacity_split<gcn::InferenceCache, Matrix>(capacity);
+    expect_capacity_split<primitives::AnnotationCache,
+                          primitives::CachedAnnotation>(capacity);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "util/args.hpp"
 #include "util/rng.hpp"
@@ -206,6 +207,51 @@ TEST(Args, DeclaredBooleanFlagsDoNotConsumePositionals) {
   Args greedy(6, argv);
   EXPECT_EQ(greedy.get("session"), "rev0.sp");
   ASSERT_EQ(greedy.positional().size(), 1u);
+}
+
+TEST(Args, UnknownFlagIsRejectedByName) {
+  const char* argv[] = {"prog", "in.sp", "--jobs", "4", "--bogus"};
+  const Args args(5, argv);
+  try {
+    args.reject_unknown({"jobs"});
+    FAIL() << "--bogus was accepted";
+  } catch (const ArgError& e) {
+    EXPECT_NE(std::string(e.what()).find("--bogus"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Args, UnknownFlagWithInlineValueIsRejected) {
+  const char* argv[] = {"prog", "--bogus=1", "in.sp"};
+  const Args args(3, argv);
+  EXPECT_THROW(args.reject_unknown({"jobs"}), ArgError);
+}
+
+TEST(Args, FirstUnknownFlagOnTheCommandLineIsNamed) {
+  const char* argv[] = {"prog", "--zeta", "1", "--alpha", "2"};
+  const Args args(5, argv);
+  try {
+    args.reject_unknown({});
+    FAIL() << "unknown flags were accepted";
+  } catch (const ArgError& e) {
+    EXPECT_NE(std::string(e.what()).find("--zeta"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Args, DeclaredValueAndBooleanFlagsAreAccepted) {
+  const char* argv[] = {"prog", "--session", "rev0.sp", "--jobs=4",
+                        "--domain", "rf"};
+  // "session" is declared boolean at construction, the rest by name.
+  const Args args(6, argv, {"session"});
+  EXPECT_NO_THROW(args.reject_unknown({"jobs", "domain"}));
+  EXPECT_EQ(args.get_int("jobs", 1), 4);
+  EXPECT_EQ(args.get("domain"), "rf");
+  ASSERT_EQ(args.positional().size(), 1u);
+  // A declared flag that is absent is fine; an undeclared present one
+  // is not, even when it is boolean-looking.
+  EXPECT_NO_THROW(args.reject_unknown({"jobs", "domain", "train"}));
+  EXPECT_THROW(args.reject_unknown({"jobs"}), ArgError);
 }
 
 // Bounded ShardedCache: FIFO eviction per shard, counted, with lookups
