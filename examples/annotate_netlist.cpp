@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
   // --- Parse. Each file independently yields a netlist or a located
   // diagnostic; --keep-going pushes past failures instead of stopping.
   // Parsing happens before BatchRunner opens its perf-counter window, so
-  // snapshot here and patch parse_bytes over the wider window below.
+  // snapshot here and add this window's counters to the batch's below.
   const gana::PerfSnapshot perf_at_parse = gana::perf_snapshot();
   std::vector<FileStatus> status(paths.size());
   std::vector<gana::spice::Netlist> netlists;      // parsed OK, in order
@@ -260,10 +260,9 @@ int main(int argc, char** argv) {
       return status[i].exit_code;
     }
   }
-  // Input bytes only: close the window before the Annotator parses the
+  // Input files only: close the window before the Annotator parses the
   // primitive library's own pattern netlists.
-  const std::uint64_t input_parse_bytes =
-      (gana::perf_snapshot() - perf_at_parse).parse_bytes;
+  const gana::PerfSnapshot parse_perf = gana::perf_snapshot() - perf_at_parse;
 
   std::unique_ptr<gana::gcn::GcnModel> model;
   if (args.has("load-model")) {
@@ -392,7 +391,7 @@ int main(int argc, char** argv) {
     batch = gana::core::BatchRunner(annotator, bopt)
                 .run_isolated(netlists, netlist_names);
   }
-  batch.timings.parse_bytes += input_parse_bytes;
+  batch.timings += parse_perf;
   for (std::size_t i = 0; i < paths.size(); ++i) {
     const std::size_t slot = netlist_file[i];
     if (slot == SIZE_MAX) continue;  // parse failure already recorded

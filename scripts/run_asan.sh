@@ -9,7 +9,8 @@ cd "$(dirname "$0")/.."
 cmake --preset asan
 cmake --build --preset asan -j"$(nproc)" \
   --target corpus_harness_test robustness_test diag_test \
-  batch_failure_test spice_parser_test spice_flatten_test vf2_test \
+  batch_failure_test spice_parser_test spice_flatten_test \
+  spice_preprocess_test graph_test vf2_test \
   primitive_matching_test frontend_test kernel_equivalence_test \
   infer_workspace_test batch_scaling_test serve_test soak_test deadline_test \
   fault_injection_test diag_json_test util_test shard_test \

@@ -2,8 +2,7 @@
 # Builds the release preset and runs every bench target, collecting the
 # perf-record benches' BENCH_*.json files at the repo root.
 #
-# Perf-record benches (gcn_inference, primitive_matching, frontend)
-# verify that
+# Perf-record benches (gcn_inference, primitive_matching) verify that
 # their accelerated path is bit-identical to the reference path and say
 # so in the record's "identical" field. Each record is written to a
 # temporary path first; a run whose "identical" field is false never
@@ -40,7 +39,7 @@ done
 # or failed verification after writing its record never overwrites a
 # good one).
 status=0
-for b in gcn_inference primitive_matching frontend sharding incremental; do
+for b in gcn_inference primitive_matching sharding incremental; do
   echo "=== $b ==="
   record="BENCH_$b.json"
   tmp="$record.tmp"

@@ -110,6 +110,9 @@ struct BatchTimings : PerfSnapshot {
   /// wall_seconds, which therefore means "summed batch wall clock", not
   /// end-to-end elapsed time, once more than one batch contributed.
   BatchTimings& operator+=(const BatchTimings& o);
+  /// Adds a counter-window delta from outside the batch (the input
+  /// parse that precedes it); timing fields are untouched.
+  using PerfSnapshot::operator+=;
 };
 
 struct BatchResult {

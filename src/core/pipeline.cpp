@@ -44,7 +44,7 @@ PreparedCircuit prepare(const spice::Netlist& netlist, const std::string& name,
   out.class_names = std::move(class_names);
   mark(stage, Stage::Flatten);
   spice::InternedNetlist flat =
-      spice::flatten_interned(spice::intern_netlist(netlist), name);
+      spice::flatten_interned(spice::intern_netlist(netlist, name), name);
   if (options.preprocess) {
     mark(stage, Stage::Preprocess);
     out.preprocess_report =

@@ -1,26 +1,6 @@
 #include "graph/builder.hpp"
 
-#include <map>
-
 namespace gana::graph {
-
-NetRole classify_net(const std::string& name, const spice::Netlist& netlist) {
-  if (spice::is_supply_net(name)) return NetRole::Supply;
-  if (spice::is_ground_net(name)) return NetRole::Ground;
-  auto it = netlist.port_labels.find(name);
-  if (it != netlist.port_labels.end()) {
-    switch (it->second) {
-      case spice::PortLabel::Input: return NetRole::Input;
-      case spice::PortLabel::Output: return NetRole::Output;
-      case spice::PortLabel::Bias: return NetRole::Bias;
-      case spice::PortLabel::Clock: return NetRole::Clock;
-      case spice::PortLabel::Antenna: return NetRole::Antenna;
-      case spice::PortLabel::LocalOsc: return NetRole::LocalOsc;
-      case spice::PortLabel::None: break;
-    }
-  }
-  return NetRole::Internal;
-}
 
 double characteristic_value(const spice::Device& d) {
   if (spice::is_mos(d.type)) {
@@ -31,61 +11,13 @@ double characteristic_value(const spice::Device& d) {
 }
 
 CircuitGraph build_graph(const spice::Netlist& netlist) {
-  if (!netlist.is_flat()) {
-    throw spice::NetlistError(
-        make_diag(DiagCode::NotFlat, Stage::GraphBuild,
-                  "build_graph requires a flattened netlist"));
-  }
-  CircuitGraph g;
-  // Element vertices, in device order.
-  for (std::size_t di = 0; di < netlist.devices.size(); ++di) {
-    const auto& d = netlist.devices[di];
-    Vertex v;
-    v.name = d.name;
-    v.dtype = d.type;
-    v.value = characteristic_value(d);
-    v.hier_depth = d.hier_depth;
-    v.device_index = di;
-    g.add_element(std::move(v));
-  }
-  // Net vertices, created on demand.
-  std::map<std::string, std::size_t> net_id;
-  auto net_vertex = [&](const std::string& name) -> std::size_t {
-    auto it = net_id.find(name);
-    if (it != net_id.end()) return it->second;
-    Vertex v;
-    v.name = name;
-    v.role = classify_net(name, netlist);
-    const std::size_t id = g.add_net(std::move(v));
-    net_id.emplace(name, id);
-    return id;
-  };
-
-  for (std::size_t di = 0; di < netlist.devices.size(); ++di) {
-    const auto& d = netlist.devices[di];
-    if (spice::is_mos(d.type)) {
-      const std::uint8_t bits[4] = {kLabelDrain, kLabelGate, kLabelSource, 0};
-      for (std::size_t pi = 0; pi < 4; ++pi) {
-        const std::string& net = d.pins[pi];
-        if (pi == spice::kBody &&
-            (spice::is_supply_net(net) || spice::is_ground_net(net))) {
-          continue;  // rail-tied body
-        }
-        g.connect(di, net_vertex(net), bits[pi]);
-      }
-    } else {
-      for (const std::string& net : d.pins) {
-        g.connect(di, net_vertex(net), 0);
-      }
-    }
-  }
-  return g;
+  return build_graph(spice::intern_netlist(netlist));
 }
 
 namespace {
 
-/// Per-id role classification for the interned overload; resolves rails
-/// and port labels once per distinct net name instead of per pin.
+/// Per-id net role from rail naming plus the netlist's port labels;
+/// resolves each distinct net name once instead of once per pin.
 class NetRoleCache {
  public:
   explicit NetRoleCache(const spice::InternedNetlist& netlist)
@@ -142,8 +74,8 @@ CircuitGraph build_graph(const spice::InternedNetlist& netlist) {
     v.device_index = di;
     g.add_element(std::move(v));
   }
-  // Net vertices, created on demand in first-touch order (matching the
-  // string overload, which also creates them as devices are walked).
+  // Net vertices, created on demand in first-touch order as devices are
+  // walked.
   NetRoleCache roles(netlist);
   std::vector<std::size_t> net_vertex_of(netlist.syms.size(),
                                          CircuitGraph::npos);

@@ -243,6 +243,7 @@ struct SliceRunner::Impl {
   std::unique_ptr<core::BatchRunner> runner;
 };
 
+SliceRunner::SliceRunner() = default;
 SliceRunner::~SliceRunner() = default;
 
 Result<bool> SliceRunner::init(const PipelineOptions& options) {
@@ -306,7 +307,8 @@ Result<SliceResult> SliceRunner::run(
        chunk += kWorkerChunk) {
     const std::size_t chunk_end = std::min(chunk + kWorkerChunk, range.end);
     // Parse the chunk's files. Parsing happens before the runner's
-    // perf-counter window opens, so patch parse_bytes over it (same
+    // perf-counter window opens, so add the parse window's counters
+    // (bytes, interning, front-end allocations) to the batch's (same
     // accounting as annotate_netlist).
     const PerfSnapshot perf_at_parse = perf_snapshot();
     std::vector<NetlistRecord> records(chunk_end - chunk);
@@ -324,11 +326,10 @@ Result<SliceResult> SliceRunner::run(
         records[i - chunk].diag = parsed.diag();
       }
     }
-    const std::uint64_t input_parse_bytes =
-        (perf_snapshot() - perf_at_parse).parse_bytes;
+    const PerfSnapshot parse_perf = perf_snapshot() - perf_at_parse;
 
     core::BatchOutcome outcome = runner.run_isolated(netlists, names);
-    outcome.timings.parse_bytes += input_parse_bytes;
+    outcome.timings += parse_perf;
     slice.timings += outcome.timings;
     for (std::size_t i = chunk; i < chunk_end; ++i) {
       NetlistRecord& rec = records[i - chunk];

@@ -195,7 +195,7 @@ struct SliceResult {
 /// attribute startup (artifact load) separately from annotation work.
 class SliceRunner {
  public:
-  SliceRunner() = default;
+  SliceRunner();
   SliceRunner(const SliceRunner&) = delete;
   SliceRunner& operator=(const SliceRunner&) = delete;
   ~SliceRunner();

@@ -1,139 +1,12 @@
 #include "spice/flatten.hpp"
 
-#include <map>
-#include <set>
-#include <string>
+#include "spice/interned.hpp"
 
 namespace gana::spice {
-namespace {
-
-class Flattener {
- public:
-  Flattener(const Netlist& src, const std::string& source)
-      : src_(src), source_(source) {}
-
-  Netlist run() {
-    Netlist out;
-    out.title = src_.title;
-    out.port_labels = src_.port_labels;
-    out.globals = src_.globals;
-    out_ = &out;
-    out.devices = src_.devices;
-    // Top-level instance nets are already in their final (top-level) form.
-    for (const auto& inst : src_.instances) {
-      expand(inst, /*depth=*/1);
-    }
-    out.validate(source_);
-    return out;
-  }
-
- private:
-  /// Maps a net seen inside a subckt body to its flattened name: formal
-  /// ports bind to the caller's nets; globals and supply/ground rails are
-  /// never scoped; everything else gets the instance-path prefix.
-  std::string map_net(const std::string& net, const std::string& prefix,
-                      const std::map<std::string, std::string>& net_map) const {
-    auto it = net_map.find(net);
-    if (it != net_map.end()) return it->second;
-    if (src_.globals.count(net) || is_supply_net(net) || is_ground_net(net)) {
-      return net;
-    }
-    return prefix + net;
-  }
-
-  /// The active instantiation path, rendered one hop per note line:
-  /// "x0 instantiates subckt a".
-  [[nodiscard]] std::vector<std::string> chain_notes(
-      const Instance& last) const {
-    std::vector<std::string> notes;
-    for (const auto* inst : chain_) {
-      notes.push_back(inst->name + " instantiates subckt " + inst->subckt);
-    }
-    notes.push_back(last.name + " instantiates subckt " + last.subckt +
-                    " again -- cycle");
-    return notes;
-  }
-
-  [[noreturn]] void fail(const Instance& inst, DiagCode code,
-                         std::string message,
-                         std::vector<std::string> notes = {}) const {
-    throw NetlistError(make_diag(code, Stage::Flatten, std::move(message),
-                                 SourceLoc{source_, inst.src_line},
-                                 std::move(notes)));
-  }
-
-  /// Expands an instance whose actual nets are already flattened names.
-  void expand(const Instance& inst, int depth) {
-    auto def_it = src_.subckts.find(inst.subckt);
-    if (def_it == src_.subckts.end()) {
-      fail(inst, DiagCode::UndefinedSubckt,
-           "undefined subckt " + inst.subckt);
-    }
-    const SubcktDef& def = def_it->second;
-    // A subckt on the active expansion path instantiating itself (directly
-    // or through intermediates) would recurse forever; the depth budget is
-    // only a backstop for absurdly deep but acyclic hierarchies.
-    if (!active_.insert(def.name).second) {
-      fail(inst, DiagCode::RecursiveSubckt,
-           "recursive instantiation of subckt " + inst.subckt,
-           chain_notes(inst));
-    }
-    if (depth > kMaxDepth) {
-      active_.erase(def.name);
-      fail(inst, DiagCode::DepthExceeded,
-           "subckt nesting exceeds depth " + std::to_string(kMaxDepth) +
-               " at instance " + inst.name);
-    }
-    if (def.ports.size() != inst.nets.size()) {
-      active_.erase(def.name);
-      fail(inst, DiagCode::PortMismatch,
-           "port count mismatch instantiating " + inst.subckt + " (" +
-               std::to_string(inst.nets.size()) + " nets, " +
-               std::to_string(def.ports.size()) + " ports)");
-    }
-    chain_.push_back(&inst);
-
-    const std::string prefix = inst.name + std::string(1, kHierSeparator);
-    std::map<std::string, std::string> net_map;
-    for (std::size_t i = 0; i < def.ports.size(); ++i) {
-      net_map[def.ports[i]] = inst.nets[i];
-    }
-
-    for (const auto& d : def.devices) {
-      Device nd = d;
-      nd.name = prefix + d.name;
-      nd.hier_depth = depth;
-      for (auto& pin : nd.pins) {
-        pin = map_net(pin, prefix, net_map);
-      }
-      out_->devices.push_back(std::move(nd));
-    }
-    for (const auto& child : def.instances) {
-      Instance bound = child;
-      bound.name = prefix + child.name;
-      for (auto& n : bound.nets) {
-        n = map_net(n, prefix, net_map);
-      }
-      expand(bound, depth + 1);
-    }
-
-    chain_.pop_back();
-    active_.erase(def.name);
-  }
-
-  static constexpr int kMaxDepth = 64;
-
-  const Netlist& src_;
-  const std::string& source_;
-  Netlist* out_ = nullptr;
-  std::set<std::string> active_;          ///< subckts on the expansion path
-  std::vector<const Instance*> chain_;    ///< instances on the path, in order
-};
-
-}  // namespace
 
 Netlist flatten(const Netlist& netlist, const std::string& source) {
-  return Flattener(netlist, source).run();
+  return materialize_netlist(
+      flatten_interned(intern_netlist(netlist, source), source));
 }
 
 Result<Netlist> flatten_result(const Netlist& netlist,

@@ -19,7 +19,9 @@ inline constexpr char kHierSeparator = '/';
 /// Throws NetlistError on undefined subcircuit references, on recursive
 /// (cyclic) subcircuit instantiation -- the diagnostic's notes list the
 /// offending instantiation chain -- and on nesting beyond a fixed depth
-/// budget. `source` names the netlist in diagnostics.
+/// budget. `source` names the netlist in diagnostics. Interns `netlist`,
+/// runs `flatten_interned` (spice/interned.hpp) and materializes the
+/// result.
 Netlist flatten(const Netlist& netlist, const std::string& source = {});
 
 /// Non-throwing variant: structural hazards come back as a Diag.

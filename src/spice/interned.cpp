@@ -15,7 +15,33 @@ std::size_t InternedNetlist::find_subckt(SymbolId name) const {
 
 namespace {
 
-InternedDevice intern_device(const Device& d, SymbolTable& syms) {
+/// Diag at the card's recorded source line, stage Validate.
+Diag at(const std::string& source, std::size_t line, DiagCode code,
+        std::string message) {
+  return make_diag(code, Stage::Validate, std::move(message),
+                   SourceLoc{source, line});
+}
+
+std::size_t expected_pins(DeviceType type) { return is_mos(type) ? 4 : 2; }
+
+Diag bad_pin_count(std::string_view device, DeviceType type,
+                   std::size_t pins, std::size_t line,
+                   const std::string& scope, const std::string& source) {
+  return at(source, line, DiagCode::BadPinCount,
+            "device " + std::string(device) + " in " + scope + " has " +
+                std::to_string(pins) + " pins, expected " +
+                std::to_string(expected_pins(type)));
+}
+
+InternedDevice intern_device(const Device& d, SymbolTable& syms,
+                             const std::string& scope,
+                             const std::string& source) {
+  // A hand-built Device can carry any number of pins; PinArray holds at
+  // most kCapacity, so reject the card before writing any of them.
+  if (d.pins.size() > PinArray::kCapacity) {
+    throw NetlistError(bad_pin_count(d.name, d.type, d.pins.size(),
+                                     d.src_line, scope, source));
+  }
   InternedDevice out;
   out.name = syms.intern(d.name);
   out.type = d.type;
@@ -70,12 +96,14 @@ Instance materialize_instance(const InternedInstance& i,
 
 }  // namespace
 
-InternedNetlist intern_netlist(const Netlist& netlist) {
+InternedNetlist intern_netlist(const Netlist& netlist,
+                               const std::string& source) {
+  const std::string top_level = "top level";
   InternedNetlist out;
   out.title = netlist.title;
   out.devices.reserve(netlist.devices.size());
   for (const auto& d : netlist.devices) {
-    out.devices.push_back(intern_device(d, out.syms));
+    out.devices.push_back(intern_device(d, out.syms, top_level, source));
   }
   out.instances.reserve(netlist.instances.size());
   for (const auto& i : netlist.instances) {
@@ -88,8 +116,9 @@ InternedNetlist intern_netlist(const Netlist& netlist) {
     s.ports.reserve(def.ports.size());
     for (const auto& p : def.ports) s.ports.push_back(out.syms.intern(p));
     s.devices.reserve(def.devices.size());
+    const std::string scope = "subckt " + name;
     for (const auto& d : def.devices) {
-      s.devices.push_back(intern_device(d, out.syms));
+      s.devices.push_back(intern_device(d, out.syms, scope, source));
     }
     s.instances.reserve(def.instances.size());
     for (const auto& i : def.instances) {
@@ -147,14 +176,6 @@ Netlist materialize_netlist(const InternedNetlist& netlist) {
 
 namespace {
 
-/// Mirrors the helpers inside Netlist::check byte-for-byte so the
-/// interned path fails with the exact Diag the Reference path produces.
-Diag at(const std::string& source, std::size_t line, DiagCode code,
-        std::string message) {
-  return make_diag(code, Stage::Validate, std::move(message),
-                   SourceLoc{source, line});
-}
-
 bool all_finite(const InternedDevice& d) {
   if (!std::isfinite(d.value)) return false;
   for (const auto& p : d.params) {
@@ -172,12 +193,9 @@ std::optional<Diag> check_devices(const std::vector<InternedDevice>& devices,
       return at(source, d.src_line, DiagCode::EmptyName,
                 "unnamed device in " + scope);
     }
-    const std::size_t expected = is_mos(d.type) ? 4 : 2;
-    if (d.pins.size() != expected) {
-      return at(source, d.src_line, DiagCode::BadPinCount,
-                "device " + std::string(syms.name(d.name)) + " in " + scope +
-                    " has " + std::to_string(d.pins.size()) +
-                    " pins, expected " + std::to_string(expected));
+    if (d.pins.size() != expected_pins(d.type)) {
+      return bad_pin_count(syms.name(d.name), d.type, d.pins.size(),
+                           d.src_line, scope, source);
     }
     for (std::size_t i = 0; i < d.pins.size(); ++i) {
       if (syms.name(d.pins[i]).empty()) {
@@ -186,6 +204,8 @@ std::optional<Diag> check_devices(const std::vector<InternedDevice>& devices,
                       " has an empty net name");
       }
     }
+    // Inf/NaN values would silently poison the feature matrix and every
+    // downstream GCN activation; reject them at the model boundary.
     if (!all_finite(d)) {
       return at(source, d.src_line, DiagCode::NonFinite,
                 "device " + std::string(syms.name(d.name)) + " in " + scope +
@@ -195,6 +215,9 @@ std::optional<Diag> check_devices(const std::vector<InternedDevice>& devices,
   return std::nullopt;
 }
 
+// Devices and subckt instances share one per-scope namespace: a repeated
+// name would silently alias two elements after flattening (prefixes are
+// built from instance paths), so reject it up front.
 std::optional<Diag> check_unique_names(
     const std::vector<InternedDevice>& devices,
     const std::vector<InternedInstance>& instances, const SymbolTable& syms,
@@ -250,9 +273,9 @@ void validate_interned(const InternedNetlist& netlist,
     }
   };
   check_instances(netlist.instances, "top level");
-  // The Reference path iterates `Netlist::subckts`, a std::map, so
-  // definitions are visited in name order -- replicate that order here
-  // or the first reported violation could differ.
+  // Definitions are checked in name order (the order of
+  // `Netlist::subckts`), not parse order, so the first violation
+  // reported does not depend on how the netlist was written or interned.
   std::vector<std::size_t> order(netlist.subckts.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {

@@ -1,20 +1,14 @@
-// Id-space netlist representation: the interned front-end fast path.
+// Id-space netlist representation: the implementation of the front end.
 //
-// `InternedNetlist` mirrors `Netlist` with every name replaced by a
+// `InternedNetlist` is a `Netlist` with every name replaced by a
 // dense `SymbolId` into an owned `SymbolTable`, pins stored inline, and
-// parameters as a small flat vector instead of `std::map`. The hot
-// front-end stages -- parse, flatten, preprocess, graph build -- operate
-// entirely in id space; names are materialized back into the string
-// `Netlist` only at the boundary (`materialize_netlist`).
-//
-// Equivalence contract: for every input on which the legacy string path
-// (the Reference implementation: `parse_netlist`, `flatten`,
-// `preprocess`, `graph::build_graph(const Netlist&)`) succeeds, the
-// interned path produces a bit-identical flattened `Netlist`,
-// `PreprocessReport`, and `CircuitGraph` -- same device order, same
-// bytes, same vertex/edge ids. Inputs the Reference path rejects are
-// rejected with the same DiagCode at the same source line. The contract
-// is pinned by tests/frontend_test.cpp and bench/frontend.cpp.
+// parameters as a small flat vector instead of `std::map`. Every
+// front-end stage -- parse, validate, flatten, preprocess, graph build
+// -- is implemented once, here, in id space. The string-space entry
+// points (`parse_netlist`, `Netlist::check`, `flatten`, `preprocess`,
+// `graph::build_graph(const Netlist&)`) are adapters: they intern,
+// call the id-space function, and materialize the result
+// (`materialize_netlist`).
 #pragma once
 
 #include <array>
@@ -38,7 +32,9 @@ struct InternedParam {
 /// Inline pin storage: MOS devices have 4 pins, everything else 2, so
 /// a fixed array avoids one heap allocation per device.
 struct PinArray {
-  std::array<SymbolId, 4> ids{kNoSymbol, kNoSymbol, kNoSymbol, kNoSymbol};
+  static constexpr std::size_t kCapacity = 4;
+  std::array<SymbolId, kCapacity> ids{kNoSymbol, kNoSymbol, kNoSymbol,
+                                      kNoSymbol};
   std::uint8_t count = 0;
 
   [[nodiscard]] std::size_t size() const { return count; }
@@ -116,44 +112,50 @@ struct InternedNetlist {
 };
 
 /// Converts a string netlist into id space, interning every name once.
-/// The inverse of `materialize_netlist` (round-trips exactly).
-[[nodiscard]] InternedNetlist intern_netlist(const Netlist& netlist);
+/// The inverse of `materialize_netlist` (round-trips exactly). A device
+/// with more pins than `PinArray` holds is rejected with a BadPinCount
+/// NetlistError (stage Validate, located at its card in `source`)
+/// before any of its pins is written; every other malformation is left
+/// for `validate_interned` to report.
+[[nodiscard]] InternedNetlist intern_netlist(const Netlist& netlist,
+                                             const std::string& source = {});
 
 /// Materializes the string `Netlist` at the front-end boundary. Device
 /// order is preserved; params/subckts/port_labels/globals land in their
-/// sorted containers exactly as the Reference path produces them.
+/// sorted containers.
 [[nodiscard]] Netlist materialize_netlist(const InternedNetlist& netlist);
 
-/// Id-space equivalent of `Netlist::validate`: checks the same
-/// invariants in the same order and throws a NetlistError carrying the
-/// same Diag the Reference path would produce. Names are materialized
-/// only for the error message.
+/// The netlist validator behind `Netlist::check`: throws a NetlistError
+/// carrying a Diag for the first violation (undefined subckt reference,
+/// port-count mismatch, wrong pin count, empty/duplicate names,
+/// non-finite device value). Names are materialized only for the error
+/// message.
 void validate_interned(const InternedNetlist& netlist,
                        const std::string& source = {});
 
-/// Zero-copy parser fast path: lexes `std::string_view` tokens out of
-/// one lowercased whole-file buffer (a single allocation) instead of a
-/// string per token. Accepts and rejects exactly what `parse_netlist`
-/// does (same DiagCode, same line).
+/// The SPICE parser (`parse_netlist` materializes its result): lexes
+/// `std::string_view` tokens out of one lowercased whole-file buffer (a
+/// single allocation) instead of a string per token, and validates the
+/// result before returning it.
 [[nodiscard]] InternedNetlist parse_netlist_interned(
     std::string_view text, const ParseOptions& options = {});
 
-/// File variant; shares `read_netlist_text` with the Reference path so
-/// the file is read exactly once, with the size limit checked up front.
+/// File variant; reads through `read_netlist_text`, so the file is read
+/// exactly once, with the size limit checked up front.
 [[nodiscard]] InternedNetlist parse_netlist_file_interned(
     const std::string& path, const ParseLimits& limits = {});
 
-/// Id-space hierarchy expansion: all instance-path prefixing happens in
-/// the symbol table's arena; behavior (and failure Diags) match
-/// `flatten`. Takes the netlist by value -- the symbol table moves into
-/// the flattened result and is extended with the prefixed names.
+/// Hierarchy expansion (see `flatten` for the contract): all
+/// instance-path prefixing happens in the symbol table's arena. Takes
+/// the netlist by value -- the symbol table moves into the flattened
+/// result and is extended with the prefixed names.
 [[nodiscard]] InternedNetlist flatten_interned(InternedNetlist netlist,
                                                const std::string& source = {});
 
-/// Id-space preprocessing: parallel/series merging and dummy/decap
-/// removal on ids, with net iteration ordered by name so the merge
-/// sequence (and therefore the surviving devices, values, and aliases)
-/// is bit-identical to `preprocess`.
+/// Preprocessing (see `preprocess` for the passes): parallel/series
+/// merging and dummy/decap removal on ids, with net iteration ordered
+/// by name so the merge sequence (and therefore the surviving devices,
+/// values, and aliases) does not depend on symbol ids.
 PreprocessReport preprocess_interned(InternedNetlist& netlist,
                                      const PreprocessOptions& options = {});
 

@@ -1,9 +1,9 @@
-// Id-space hierarchy expansion (see interned.hpp for the contract).
+// Hierarchy expansion in id space (see flatten.hpp for the contract).
 //
-// Mirrors flatten.cpp exactly: same expansion order, same prefixing,
-// same global/rail scoping rules, same failure Diags. All prefixed
-// names are built once into a scratch string and interned into the
-// netlist's own symbol table, whose arena the flattened result inherits.
+// Instances expand depth-first in card order, so the flattened device
+// order is the order a reader meets the cards. All prefixed names are
+// built once into a scratch string and interned into the netlist's own
+// symbol table, whose arena the flattened result inherits.
 #include <string>
 #include <unordered_map>
 #include <unordered_set>

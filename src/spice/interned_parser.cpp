@@ -1,16 +1,14 @@
-// Zero-copy parser fast path (see interned.hpp for the contract).
+// The SPICE parser (see parser.hpp for the grammar and interned.hpp for
+// the id-space result).
 //
-// The Reference parser (parser.cpp) copies every line out of an
-// istringstream and every token out of every line. This implementation
-// makes exactly one pass-sized allocation -- a lower-cased copy of the
-// whole input -- and lexes `std::string_view` tokens straight out of it.
-// Logical lines are sequences of physical-line segments (the Reference
-// joins continuations with ' ', so no token ever spans a segment
-// boundary); the only tokens that need materialization are the rare
-// "w = 1u" -> "w=1u" merges, which land in a small side buffer.
-//
-// Every acceptance, rejection, message, and source location must match
-// parser.cpp byte-for-byte; when editing one file, mirror the other.
+// It makes exactly one pass-sized allocation -- a lower-cased copy of
+// the whole input -- and lexes `std::string_view` tokens straight out of
+// it, instead of copying every line and every token into its own string.
+// A logical line is a sequence of physical-line segments: a continuation
+// reads as its card's text joined with ' ' and the '+' dropped, so no
+// token ever spans a segment boundary. The only tokens that need
+// materialization are the rare "w = 1u" -> "w=1u" merges, which land in
+// a small side buffer.
 #include <cctype>
 #include <cmath>
 #include <deque>
@@ -28,6 +26,28 @@
 namespace gana::spice {
 namespace {
 
+/// True if a normalized (trimmed, lower-cased) logical line is a device,
+/// instance, or directive card rather than free-form title prose.
+bool looks_like_card(const std::string& s) {
+  if (s.empty()) return false;
+  const char c = s.front();
+  if (c == '.') return true;
+  // A device/instance card: recognized leading letter and the minimum
+  // token count for that card type (so prose titles like "my amplifier"
+  // are not mistaken for MOS cards).
+  const std::size_t tokens = split_ws(s).size();
+  switch (c) {
+    case 'm': return tokens >= 6;
+    case 'r':
+    case 'c':
+    case 'l': return tokens >= 4;
+    case 'v':
+    case 'i':
+    case 'x': return tokens >= 3;
+    default: return false;
+  }
+}
+
 /// std::isspace in the C locale, without the per-char function call.
 bool is_space(char c) {
   switch (c) {
@@ -44,12 +64,12 @@ bool is_param_token(std::string_view t) {
 
 /// One logical line: `count` physical-line segments starting at
 /// `first` in the shared segment pool. Continuation segments keep their
-/// leading '+' (it reads as the ' ' the Reference join inserts).
+/// leading '+' (it reads as the ' ' that joins them to the card).
 struct Logical {
   std::size_t number = 0;       ///< 1-based first physical line
   std::uint32_t first = 0;      ///< index into the segment pool
   std::uint32_t count = 0;
-  std::size_t joined_size = 0;  ///< length of the Reference joined text
+  std::size_t joined_size = 0;  ///< length of the joined logical text
 };
 
 class InternedParser {
@@ -59,8 +79,9 @@ class InternedParser {
 
   InternedNetlist run() {
     perf::count_parse_bytes(text_.size());
-    // Same per-request deadline / fault-injection site as the Reference
-    // parser (parser.cpp), so both front ends abort at the same points.
+    // Per-request deadline / fault-injection site at parse entry; the
+    // loop below re-checks the deadline every 256 logical lines so a
+    // huge input cannot overstay its budget by a whole parse.
     checkpoint(Stage::Parse);
     split_lines();
     std::size_t i = 0;
@@ -68,7 +89,7 @@ class InternedParser {
     // anything later that fails to parse is an error, not a title.
     if (!lines_.empty() && lines_[0].number == 1) {
       const std::string joined = join_logical(lines_[0]);
-      if (!detail::looks_like_card(joined)) {
+      if (!looks_like_card(joined)) {
         netlist_.title = joined;
         i = 1;
       }
@@ -121,9 +142,9 @@ class InternedParser {
                                loc(line_number)));
   }
 
-  /// The logical-line text exactly as the Reference parser holds it:
-  /// segments joined with ' ', continuation '+' dropped. Cold path --
-  /// only titles and error messages ever materialize it.
+  /// The logical-line text: segments joined with ' ', continuation '+'
+  /// dropped. Cold path -- only titles and error messages ever
+  /// materialize it.
   [[nodiscard]] std::string join_logical(const Logical& line) const {
     std::string out{segs_[line.first]};
     for (std::uint32_t s = 1; s < line.count; ++s) {
@@ -135,8 +156,7 @@ class InternedParser {
   }
 
   /// Splits the lower-cased buffer into comment-stripped, trimmed
-  /// logical-line segments, applying the same input-size guards (with
-  /// the same messages) as the Reference split_lines.
+  /// logical-line segments, applying the input-size guards.
   void split_lines() {
     const ParseLimits& lim = options_.limits;
     if (lim.max_input_bytes != 0 && text_.size() > lim.max_input_bytes) {
@@ -222,10 +242,10 @@ class InternedParser {
     }
   }
 
-  /// normalize_param_tokens on views: the same merge rules as the
-  /// Reference ("w", "=", "1u" / "w=", "1u" / "w", "=1u" -> "w=1u").
-  /// Merged tokens have no contiguous source bytes, so they materialize
-  /// into `merged_` (cleared per card; interning copies what survives).
+  /// Splits "key=value" tokens back together, tolerating spaces around
+  /// '=' ("w", "=", "1u" / "w=", "1u" / "w", "=1u" -> "w=1u"). Merged
+  /// tokens have no contiguous source bytes, so they materialize into
+  /// `merged_` (cleared per card; interning copies what survives).
   void normalize_tokens(std::vector<std::string_view>& t) {
     norm_.clear();
     for (std::size_t i = 0; i < t.size(); ++i) {
@@ -402,8 +422,8 @@ class InternedParser {
                             : netlist_.instances;
   }
 
-  /// "key=value" with exactly one '=': mirrors the Reference's
-  /// `split(t, '=').size() == 2` acceptance without building strings.
+  /// "key=value" with exactly one '=' (either side may be empty),
+  /// split without building strings.
   static bool split_kv(std::string_view t, std::string_view& key,
                        std::string_view& value) {
     const auto eq = t.find('=');

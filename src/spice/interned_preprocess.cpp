@@ -1,14 +1,14 @@
-// Id-space preprocessing (see interned.hpp for the contract).
+// Preprocessing in id space (see preprocess.hpp for the passes).
 //
-// Mirrors preprocess.cpp pass for pass. Two ordering rules carried over
-// from the Reference implementation are load-bearing for bit-identical
-// output:
-//  * merge_series visits internal nets in net-NAME order (the Reference
-//    iterates Netlist::connectivity(), a std::map keyed by name), so the
-//    id-space pass sorts candidate net ids by their interned bytes;
-//  * merge_parallel only relies on key EQUALITY (the Reference keeps the
-//    first device per key and never iterates its key map), so canonical
-//    drain/source ordering by id is equivalent to ordering by name.
+// Two ordering rules decide which device survives a merge, and so the
+// surviving names, values and aliases the goldens pin:
+//  * merge_series visits internal nets in net-NAME order (the order of
+//    Netlist::connectivity(), a std::map keyed by name), so the pass
+//    sorts candidate net ids by their interned bytes -- never by id,
+//    which would depend on the order names were first interned;
+//  * merge_parallel only relies on key EQUALITY (it keeps the first
+//    device per key and never iterates its key map), so canonical
+//    drain/source ordering by id is as good as ordering by name.
 #include <algorithm>
 #include <string>
 #include <unordered_map>
@@ -30,8 +30,7 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
 
 /// Connection key for parallel-merge: devices with equal keys are
 /// electrically parallel. MOS drain/source are interchangeable, so the
-/// (d, s) pair is ordered canonically (by id; equality-equivalent to the
-/// Reference's by-name ordering).
+/// (d, s) pair is ordered canonically (by id; only equality matters).
 struct ParallelKey {
   DeviceType type = DeviceType::Nmos;
   SymbolId model = kNoSymbol;
@@ -198,9 +197,8 @@ class InternedPreprocessor {
         conn[pins[pi]].push_back({di, pi});
       }
     }
-    // The Reference iterates a std::map keyed by net NAME; merges mutate
-    // device pins as the loop runs, so the visit order is observable.
-    // Sort the candidate net ids by their interned bytes to match.
+    // Merges mutate device pins as the loop runs, so the visit order is
+    // observable: visit nets in NAME order (see the file comment).
     std::vector<SymbolId> nets;
     nets.reserve(conn.size());
     for (const auto& [net, touches] : conn) {

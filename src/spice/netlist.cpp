@@ -1,8 +1,6 @@
 #include "spice/netlist.hpp"
 
-#include <algorithm>
-#include <cmath>
-
+#include "spice/interned.hpp"
 #include "util/strings.hpp"
 
 namespace gana::spice {
@@ -79,115 +77,11 @@ Netlist::connectivity() const {
   return m;
 }
 
-namespace {
-
-/// Diag at the card's recorded source line, stage Validate.
-Diag at(const std::string& source, std::size_t line, DiagCode code,
-        std::string message) {
-  return make_diag(code, Stage::Validate, std::move(message),
-                   SourceLoc{source, line});
-}
-
-bool all_finite(const Device& d) {
-  if (!std::isfinite(d.value)) return false;
-  for (const auto& [key, v] : d.params) {
-    (void)key;
-    if (!std::isfinite(v)) return false;
-  }
-  return true;
-}
-
-std::optional<Diag> check_devices(const std::vector<Device>& devices,
-                                  const std::string& scope,
-                                  const std::string& source) {
-  for (const auto& d : devices) {
-    if (d.name.empty()) {
-      return at(source, d.src_line, DiagCode::EmptyName,
-                "unnamed device in " + scope);
-    }
-    const std::size_t expected = is_mos(d.type) ? 4 : 2;
-    if (d.pins.size() != expected) {
-      return at(source, d.src_line, DiagCode::BadPinCount,
-                "device " + d.name + " in " + scope + " has " +
-                    std::to_string(d.pins.size()) + " pins, expected " +
-                    std::to_string(expected));
-    }
-    for (const auto& p : d.pins) {
-      if (p.empty()) {
-        return at(source, d.src_line, DiagCode::EmptyName,
-                  "device " + d.name + " in " + scope +
-                      " has an empty net name");
-      }
-    }
-    // Inf/NaN values would silently poison the feature matrix and every
-    // downstream GCN activation; reject them at the model boundary.
-    if (!all_finite(d)) {
-      return at(source, d.src_line, DiagCode::NonFinite,
-                "device " + d.name + " in " + scope +
-                    " has a non-finite value or parameter");
-    }
-  }
-  return std::nullopt;
-}
-
-// Devices and subckt instances share one per-scope namespace: a repeated
-// name would silently alias two elements after flattening (prefixes are
-// built from instance paths), so reject it up front.
-std::optional<Diag> check_unique_names(const std::vector<Device>& devices,
-                                       const std::vector<Instance>& instances,
-                                       const std::string& scope,
-                                       const std::string& source) {
-  std::set<std::string> seen;
-  for (const auto& d : devices) {
-    if (!seen.insert(d.name).second) {
-      return at(source, d.src_line, DiagCode::DuplicateName,
-                "duplicate device name " + d.name + " in " + scope);
-    }
-  }
-  for (const auto& i : instances) {
-    if (!seen.insert(i.name).second) {
-      return at(source, i.src_line, DiagCode::DuplicateName,
-                "duplicate instance name " + i.name + " in " + scope);
-    }
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
 std::optional<Diag> Netlist::check(const std::string& source) const {
-  if (auto d = check_devices(devices, "top level", source)) return d;
-  if (auto d = check_unique_names(devices, instances, "top level", source)) {
-    return d;
-  }
-  auto check_instances =
-      [&](const std::vector<Instance>& insts,
-          const std::string& scope) -> std::optional<Diag> {
-    for (const auto& inst : insts) {
-      auto it = subckts.find(inst.subckt);
-      if (it == subckts.end()) {
-        return at(source, inst.src_line, DiagCode::UndefinedSubckt,
-                  "instance " + inst.name + " in " + scope +
-                      " references undefined subckt " + inst.subckt);
-      }
-      if (it->second.ports.size() != inst.nets.size()) {
-        return at(source, inst.src_line, DiagCode::PortMismatch,
-                  "instance " + inst.name + " in " + scope + " binds " +
-                      std::to_string(inst.nets.size()) + " nets to subckt " +
-                      inst.subckt + " with " +
-                      std::to_string(it->second.ports.size()) + " ports");
-      }
-    }
-    return std::nullopt;
-  };
-  if (auto d = check_instances(instances, "top level")) return d;
-  for (const auto& [name, def] : subckts) {
-    const std::string scope = "subckt " + name;
-    if (auto d = check_devices(def.devices, scope, source)) return d;
-    if (auto d = check_unique_names(def.devices, def.instances, scope, source)) {
-      return d;
-    }
-    if (auto d = check_instances(def.instances, scope)) return d;
+  try {
+    validate_interned(intern_netlist(*this, source), source);
+  } catch (const NetlistError& e) {
+    return e.diag();
   }
   return std::nullopt;
 }

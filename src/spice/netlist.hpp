@@ -133,6 +133,8 @@ struct Netlist {
   /// describing the first violation (undefined subckt reference, wrong
   /// pin count, empty/duplicate names, non-finite device value), located
   /// at the offending card's source line within `source` when known.
+  /// Interns the netlist and runs `validate_interned`
+  /// (spice/interned.hpp).
   [[nodiscard]] std::optional<Diag> check(const std::string& source = {}) const;
 
   /// Throws NetlistError on the first violation found by `check`.

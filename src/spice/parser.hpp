@@ -49,8 +49,8 @@ struct ParseOptions {
 /// checking `limits.max_input_bytes` against the file size up front (so
 /// an oversized file is rejected before its bytes are pulled in).
 /// Throws ParseError with DiagCode::IoError when the file cannot be
-/// opened, DiagCode::LimitExceeded when it is too large. Shared by the
-/// Reference and interned parser entry points.
+/// opened, DiagCode::LimitExceeded when it is too large. Every file
+/// entry point reads through it.
 std::string read_netlist_text(const std::string& path,
                               const ParseLimits& limits = {});
 
@@ -65,7 +65,9 @@ std::string read_probed_text(std::istream& in, std::size_t probed_size,
 
 /// Parses a complete netlist from text. Case-insensitive; the first line
 /// is treated as a title only if it does not look like a card or
-/// directive (so library snippets without titles also parse).
+/// directive (so library snippets without titles also parse). Runs the
+/// id-space parser (`parse_netlist_interned`, spice/interned.hpp) and
+/// materializes its result.
 Netlist parse_netlist(std::string_view text, const ParseOptions& options = {});
 
 /// Parses a netlist from a file on disk; diagnostics cite the path.
@@ -78,15 +80,5 @@ Netlist parse_netlist_file(const std::string& path,
     std::string_view text, const ParseOptions& options = {});
 [[nodiscard]] Result<Netlist> parse_netlist_file_result(
     const std::string& path, const ParseLimits& limits = {});
-
-namespace detail {
-
-/// True if a normalized (trimmed, lower-cased) logical line is a device,
-/// instance, or directive card rather than free-form title prose. Shared
-/// between the Reference and interned parsers so both apply the same
-/// title heuristic.
-[[nodiscard]] bool looks_like_card(const std::string& line);
-
-}  // namespace detail
 
 }  // namespace gana::spice

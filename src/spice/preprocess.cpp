@@ -1,200 +1,15 @@
 #include "spice/preprocess.hpp"
 
-#include <algorithm>
-#include <array>
-#include <set>
+#include "spice/interned.hpp"
 
 namespace gana::spice {
-namespace {
-
-bool is_rail(const std::string& net) {
-  return is_supply_net(net) || is_ground_net(net);
-}
-
-/// Connection key for parallel-merge: devices with equal keys are
-/// electrically parallel. MOS drain/source are interchangeable, so the
-/// (d, s) pair is ordered canonically.
-std::string parallel_key(const Device& d) {
-  std::string key = std::string(to_string(d.type)) + "|" + d.model + "|";
-  if (is_mos(d.type)) {
-    std::string a = d.pins[kDrain], b = d.pins[kSource];
-    if (a > b) std::swap(a, b);
-    key += a + "," + d.pins[kGate] + "," + b + "," + d.pins[kBody];
-  } else {
-    std::string a = d.pins[0], b = d.pins[1];
-    if (a > b) std::swap(a, b);
-    key += a + "," + b;
-  }
-  return key;
-}
-
-bool is_dummy_mos(const Device& d) {
-  if (!is_mos(d.type)) return false;
-  const auto& p = d.pins;
-  // Shorted channel: source tied to drain.
-  if (p[kDrain] == p[kSource]) return true;
-  // All channel terminals parked on rails (classic fill dummy).
-  if (is_rail(p[kDrain]) && is_rail(p[kGate]) && is_rail(p[kSource])) {
-    return true;
-  }
-  // Gate tied to its own source (device permanently off) with drain on a
-  // rail: edge dummy.
-  if (p[kGate] == p[kSource] && is_rail(p[kDrain])) return true;
-  return false;
-}
-
-bool is_decap(const Device& d) {
-  if (d.type != DeviceType::Capacitor) return false;
-  const auto& p = d.pins;
-  if (p[0] == p[1]) return true;
-  return is_rail(p[0]) && is_rail(p[1]);
-}
-
-/// Nets that must not be eliminated by series merging.
-std::set<std::string> protected_nets(const Netlist& n) {
-  std::set<std::string> keep;
-  for (const auto& [net, label] : n.port_labels) {
-    (void)label;
-    keep.insert(net);
-  }
-  for (const auto& g : n.globals) keep.insert(g);
-  return keep;
-}
-
-class Preprocessor {
- public:
-  Preprocessor(Netlist& netlist, const PreprocessOptions& options)
-      : netlist_(netlist), options_(options) {}
-
-  PreprocessReport run() {
-    if (!netlist_.is_flat()) {
-      throw NetlistError(make_diag(DiagCode::NotFlat, Stage::Preprocess,
-                                   "preprocess requires a flattened netlist"));
-    }
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      if (options_.remove_decaps) changed |= remove_if_pass(&is_decap, true);
-      if (options_.remove_dummies) {
-        changed |= remove_if_pass(&is_dummy_mos, false);
-      }
-      if (options_.merge_parallel) changed |= merge_parallel_pass();
-      if (options_.merge_series) changed |= merge_series_pass();
-    }
-    return std::move(report_);
-  }
-
- private:
-  bool remove_if_pass(bool (*pred)(const Device&), bool decap) {
-    auto& devs = netlist_.devices;
-    const std::size_t before = devs.size();
-    for (const auto& d : devs) {
-      if (pred(d)) report_.alias[d.name] = "";
-    }
-    devs.erase(std::remove_if(devs.begin(), devs.end(), pred), devs.end());
-    const std::size_t removed = before - devs.size();
-    (decap ? report_.removed_decaps : report_.removed_dummies) += removed;
-    return removed > 0;
-  }
-
-  bool merge_parallel_pass() {
-    auto& devs = netlist_.devices;
-    std::map<std::string, std::size_t> first_by_key;
-    std::vector<bool> drop(devs.size(), false);
-    bool changed = false;
-    for (std::size_t i = 0; i < devs.size(); ++i) {
-      const std::string key = parallel_key(devs[i]);
-      auto [it, inserted] = first_by_key.emplace(key, i);
-      if (inserted) continue;
-      Device& keep = devs[it->second];
-      keep.params["m"] = keep.multiplicity() + devs[i].multiplicity();
-      if (keep.type == DeviceType::Capacitor ||
-          keep.type == DeviceType::ISource) {
-        keep.value += devs[i].value;  // parallel caps/currents add
-      }
-      report_.alias[devs[i].name] = keep.name;
-      drop[i] = true;
-      ++report_.merged_parallel;
-      changed = true;
-    }
-    if (changed) erase_marked(drop);
-    return changed;
-  }
-
-  bool merge_series_pass() {
-    auto& devs = netlist_.devices;
-    const auto conn = netlist_.connectivity();
-    const auto keep_nets = protected_nets(netlist_);
-    std::vector<bool> drop(devs.size(), false);
-    bool changed = false;
-
-    for (const auto& [net, touches] : conn) {
-      if (touches.size() != 2) continue;           // internal node only
-      if (is_rail(net) || keep_nets.count(net)) continue;
-      const auto [di, pi] = touches[0];
-      const auto [dj, pj] = touches[1];
-      if (di == dj || drop[di] || drop[dj]) continue;
-      Device& a = devs[di];
-      Device& b = devs[dj];
-      if (a.type != b.type) continue;
-
-      if (is_mos(a.type)) {
-        // Series stack: the shared net is a channel terminal of both, the
-        // gates are tied together, and the bodies match.
-        const bool a_chan = (pi == kDrain || pi == kSource);
-        const bool b_chan = (pj == kDrain || pj == kSource);
-        if (!a_chan || !b_chan) continue;
-        if (a.pins[kGate] != b.pins[kGate]) continue;
-        if (a.pins[kBody] != b.pins[kBody]) continue;
-        if (a.model != b.model) continue;
-        // Outer terminals replace the merged channel.
-        const std::size_t a_other = (pi == kDrain) ? kSource : kDrain;
-        const std::size_t b_other = (pj == kDrain) ? kSource : kDrain;
-        a.pins[pi] = b.pins[b_other];
-        // Stacked devices emulate a longer channel.
-        auto al = a.params.find("l");
-        auto bl = b.params.find("l");
-        if (al != a.params.end() && bl != b.params.end()) {
-          al->second += bl->second;
-        }
-        (void)a_other;
-        report_.alias[b.name] = a.name;
-        drop[dj] = true;
-        ++report_.merged_series;
-        changed = true;
-      } else if (a.type == DeviceType::Resistor) {
-        a.pins[pi] = b.pins[1 - pj];
-        a.value += b.value;
-        report_.alias[b.name] = a.name;
-        drop[dj] = true;
-        ++report_.merged_series;
-        changed = true;
-      }
-    }
-    if (changed) erase_marked(drop);
-    return changed;
-  }
-
-  void erase_marked(const std::vector<bool>& drop) {
-    auto& devs = netlist_.devices;
-    std::vector<Device> kept;
-    kept.reserve(devs.size());
-    for (std::size_t i = 0; i < devs.size(); ++i) {
-      if (!drop[i]) kept.push_back(std::move(devs[i]));
-    }
-    devs = std::move(kept);
-  }
-
-  Netlist& netlist_;
-  const PreprocessOptions& options_;
-  PreprocessReport report_;
-};
-
-}  // namespace
 
 PreprocessReport preprocess(Netlist& netlist,
                             const PreprocessOptions& options) {
-  return Preprocessor(netlist, options).run();
+  InternedNetlist interned = intern_netlist(netlist);
+  PreprocessReport report = preprocess_interned(interned, options);
+  netlist = materialize_netlist(interned);
+  return report;
 }
 
 }  // namespace gana::spice

@@ -47,7 +47,9 @@ struct PreprocessOptions {
 };
 
 /// Runs all enabled passes to a fixpoint on a flat netlist (throws
-/// NetlistError if `netlist` still contains instances).
+/// NetlistError if `netlist` still contains instances). Interns
+/// `netlist`, runs `preprocess_interned` (spice/interned.hpp) and
+/// materializes the result back into it.
 PreprocessReport preprocess(Netlist& netlist,
                             const PreprocessOptions& options = {});
 

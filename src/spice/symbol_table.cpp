@@ -40,6 +40,9 @@ SymbolTable::SymbolTable() : buckets_(kInitialBuckets, kNoSymbol) {
 }
 
 std::string_view SymbolTable::arena_store(std::string_view name) {
+  // An empty name needs no bytes -- and may arrive before any chunk
+  // exists (an unnamed first device), so never touch chunks_ for it.
+  if (name.empty()) return {};
   if (name.size() > chunk_cap_ - chunk_used_) {
     const std::size_t cap = name.size() > kChunkBytes ? name.size()
                                                       : kChunkBytes;

@@ -417,6 +417,28 @@ TEST(LibraryIo, TextLoaderRejectsDuplicatePrimitive) {
   EXPECT_EQ(r.diag().code, DiagCode::DuplicateName);
 }
 
+TEST(LibraryIo, BinaryRejectsADeviceWithSevenPins) {
+  // A real compiled spec with one device widened past any device's pin
+  // count, saved through the artifact writer: checksum and fingerprint
+  // are valid, so only the loader's netlist check stands in the way.
+  const auto standard = primitives::PrimitiveLibrary::standard();
+  const auto* inv = standard.find("inv");
+  ASSERT_NE(inv, nullptr);
+  auto spec = std::make_unique<primitives::PrimitiveSpec>(*inv);
+  spice::Device& widened = spec->netlist.devices.front();
+  widened.pins = {"a", "b", "c", "d", "e", "f", "g"};
+  primitives::PrimitiveLibrary lib;
+  lib.add_spec(std::move(spec));
+  const std::string path = temp_path("seven_pins.bin");
+  ASSERT_TRUE(primitives::save_library_artifact(lib, path).ok());
+  auto r = primitives::load_library_artifact(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.diag().code, DiagCode::BadPinCount) << r.diag().render();
+  EXPECT_EQ(r.diag().stage, Stage::Validate);
+  EXPECT_EQ(r.diag().message,
+            "device " + widened.name + " in top level has 7 pins, expected 4");
+}
+
 TEST(LibraryIo, BinaryRejectsWrongKind) {
   gcn::GcnModel model(tiny_config());
   const std::string path = temp_path("model_as_lib.bin");

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "spice/flatten.hpp"
 #include "spice/parser.hpp"
@@ -296,6 +298,174 @@ TEST(ValidateDiag, ValidateThrowsTheCheckDiag) {
     EXPECT_EQ(e.diag().code, DiagCode::EmptyName);
     EXPECT_EQ(e.diag().loc.file, "v.sp");
   }
+}
+
+TEST(ValidateDiag, SevenPinDeviceIsBadPinCount) {
+  // More pins than any device type has: rejected at the card, never
+  // written past the per-device pin storage.
+  spice::Netlist n;
+  spice::Device d;
+  d.name = "rwide";
+  d.type = spice::DeviceType::Resistor;
+  d.pins = {"a", "b", "c", "d", "e", "f", "g"};
+  d.src_line = 9;
+  n.devices.push_back(d);
+  auto diag = n.check("seven.sp");
+  ASSERT_TRUE(diag.has_value());
+  EXPECT_EQ(diag->code, DiagCode::BadPinCount);
+  EXPECT_EQ(diag->stage, Stage::Validate);
+  EXPECT_EQ(diag->message, "device rwide in top level has 7 pins, expected 2");
+  EXPECT_EQ(diag->loc.file, "seven.sp");
+  EXPECT_EQ(diag->loc.line, 9u);
+
+  // The same inside a subckt definition names the subckt as the scope.
+  spice::Netlist sub;
+  spice::SubcktDef def;
+  def.name = "cell";
+  def.ports = {"a"};
+  spice::Device m;
+  m.name = "m1";
+  m.type = spice::DeviceType::Nmos;
+  m.pins = {"a", "b", "c", "d", "e"};
+  m.src_line = 6;
+  def.devices.push_back(m);
+  sub.subckts.emplace(def.name, def);
+  diag = sub.check("cell.sp");
+  ASSERT_TRUE(diag.has_value());
+  EXPECT_EQ(diag->code, DiagCode::BadPinCount);
+  EXPECT_EQ(diag->message, "device m1 in subckt cell has 5 pins, expected 4");
+  EXPECT_EQ(diag->loc.file, "cell.sp");
+  EXPECT_EQ(diag->loc.line, 6u);
+}
+
+TEST(ValidateDiag, UnnamedFirstDeviceIsEmptyName) {
+  spice::Netlist n;
+  spice::Device d;  // unnamed, and the very first name the check sees
+  d.type = spice::DeviceType::Resistor;
+  d.pins = {"a", "b"};
+  d.src_line = 3;
+  n.devices.push_back(d);
+  auto diag = n.check("anon.sp");
+  ASSERT_TRUE(diag.has_value());
+  EXPECT_EQ(diag->code, DiagCode::EmptyName);
+  EXPECT_EQ(diag->stage, Stage::Validate);
+  EXPECT_EQ(diag->message, "unnamed device in top level");
+  EXPECT_EQ(diag->loc.file, "anon.sp");
+  EXPECT_EQ(diag->loc.line, 3u);
+}
+
+// --- Pinned front-end rejections: every field of the Diag, per input. --
+
+struct PinnedRejection {
+  const char* text;
+  spice::ParseLimits limits;
+  DiagCode code;
+  Stage stage;
+  const char* message;
+  const char* file;
+  std::size_t line;
+  std::vector<std::string> notes;
+};
+
+/// Parses `row.text` as "pin.sp" and, if that succeeds and `flatten_too`
+/// is set, flattens it; the first rejection must match the row exactly.
+void expect_pinned(const PinnedRejection& row, bool flatten_too) {
+  SCOPED_TRACE(row.text);
+  spice::ParseOptions options;
+  options.source = "pin.sp";
+  options.limits = row.limits;
+  auto result = parse_netlist_result(row.text, options);
+  if (flatten_too && result.ok()) {
+    result = spice::flatten_result(result.value(), options.source);
+  }
+  ASSERT_FALSE(result.ok());
+  const Diag& d = result.diag();
+  EXPECT_EQ(d.code, row.code) << d.render();
+  EXPECT_EQ(d.stage, row.stage) << d.render();
+  EXPECT_EQ(d.message, row.message);
+  EXPECT_EQ(d.loc.file, row.file);
+  EXPECT_EQ(d.loc.line, row.line);
+  EXPECT_EQ(d.notes, row.notes);
+}
+
+// The two FrontEndEquivalence tests keep the names they had when the
+// parser had a second, string-space implementation to compare against:
+// each row is that reference's answer for its input, pinned.
+TEST(FrontEndEquivalence, ParseRejectionsMatchReference) {
+  const PinnedRejection rows[] = {
+      // A title line first: a short card on line 1 would otherwise be
+      // taken as the netlist title (no Diag at all).
+      {"* t\nm1 d g s\n.end\n", {}, DiagCode::SyntaxError, Stage::Parse,
+       "MOS card needs name, 4 nets, and a model [m1 d g s]", "pin.sp", 2,
+       {}},
+      {"r1 a b 1.5kk\n.end\n", {}, DiagCode::BadValue, Stage::Parse,
+       "bad value '1.5kk' [r1 a b 1.5kk]", "pin.sp", 1, {}},
+      {"* t\nm1 d g s b\n.end\n", {}, DiagCode::SyntaxError, Stage::Parse,
+       "MOS card needs name, 4 nets, and a model [m1 d g s b]", "pin.sp", 2,
+       {}},
+      {"* t\nr1 a b\n.end\n", {}, DiagCode::SyntaxError, Stage::Parse,
+       "passive card needs name, 2 nets, value [r1 a b]", "pin.sp", 2, {}},
+      {"* t\nx0 a\n.end\n", {}, DiagCode::SyntaxError, Stage::Parse,
+       "instance card needs nets and a subckt [x0 a]", "pin.sp", 2, {}},
+      {"* t\nv1 p\n.end\n", {}, DiagCode::SyntaxError, Stage::Parse,
+       "source card needs name and 2 nets [v1 p]", "pin.sp", 2, {}},
+      {".subckt\n.ends\n.end\n", {}, DiagCode::SyntaxError, Stage::Parse,
+       ".subckt needs a name [.subckt]", "pin.sp", 1, {}},
+      {".subckt a p\n.subckt b q\n", {}, DiagCode::SyntaxError, Stage::Parse,
+       "nested .subckt definitions are not supported [.subckt b q]",
+       "pin.sp", 2, {}},
+      {".ends\n.end\n", {}, DiagCode::SyntaxError, Stage::Parse,
+       ".ends without .subckt [.ends]", "pin.sp", 1, {}},
+      {".subckt a p\nr1 p q 1k\n.end\n", {}, DiagCode::SyntaxError,
+       Stage::Parse, "unterminated .subckt a", "pin.sp", 1, {}},
+      {".bogus x y\n.end\n", {}, DiagCode::UnknownDirective, Stage::Parse,
+       "unsupported directive '.bogus' [.bogus x y]", "pin.sp", 1, {}},
+      {".param q\n.end\n", {}, DiagCode::SyntaxError, Stage::Parse,
+       "malformed .param entry 'q' [.param q]", "pin.sp", 1, {}},
+      {"r1 a b 1k\nr1 a b 2k\n.end\n", {}, DiagCode::DuplicateName,
+       Stage::Validate, "duplicate device name r1 in top level", "pin.sp", 2,
+       {}},
+      {"x0 a b missing\n.end\n", {}, DiagCode::UndefinedSubckt,
+       Stage::Validate,
+       "instance x0 in top level references undefined subckt missing",
+       "pin.sp", 1, {}},
+      {"+ w=1\n.end\n", {}, DiagCode::SyntaxError, Stage::Parse,
+       "continuation with no preceding card", "pin.sp", 1, {}},
+  };
+  for (const auto& row : rows) expect_pinned(row, /*flatten_too=*/false);
+}
+
+TEST(FrontEndEquivalence, LimitRejectionsMatchReference) {
+  const PinnedRejection rows[] = {
+      {"r1 a b 1k\nr2 b c 1k\nr3 c d 1k\n.end\n", {.max_lines = 2},
+       DiagCode::LimitExceeded, Stage::Parse, "more than 2 lines of input",
+       "pin.sp", 3, {}},
+      {"r1 a b 1k\nrlonger a b 1k\n.end\n", {.max_line_length = 8},
+       DiagCode::LimitExceeded, Stage::Parse, "line is 9 bytes, limit 8",
+       "pin.sp", 1, {}},
+      {"r1 a b 1k\nr2 b c 1k\n.end\n", {.max_input_bytes = 16},
+       DiagCode::LimitExceeded, Stage::Parse, "input is 25 bytes, limit 16",
+       "pin.sp", 0, {}},
+  };
+  for (const auto& row : rows) expect_pinned(row, /*flatten_too=*/false);
+}
+
+TEST(FlattenDiag, PinnedRejections) {
+  const PinnedRejection rows[] = {
+      {".subckt a p\nxb p b\n.ends\n.subckt b p\nxa p a\n.ends\nx0 t a\n"
+       ".end\n",
+       {}, DiagCode::RecursiveSubckt, Stage::Flatten,
+       "recursive instantiation of subckt a", "pin.sp", 5,
+       {"x0 instantiates subckt a", "x0/xb instantiates subckt b",
+        "x0/xb/xa instantiates subckt a again -- cycle"}},
+      // The port-count mismatch is caught by the parser's validation,
+      // before flatten would see it.
+      {".subckt cell p q\nr1 p q 1k\n.ends\nx0 a cell\n.end\n", {},
+       DiagCode::PortMismatch, Stage::Validate,
+       "instance x0 in top level binds 1 nets to subckt cell with 2 ports",
+       "pin.sp", 4, {}},
+  };
+  for (const auto& row : rows) expect_pinned(row, /*flatten_too=*/true);
 }
 
 // --- Flatten cycle detection (satellite: recursive .subckt). ----------

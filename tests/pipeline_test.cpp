@@ -180,6 +180,53 @@ m1 x vinp tail gnd! nmos w=4u l=100n
   }
 }
 
+/// A resistor card as a hand-built netlist holds it (no parser checks).
+spice::Device resistor(std::string name, std::vector<std::string> pins,
+                       std::size_t src_line) {
+  spice::Device d;
+  d.name = std::move(name);
+  d.type = spice::DeviceType::Resistor;
+  d.pins = std::move(pins);
+  d.value = 1e3;
+  d.src_line = src_line;
+  return d;
+}
+
+TEST(Annotator, TryAnnotateRejectsASevenPinDevice) {
+  // 200 resistors, then one with more pins than any device has. The
+  // Diag names the circuit.
+  spice::Netlist netlist;
+  for (int i = 0; i < 200; ++i) {
+    const std::string n = std::to_string(i);
+    netlist.devices.push_back(resistor("r" + n, {"a" + n, "b" + n}, 0));
+  }
+  netlist.devices.push_back(
+      resistor("rwide", {"a", "b", "c", "d", "e", "f", "g"}, 201));
+  Annotator annotator(nullptr, {"ota", "bias"});
+  const auto tried = annotator.try_annotate(netlist, "wide");
+  ASSERT_FALSE(tried.ok());
+  EXPECT_EQ(tried.diag().code, DiagCode::BadPinCount);
+  EXPECT_EQ(tried.diag().stage, Stage::Validate);
+  EXPECT_EQ(tried.diag().message,
+            "device rwide in top level has 7 pins, expected 2");
+  EXPECT_EQ(tried.diag().loc.file, "wide");
+  EXPECT_EQ(tried.diag().loc.line, 201u);
+}
+
+TEST(Annotator, TryAnnotateRejectsAnUnnamedFirstDevice) {
+  spice::Netlist netlist;
+  netlist.devices.push_back(resistor("", {"a", "b"}, 2));
+  netlist.devices.push_back(resistor("r1", {"b", "c"}, 3));
+  Annotator annotator(nullptr, {"ota", "bias"});
+  const auto tried = annotator.try_annotate(netlist, "anon");
+  ASSERT_FALSE(tried.ok());
+  EXPECT_EQ(tried.diag().code, DiagCode::EmptyName);
+  EXPECT_EQ(tried.diag().stage, Stage::Validate);
+  EXPECT_EQ(tried.diag().message, "unnamed device in top level");
+  EXPECT_EQ(tried.diag().loc.file, "anon");
+  EXPECT_EQ(tried.diag().loc.line, 2u);
+}
+
 // --- Model shape checks --------------------------------------------------
 //
 // The layers check shapes with asserts only, which release builds

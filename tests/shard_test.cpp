@@ -532,6 +532,32 @@ TEST_F(ShardDriverTest, MergeGoldenPinsRecordFormat) {
 }
 
 // ---------------------------------------------------------------------------
+// perf summary
+
+TEST_F(ShardDriverTest, InProcessSliceCountsItsParse) {
+  // The slice parses its files before the batch runner's counter window
+  // opens; the parse window's counters must still land in the slice's
+  // timings. One job, so no other thread moves the process counters.
+  auto entries = read_manifest(manifest());
+  ASSERT_TRUE(entries.ok()) << entries.diag().render();
+  SliceRunner runner;
+  ASSERT_TRUE(runner.init(PipelineOptions{}).ok());
+  const PerfSnapshot before = perf_snapshot();
+  auto slice = runner.run(entries.value(), {0, entries.value().size()},
+                          [](std::size_t, const NetlistRecord&) {
+                            return true;
+                          });
+  const PerfSnapshot delta = perf_snapshot() - before;
+  ASSERT_TRUE(slice.ok()) << slice.diag().render();
+  const core::BatchTimings& timings = slice.value().timings;
+  EXPECT_GT(delta.parse_bytes, 0u);
+  EXPECT_EQ(timings.parse_bytes, delta.parse_bytes);
+  EXPECT_EQ(timings.intern_hits, delta.intern_hits);
+  EXPECT_EQ(timings.intern_misses, delta.intern_misses);
+  EXPECT_EQ(timings.frontend_allocs, delta.frontend_allocs);
+}
+
+// ---------------------------------------------------------------------------
 // corpus generation
 
 TEST(Corpus, CircuitTextIsPureFunctionOfSeedAndIndex) {
