@@ -193,6 +193,13 @@ int main(int argc, char** argv) {
   }
   const std::vector<std::string> paths = args.positional();
   const std::string domain = args.get("domain", "ota");
+  const auto domain_classes = gana::datagen::domain_class_names(domain);
+  if (!domain_classes.has_value()) {
+    std::fprintf(stderr, "error: unknown --domain '%s' (expected ota or rf)\n",
+                 domain.c_str());
+    return kExitUsage;
+  }
+  const std::vector<std::string>& classes = *domain_classes;
   const std::string kernel = args.get("kernel", "simd");
   if (kernel == "simd") {
     gana::set_matmul_kernel(gana::MatmulKernel::Simd);
@@ -287,9 +294,6 @@ int main(int argc, char** argv) {
 
   // --- Annotate. The fault-isolated batch path never throws: every
   // parsed netlist comes back as a result or a staged diagnostic.
-  const std::vector<std::string> classes =
-      domain == "rf" ? gana::datagen::rf_class_names()
-                     : std::vector<std::string>{"ota", "bias"};
   auto library =
       gana::primitives::load_library_any(args.get("load-library", "standard"));
   if (!library.ok()) {

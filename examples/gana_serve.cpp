@@ -89,6 +89,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string domain = args.get("domain", "ota");
+  const auto classes = gana::datagen::domain_class_names(domain);
+  if (!classes.has_value()) {
+    std::fprintf(stderr,
+                 "gana-serve: unknown --domain '%s' (expected ota or rf)\n",
+                 domain.c_str());
+    return 1;
+  }
 
   // Numeric flags are read before any work starts: a malformed value
   // is a usage error, never a silent default.
@@ -128,13 +135,12 @@ int main(int argc, char** argv) {
         cache_override("annotation-cache-capacity");
     config.inference_cache_capacity =
         cache_override("inference-cache-capacity");
-    config.seed = static_cast<std::uint64_t>(args.get_int(
-        "seed", static_cast<int>(gana::core::kDefaultSampleSeed)));
+    config.seed = args.get_u64("seed", config.seed);
     plan.alloc_failure = args.get_double("fault-alloc", 0.0);
     plan.stage_error = args.get_double("fault-error", 0.0);
     plan.stage_delay = args.get_double("fault-delay", 0.0);
     plan.delay_seconds = args.get_double("fault-delay-seconds", 0.01);
-    fault_seed = static_cast<std::uint64_t>(args.get_int("fault-seed", 1));
+    fault_seed = args.get_u64("fault-seed", fault_seed);
   } catch (const gana::ArgError& e) {
     std::fprintf(stderr, "gana-serve: %s\n", e.what());
     return 1;
@@ -156,9 +162,6 @@ int main(int argc, char** argv) {
     std::printf("loaded model from %s (%zu parameters)\n",
                 args.get("load-model").c_str(), model->parameter_count());
   }
-  const std::vector<std::string> classes =
-      domain == "rf" ? gana::datagen::rf_class_names()
-                     : std::vector<std::string>{"ota", "bias"};
   auto library =
       gana::primitives::load_library_any(args.get("load-library", "standard"));
   if (!library.ok()) {
@@ -169,7 +172,7 @@ int main(int argc, char** argv) {
   // builder and the --domain's classes.
   std::unique_ptr<gana::core::Annotator> annotator;
   try {
-    annotator = std::make_unique<gana::core::Annotator>(model.get(), classes,
+    annotator = std::make_unique<gana::core::Annotator>(model.get(), *classes,
                                                         library.take());
   } catch (const gana::DiagError& e) {
     std::fprintf(stderr, "gana-serve: %s\n", e.diag().render().c_str());

@@ -8,13 +8,15 @@
 //       parameters only fills in missing files.
 //
 //   gana_shard --manifest corpus/manifest.txt [--shards N] [--jobs N]
-//       Annotates every manifest entry across N worker processes and
+//       Annotates every manifest entry across N worker processes, each
+//       pulling index ranges from the parent as it goes idle, and
 //       writes merged JSONL records (one per netlist, manifest order)
 //       to stdout or --out. The merged bytes are identical for every
 //       --shards value; see src/shard/driver.hpp.
 //
-//   gana_shard --worker --manifest M [--steal | --begin A --end B] ...
-//       Internal: one shard's worker process, spawned by the driver.
+//   gana_shard --worker --manifest M ...
+//       Internal: one worker process, spawned by the driver; it reads
+//       grants on stdin and streams results to stdout.
 //
 //   gana_shard --pack-model ckpt.txt --out model.bin
 //   gana_shard --pack-library lib.txt|standard --out lib.bin
@@ -22,14 +24,16 @@
 //       binary artifact format workers map zero-copy at startup.
 //
 // Exit codes follow annotate_netlist (0 ok, 1 usage, 2 io, 3 parse,
-// 4 annotate, 5 timeout) plus 6 when a worker process crashed, exited
-// nonzero, or missed its shard deadline.
+// 4 annotate, 5 timeout) plus 6 when a worker process crashed or exited
+// nonzero; a worker killed at --shard-timeout-seconds (a wall-clock
+// budget per worker process, counted from its spawn) yields 5.
 
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 
 #include "datagen/corpus.hpp"
+#include "datagen/rf_gen.hpp"
 #include "gcn/serialize.hpp"
 #include "primitives/library_io.hpp"
 #include "shard/driver.hpp"
@@ -53,7 +57,6 @@ void print_usage() {
       "             [--per-dir N] [--ota-fraction F] [--rf-fraction F]\n"
       "  gana_shard --manifest FILE [--out FILE] [--shards N] [--jobs N]\n"
       "             [--domain ota|rf] [--keep-going]\n"
-      "             [--scheduler stealing|static]\n"
       "             [--shard-timeout-seconds S] [--timeout-seconds S]\n"
       "             [--seed S] [--no-caches] [--cache-capacity N]\n"
       "             [--load-model FILE] [--load-library FILE|standard]\n"
@@ -98,10 +101,7 @@ int run_datagen(const gana::Args& args) {
   }
   opt.count =
       static_cast<std::size_t>(std::max(args.get_int("count", 100000), 0));
-  const std::string seed_str = args.get("seed");
-  if (!seed_str.empty()) {
-    opt.seed = std::strtoull(seed_str.c_str(), nullptr, 10);
-  }
+  opt.seed = args.get_u64("seed", opt.seed);
   opt.files_per_subdir =
       static_cast<std::size_t>(std::max(args.get_int("per-dir", 1000), 1));
   opt.ota_fraction = args.get_double("ota-fraction", opt.ota_fraction);
@@ -184,9 +184,9 @@ int run_pack_library(const gana::Args& args) {
 int run_driver(const gana::Args& args) {
   args.reject_unknown(
       {"manifest", "out", "shards", "jobs", "domain", "keep-going",
-       "scheduler", "shard-timeout-seconds", "timeout-seconds", "seed",
-       "no-caches", "cache-capacity", "load-model", "load-library",
-       "perf-json", "worker-exe", "quiet"});
+       "shard-timeout-seconds", "timeout-seconds", "seed", "no-caches",
+       "cache-capacity", "load-model", "load-library", "perf-json",
+       "worker-exe", "quiet"});
   const std::string manifest = args.get("manifest");
   if (manifest.empty()) {
     std::fprintf(stderr, "gana-shard: --manifest is required\n");
@@ -202,12 +202,9 @@ int run_driver(const gana::Args& args) {
   opt.worker_exe = args.get("worker-exe");
   opt.pipeline.jobs =
       static_cast<std::size_t>(std::max(args.get_int("jobs", 1), 1));
-  const std::string seed_str = args.get("seed");
-  if (!seed_str.empty()) {
-    opt.pipeline.seed = std::strtoull(seed_str.c_str(), nullptr, 10);
-  }
+  opt.pipeline.seed = args.get_u64("seed", opt.pipeline.seed);
   opt.pipeline.domain = args.get("domain", "ota");
-  if (opt.pipeline.domain != "ota" && opt.pipeline.domain != "rf") {
+  if (!gana::datagen::domain_class_names(opt.pipeline.domain).has_value()) {
     std::fprintf(stderr, "gana-shard: unknown --domain %s\n",
                  opt.pipeline.domain.c_str());
     return kExitUsage;
@@ -218,16 +215,6 @@ int run_driver(const gana::Args& args) {
   opt.pipeline.timeout_seconds = args.get_double("timeout-seconds", 0.0);
   opt.pipeline.load_model = args.get("load-model");
   opt.pipeline.load_library = args.get("load-library");
-  const std::string scheduler = args.get("scheduler", "stealing");
-  if (scheduler == "static") {
-    opt.scheduler = gana::shard::Scheduler::Static;
-  } else if (scheduler == "stealing") {
-    opt.scheduler = gana::shard::Scheduler::Stealing;
-  } else {
-    std::fprintf(stderr, "gana-shard: unknown --scheduler %s\n",
-                 scheduler.c_str());
-    return kExitUsage;
-  }
 
   std::ofstream out_file;
   const std::string out_path = args.get("out");
@@ -257,7 +244,7 @@ int run_driver(const gana::Args& args) {
 
   const std::string perf_path = args.get("perf-json");
   if (!perf_path.empty()) {
-    // One object per shard: scheduler counters from the parent plus the
+    // One object per worker: grant counters from the parent plus the
     // worker's own batch-timings summary (null if it never arrived).
     std::ofstream perf(perf_path, std::ios::binary | std::ios::trunc);
     perf << "[";

@@ -39,7 +39,7 @@ done
 # or failed verification after writing its record never overwrites a
 # good one).
 status=0
-for b in gcn_inference primitive_matching sharding incremental; do
+for b in gcn_inference primitive_matching incremental; do
   echo "=== $b ==="
   record="BENCH_$b.json"
   tmp="$record.tmp"
@@ -52,11 +52,6 @@ for b in gcn_inference primitive_matching sharding incremental; do
     eff=$(sed -n 's/.*"jobs_scaling_efficiency":\([-0-9.eE+]*\).*/\1/p' \
           "$record")
     echo "$b jobs-scaling efficiency (cpu@1 / cpu@8): $eff"
-  fi
-  if [ -f "$record" ] && grep -q '"startup_reduction_8"' "$record"; then
-    red=$(sed -n 's/.*"startup_reduction_8":\([-0-9.eE+]*\).*/\1/p' \
-          "$record")
-    echo "$b 8-worker startup reduction (text parse / mmap): ${red}x"
   fi
   if [ "$bench_status" -ne 0 ]; then
     echo "$b exited with status $bench_status" >&2

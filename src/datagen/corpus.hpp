@@ -2,7 +2,7 @@
 //
 // Emits a parameterized, seeded corpus of netlist files (OTA / RF
 // receiver / switched-capacitor filter mix) plus a manifest listing
-// them, so bench/sharding and gana-shard runs are self-contained: no
+// them, so bench/e2e and gana-shard runs are self-contained: no
 // checked-in 100k-file tree, just `gana_shard --datagen` with a seed.
 //
 // Every circuit is a pure function of (seed, index): generation seeds a

@@ -8,6 +8,13 @@ const std::vector<std::string>& rf_class_names() {
   return names;
 }
 
+std::optional<std::vector<std::string>> domain_class_names(
+    std::string_view domain) {
+  if (domain == "ota") return std::vector<std::string>{"ota", "bias"};
+  if (domain == "rf") return rf_class_names();
+  return std::nullopt;
+}
+
 const char* to_string(LnaKind k) {
   switch (k) {
     case LnaKind::InductiveDegen: return "ind-degen";

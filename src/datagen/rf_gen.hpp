@@ -4,7 +4,10 @@
 // Abidi receiver architectures cited by the paper).
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "datagen/sizing.hpp"
 
@@ -25,6 +28,12 @@ enum RfClass : int {
 
 /// Names for all six RF ground-truth classes.
 const std::vector<std::string>& rf_class_names();
+
+/// Class names of an annotation domain: "ota" -> {"ota", "bias"}, "rf"
+/// -> rf_class_names(), and nullopt for any other string. Every binary
+/// and the shard worker decide the --domain vocabulary here.
+std::optional<std::vector<std::string>> domain_class_names(
+    std::string_view domain);
 
 enum class LnaKind { InductiveDegen, CommonGate, ShuntFeedback, Differential };
 enum class MixerKind { Gilbert, SingleBalanced, PassiveRing };

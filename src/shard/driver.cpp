@@ -76,14 +76,9 @@ std::string describe_wait_status(int status) {
   return "stopped with wait status " + std::to_string(status);
 }
 
-std::vector<std::string> class_names_for(const std::string& domain) {
-  if (domain == "rf") return datagen::rf_class_names();
-  return {"ota", "bias"};
-}
-
 /// Streams records out in manifest order: a record is flushed the
 /// moment every earlier slot has one, so parent memory is bounded by
-/// shard skew, not corpus size.
+/// how far workers run apart, not corpus size.
 class Merger {
  public:
   Merger(std::ostream& out, const std::vector<ManifestEntry>& entries)
@@ -155,17 +150,16 @@ std::string encode_result_payload(std::size_t index,
   return json::dump(v);
 }
 
-std::string encode_summary_payload(std::size_t shard, const SliceResult& r,
-                                   std::size_t jobs, std::size_t total) {
+std::string encode_summary_payload(const SliceResult& r,
+                                   double startup_seconds, std::size_t jobs) {
   json::Value v{std::vector<json::Member>{}};
   v.set("kind", json::Value("summary"));
   v.set("index", json::Value(kSummaryIndex));
-  v.set("shard", json::Value(static_cast<std::uint64_t>(shard)));
   v.set("ok", json::Value(static_cast<std::uint64_t>(r.ok)));
   v.set("failed", json::Value(static_cast<std::uint64_t>(r.failed)));
-  v.set("startup_seconds", json::Value(r.startup_seconds));
+  v.set("startup_seconds", json::Value(startup_seconds));
   v.set("perf", json::Value(core::batch_timings_to_json(r.timings, jobs, r.ok,
-                                                        total)));
+                                                        r.ok + r.failed)));
   return json::dump(v);
 }
 
@@ -207,22 +201,6 @@ std::optional<std::uint64_t> read_u53(const json::Value& obj,
 
 }  // namespace
 
-std::vector<ShardRange> shard_partition(std::size_t count, std::size_t shards) {
-  std::vector<ShardRange> out;
-  if (count == 0) return out;
-  shards = std::clamp<std::size_t>(shards, 1, count);
-  const std::size_t base = count / shards;
-  const std::size_t rem = count % shards;
-  out.reserve(shards);
-  std::size_t begin = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::size_t len = base + (s < rem ? 1 : 0);
-    out.push_back(ShardRange{begin, begin + len});
-    begin += len;
-  }
-  return out;
-}
-
 std::string record_line(std::size_t index, const ManifestEntry& entry,
                         const NetlistRecord& record) {
   json::Value v{std::vector<json::Member>{}};
@@ -248,6 +226,12 @@ SliceRunner::~SliceRunner() = default;
 
 Result<bool> SliceRunner::init(const PipelineOptions& options) {
   const double start = now_seconds();
+  auto class_names = datagen::domain_class_names(options.domain);
+  if (!class_names.has_value()) {
+    return make_diag(DiagCode::BadValue, Stage::Batch,
+                     "unknown domain '" + options.domain +
+                         "' (expected ota or rf)");
+  }
   auto impl = std::make_unique<Impl>();
   if (!options.load_model.empty()) {
     auto model = gcn::load_model_any(options.load_model);
@@ -264,7 +248,7 @@ Result<bool> SliceRunner::init(const PipelineOptions& options) {
   }
   try {
     impl->annotator = std::make_unique<core::Annotator>(
-        impl->model.get(), class_names_for(options.domain), std::move(library));
+        impl->model.get(), std::move(*class_names), std::move(library));
   } catch (const DiagError& e) {
     return e.diag();  // the model does not fit the domain's annotator
   }
@@ -356,20 +340,6 @@ Result<SliceResult> SliceRunner::run(
   return slice;
 }
 
-Result<SliceResult> annotate_slice(
-    const std::vector<ManifestEntry>& entries, ShardRange range,
-    const PipelineOptions& options,
-    const std::function<bool(std::size_t, const NetlistRecord&)>& emit) {
-  SliceRunner runner;
-  auto init = runner.init(options);
-  if (!init.ok()) return init.diag();
-  auto slice = runner.run(entries, range, emit);
-  if (!slice.ok()) return slice.diag();
-  SliceResult r = slice.take();
-  r.startup_seconds = runner.startup_seconds();
-  return r;
-}
-
 int worker_main(const Args& args) {
   const std::string manifest = args.get("manifest");
   if (manifest.empty()) {
@@ -378,28 +348,22 @@ int worker_main(const Args& args) {
   }
   // Numeric flags first: a malformed value is a usage error (status 1)
   // before the manifest is read.
-  ShardRange range;
-  std::size_t shard_index = 0;
   PipelineOptions pipeline;
   // Deterministic fault injection for the worker-failure tests: after
   // emitting N result frames, --crash-after dies exactly as a crashing
-  // worker would and --stall-after hangs until the driver's per-shard
-  // deadline kills the process. Only result frames count, so the hooks
-  // fire mid-grant under the stealing scheduler too.
+  // worker would and --stall-after hangs until the driver's deadline
+  // kills the process. Only result frames count, so the hooks fire
+  // mid-grant.
   int crash_after = -1, stall_after = -1;
   try {
     // Every flag worker_argv emits, plus the two test hooks.
-    args.reject_unknown({"worker", "manifest", "steal", "begin", "end",
-                         "shard", "jobs", "seed", "domain", "no-caches",
-                         "cache-capacity", "timeout-seconds", "load-model",
-                         "load-library", "crash-after", "stall-after"});
-    range.begin =
-        static_cast<std::size_t>(std::max(args.get_int("begin", 0), 0));
-    range.end = static_cast<std::size_t>(std::max(args.get_int("end", 0), 0));
-    shard_index =
-        static_cast<std::size_t>(std::max(args.get_int("shard", 0), 0));
+    args.reject_unknown({"worker", "manifest", "jobs", "seed", "domain",
+                         "no-caches", "cache-capacity", "timeout-seconds",
+                         "load-model", "load-library", "crash-after",
+                         "stall-after"});
     pipeline.jobs =
         static_cast<std::size_t>(std::max(args.get_int("jobs", 1), 1));
+    pipeline.seed = args.get_u64("seed", core::kDefaultSampleSeed);
     pipeline.cache_capacity = static_cast<std::size_t>(
         std::max(args.get_int("cache-capacity", 0), 0));
     pipeline.timeout_seconds = args.get_double("timeout-seconds", 0.0);
@@ -415,15 +379,10 @@ int worker_main(const Args& args) {
                  entries.diag().render().c_str());
     return 2;
   }
-  const std::string seed_str = args.get("seed");
-  pipeline.seed = seed_str.empty()
-                      ? core::kDefaultSampleSeed
-                      : std::strtoull(seed_str.c_str(), nullptr, 10);
   pipeline.domain = args.get("domain", "ota");
   pipeline.caches = !args.has("no-caches");
   pipeline.load_model = args.get("load-model");
   pipeline.load_library = args.get("load-library");
-  const bool steal = args.has("steal");
 
   const int out_fd = STDOUT_FILENO;
   std::size_t emitted = 0;
@@ -448,80 +407,65 @@ int worker_main(const Args& args) {
                  init.diag().render().c_str());
     return 3;
   }
-  SliceResult total;
-  total.startup_seconds = runner.startup_seconds();
 
-  if (steal) {
-    // Pull loop: request a range, run it, repeat until the parent says
-    // done (or closes our stdin, which means the same thing).
-    serve::FrameDecoder grants;
-    std::vector<char> gbuf(4096);
-    const auto next_grant = [&]() -> std::optional<std::string> {
-      for (;;) {
-        if (auto payload = grants.next()) return payload;
-        if (grants.error()) return std::nullopt;
-        const ssize_t n = ::read(STDIN_FILENO, gbuf.data(), gbuf.size());
-        if (n < 0) {
-          if (errno == EINTR) continue;
-          return std::nullopt;
-        }
-        if (n == 0) return std::nullopt;
-        grants.feed(gbuf.data(), static_cast<std::size_t>(n));
-      }
-    };
+  // Pull loop: request a range, run it, repeat until the parent says
+  // done (or closes our stdin, which means the same thing).
+  serve::FrameDecoder grants;
+  std::vector<char> gbuf(4096);
+  const auto next_grant = [&]() -> std::optional<std::string> {
     for (;;) {
-      const auto request = serve::encode_frame(encode_need_work_payload());
-      if (!request.has_value() ||
-          !write_all(out_fd, request->data(), request->size())) {
-        std::fprintf(stderr,
-                     "gana-shard worker: cannot write need-work frame\n");
-        return 3;
+      if (auto payload = grants.next()) return payload;
+      if (grants.error()) return std::nullopt;
+      const ssize_t n = ::read(STDIN_FILENO, gbuf.data(), gbuf.size());
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        return std::nullopt;
       }
-      const auto payload = next_grant();
-      if (!payload.has_value()) break;  // parent gone: nothing left to pull
-      std::string error;
-      const auto doc = json::parse(*payload, &error);
-      const json::Value* kind =
-          doc.has_value() ? doc->get("kind") : nullptr;
-      if (kind == nullptr) {
-        std::fprintf(stderr, "gana-shard worker: malformed grant frame\n");
-        return 3;
-      }
-      if (kind->as_string() == "done") break;
-      const auto begin = read_u53(*doc, "begin");
-      const auto end = read_u53(*doc, "end");
-      if (kind->as_string() != "grant" || !begin.has_value() ||
-          !end.has_value()) {
-        std::fprintf(stderr, "gana-shard worker: malformed grant frame\n");
-        return 3;
-      }
-      ShardRange granted{static_cast<std::size_t>(*begin),
-                         static_cast<std::size_t>(*end)};
-      auto slice = runner.run(entries.value(), granted, emit);
-      if (!slice.ok()) {
-        std::fprintf(stderr, "gana-shard worker: %s\n",
-                     slice.diag().render().c_str());
-        return 3;
-      }
-      total.ok += slice.value().ok;
-      total.failed += slice.value().failed;
-      total.timings += slice.value().timings;
+      if (n == 0) return std::nullopt;
+      grants.feed(gbuf.data(), static_cast<std::size_t>(n));
     }
-  } else {
-    auto slice = runner.run(entries.value(), range, emit);
+  };
+  SliceResult total;
+  for (;;) {
+    const auto request = serve::encode_frame(encode_need_work_payload());
+    if (!request.has_value() ||
+        !write_all(out_fd, request->data(), request->size())) {
+      std::fprintf(stderr,
+                   "gana-shard worker: cannot write need-work frame\n");
+      return 3;
+    }
+    const auto payload = next_grant();
+    if (!payload.has_value()) break;  // parent gone: nothing left to pull
+    std::string error;
+    const auto doc = json::parse(*payload, &error);
+    const json::Value* kind = doc.has_value() ? doc->get("kind") : nullptr;
+    if (kind == nullptr) {
+      std::fprintf(stderr, "gana-shard worker: malformed grant frame\n");
+      return 3;
+    }
+    if (kind->as_string() == "done") break;
+    const auto begin = read_u53(*doc, "begin");
+    const auto end = read_u53(*doc, "end");
+    if (kind->as_string() != "grant" || !begin.has_value() ||
+        !end.has_value()) {
+      std::fprintf(stderr, "gana-shard worker: malformed grant frame\n");
+      return 3;
+    }
+    ShardRange granted{static_cast<std::size_t>(*begin),
+                       static_cast<std::size_t>(*end)};
+    auto slice = runner.run(entries.value(), granted, emit);
     if (!slice.ok()) {
       std::fprintf(stderr, "gana-shard worker: %s\n",
                    slice.diag().render().c_str());
       return 3;
     }
-    total.ok = slice.value().ok;
-    total.failed = slice.value().failed;
-    total.timings = slice.value().timings;
+    total.ok += slice.value().ok;
+    total.failed += slice.value().failed;
+    total.timings += slice.value().timings;
   }
 
-  const std::size_t processed = steal ? total.ok + total.failed : range.size();
   const auto summary = serve::encode_frame(
-      encode_summary_payload(shard_index, total, pipeline.jobs, processed));
+      encode_summary_payload(total, runner.startup_seconds(), pipeline.jobs));
   if (!summary.has_value() ||
       !write_all(out_fd, summary->data(), summary->size())) {
     std::fprintf(stderr, "gana-shard worker: cannot write summary frame\n");
@@ -536,11 +480,9 @@ namespace {
 struct Worker {
   ShardStatus status;
   int pipe_fd = -1;   ///< read end of the worker's result stream
-  int stdin_fd = -1;  ///< write end of the grant channel (stealing only)
+  int stdin_fd = -1;  ///< write end of the worker's grant channel
   serve::FrameDecoder decoder;
-  bool eof = false;
-  bool reaped = false;
-  double deadline = 0.0;  ///< absolute now_seconds() deadline; 0 = none
+  bool eof = false;  ///< result stream closed and the process reaped
   /// Every range granted to this worker, in grant order. Post-loop,
   /// granted slots without records become this worker's failure diags
   /// -- a granted range is never re-granted, so no slot is ever
@@ -565,25 +507,13 @@ std::string worker_exe_path(const ShardOptions& options) {
 }
 
 std::vector<std::string> worker_argv(const ShardOptions& options,
-                                     const std::string& manifest,
-                                     const ShardRange& range,
-                                     std::size_t shard_index, bool steal) {
+                                     const std::string& manifest) {
   const PipelineOptions& p = options.pipeline;
   std::vector<std::string> argv;
   argv.push_back(worker_exe_path(options));
   argv.push_back("--worker");
   argv.push_back("--manifest");
   argv.push_back(manifest);
-  if (steal) {
-    argv.push_back("--steal");
-  } else {
-    argv.push_back("--begin");
-    argv.push_back(std::to_string(range.begin));
-    argv.push_back("--end");
-    argv.push_back(std::to_string(range.end));
-  }
-  argv.push_back("--shard");
-  argv.push_back(std::to_string(shard_index));
   argv.push_back("--jobs");
   argv.push_back(std::to_string(p.jobs));
   argv.push_back("--seed");
@@ -611,10 +541,9 @@ std::vector<std::string> worker_argv(const ShardOptions& options,
   return argv;
 }
 
-/// fork/execs one worker with its stdout routed into a fresh pipe.
-/// When `stdin_out` is non-null (stealing), a second pipe becomes the
-/// child's stdin and its write end lands in *stdin_out. Returns the
-/// result-pipe read end, or a Diag.
+/// fork/execs one worker with its stdout routed into a fresh pipe and
+/// a second pipe as its stdin (the grant channel), whose write end lands
+/// in *stdin_out. Returns the result-pipe read end, or a Diag.
 Result<int> spawn_worker(const std::vector<std::string>& argv, int* pid_out,
                          int* stdin_out) {
   int pfd[2];
@@ -622,8 +551,8 @@ Result<int> spawn_worker(const std::vector<std::string>& argv, int* pid_out,
     return make_diag(DiagCode::Internal, Stage::Batch,
                      "pipe2 failed: " + std::string(strerror(errno)));
   }
-  int sfd[2] = {-1, -1};
-  if (stdin_out != nullptr && ::pipe2(sfd, O_CLOEXEC) != 0) {
+  int sfd[2];
+  if (::pipe2(sfd, O_CLOEXEC) != 0) {
     ::close(pfd[0]);
     ::close(pfd[1]);
     return make_diag(DiagCode::Internal, Stage::Batch,
@@ -631,12 +560,7 @@ Result<int> spawn_worker(const std::vector<std::string>& argv, int* pid_out,
   }
   const pid_t pid = ::fork();
   if (pid < 0) {
-    ::close(pfd[0]);
-    ::close(pfd[1]);
-    if (stdin_out != nullptr) {
-      ::close(sfd[0]);
-      ::close(sfd[1]);
-    }
+    for (const int fd : {pfd[0], pfd[1], sfd[0], sfd[1]}) ::close(fd);
     return make_diag(DiagCode::Internal, Stage::Batch,
                      "fork failed: " + std::string(strerror(errno)));
   }
@@ -646,7 +570,7 @@ Result<int> spawn_worker(const std::vector<std::string>& argv, int* pid_out,
     // (and every sibling's ends, grant pipes included) close across
     // exec, so a dead sibling cannot hold a grant channel open.
     ::dup2(pfd[1], STDOUT_FILENO);
-    if (stdin_out != nullptr) ::dup2(sfd[0], STDIN_FILENO);
+    ::dup2(sfd[0], STDIN_FILENO);
     std::vector<char*> cargv;
     cargv.reserve(argv.size() + 1);
     for (const std::string& a : argv) cargv.push_back(const_cast<char*>(a.c_str()));
@@ -657,10 +581,8 @@ Result<int> spawn_worker(const std::vector<std::string>& argv, int* pid_out,
     ::_exit(127);
   }
   ::close(pfd[1]);
-  if (stdin_out != nullptr) {
-    ::close(sfd[0]);
-    *stdin_out = sfd[1];
-  }
+  ::close(sfd[0]);
+  *stdin_out = sfd[1];
   *pid_out = static_cast<int>(pid);
   return pfd[0];
 }
@@ -703,15 +625,17 @@ Result<ShardRunStats> run_sharded(const std::string& manifest,
   stats.total = entries.size();
   Merger merger(out, entries);
 
-  const std::vector<ShardRange> partition =
-      shard_partition(entries.size(), options.shards);
+  const std::size_t worker_count =
+      std::min(std::max<std::size_t>(options.shards, 1), entries.size());
 
-  if (partition.size() <= 1) {
+  if (worker_count <= 1) {
     // In-process baseline: no fork, same per-netlist machinery. This is
     // the path the byte-identity guard measures fan-out against.
     ShardStatus status;
-    status.range = partition.empty() ? ShardRange{} : partition.front();
-    if (status.range.size() > 0) {
+    if (!entries.empty()) {
+      SliceRunner runner;
+      auto init = runner.init(options.pipeline);
+      if (!init.ok()) return init.diag();
       bool failed_fast = false;
       const auto emit = [&](std::size_t index, const NetlistRecord& rec) {
         if (failed_fast) {
@@ -729,37 +653,32 @@ Result<ShardRunStats> run_sharded(const std::string& manifest,
         if (!rec.ok && !options.keep_going) failed_fast = true;
         return true;
       };
-      auto slice =
-          annotate_slice(entries, status.range, options.pipeline, emit);
+      auto slice = runner.run(entries, ShardRange{0, entries.size()}, emit);
       if (!slice.ok()) return slice.diag();
-      status.startup_seconds = slice.value().startup_seconds;
+      status.startup_seconds = runner.startup_seconds();
       status.perf_json = core::batch_timings_to_json(
           slice.value().timings, options.pipeline.jobs, slice.value().ok,
-          status.range.size());
+          entries.size());
     }
     stats.shards.push_back(std::move(status));
   } else {
-    const bool stealing = options.scheduler == Scheduler::Stealing;
     SigpipeGuard sigpipe_guard;
-    std::vector<Worker> workers(partition.size());
-    const double spawn_time = now_seconds();
-    for (std::size_t s = 0; s < partition.size(); ++s) {
-      Worker& w = workers[s];
-      if (!stealing) w.status.range = partition[s];
-      if (options.shard_timeout_seconds > 0.0) {
-        w.deadline = spawn_time + options.shard_timeout_seconds;
-      }
-      auto fd = spawn_worker(
-          worker_argv(options, manifest, partition[s], s, stealing),
-          &w.status.pid, stealing ? &w.stdin_fd : nullptr);
+    std::vector<Worker> workers(worker_count);
+    const std::vector<std::string> argv = worker_argv(options, manifest);
+    // Every worker's wall-clock budget counts from the spawn.
+    const double deadline = options.shard_timeout_seconds > 0.0
+                                ? now_seconds() + options.shard_timeout_seconds
+                                : 0.0;
+    for (Worker& w : workers) {
+      auto fd = spawn_worker(argv, &w.status.pid, &w.stdin_fd);
       if (!fd.ok()) {
         // Abort cleanly: kill and reap what already started.
         for (Worker& prev : workers) {
-          if (prev.status.pid > 0 && !prev.reaped) {
+          if (prev.status.pid > 0) {
             ::kill(prev.status.pid, SIGKILL);
             ::waitpid(prev.status.pid, nullptr, 0);
-            if (prev.pipe_fd >= 0) ::close(prev.pipe_fd);
-            if (prev.stdin_fd >= 0) ::close(prev.stdin_fd);
+            ::close(prev.pipe_fd);
+            ::close(prev.stdin_fd);
           }
         }
         return fd.diag();
@@ -768,19 +687,16 @@ Result<ShardRunStats> run_sharded(const std::string& manifest,
     }
 
     auto kill_worker = [](Worker& w) {
-      if (w.status.pid > 0 && !w.reaped && !w.eof) {
-        ::kill(w.status.pid, SIGKILL);
-      }
+      if (!w.eof) ::kill(w.status.pid, SIGKILL);
     };
     bool fail_fast_triggered = false;
 
-    // Head of the undispatched-slot queue (stealing only). Slots are
-    // granted in manifest order, so [0, next_slot) is exactly the union
-    // of all granted ranges and [next_slot, size) was never handed out.
+    // Head of the undispatched-slot queue. Slots are granted in manifest
+    // order, so [0, next_slot) is exactly the union of all granted
+    // ranges and [next_slot, size) was never handed out.
     std::size_t next_slot = 0;
     const auto serve_grant = [&](Worker& w) {
-      if (w.eof || w.stdin_fd < 0 || w.status.deadline_expired ||
-          w.status.killed_by_driver) {
+      if (w.eof || w.status.deadline_expired || w.status.killed_by_driver) {
         return;
       }
       const bool grant = next_slot < entries.size() && !fail_fast_triggered;
@@ -822,27 +738,20 @@ Result<ShardRunStats> run_sharded(const std::string& manifest,
           fd_shard.push_back(s);
         }
       }
-      // Poll timeout: the nearest live deadline (if any).
+      // Poll timeout: the time left to the deadline (if any).
       int timeout_ms = -1;
-      const double now = now_seconds();
-      for (std::size_t s = 0; s < workers.size(); ++s) {
-        const Worker& w = workers[s];
-        if (w.eof || w.deadline <= 0.0) continue;
-        const double remain = std::max(0.0, w.deadline - now);
-        const int ms = static_cast<int>(remain * 1000.0) + 1;
-        if (timeout_ms < 0 || ms < timeout_ms) timeout_ms = ms;
+      if (deadline > 0.0) {
+        const double left = std::max(0.0, deadline - now_seconds());
+        timeout_ms = static_cast<int>(left * 1000.0) + 1;
       }
       const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
       if (ready < 0 && errno != EINTR) {
         return make_diag(DiagCode::Internal, Stage::Batch,
                          "poll failed: " + std::string(strerror(errno)));
       }
-      // Enforce per-shard deadlines.
-      if (options.shard_timeout_seconds > 0.0) {
-        const double t = now_seconds();
+      if (deadline > 0.0 && now_seconds() >= deadline) {
         for (Worker& w : workers) {
-          if (!w.eof && w.deadline > 0.0 && t >= w.deadline &&
-              !w.status.deadline_expired) {
+          if (!w.eof && !w.status.deadline_expired) {
             w.status.deadline_expired = true;
             kill_worker(w);
           }
@@ -863,12 +772,6 @@ Result<ShardRunStats> run_sharded(const std::string& manifest,
             const json::Value* kind =
                 doc.has_value() ? doc->get("kind") : nullptr;
             if (kind != nullptr && kind->as_string() == "need-work") {
-              if (!stealing) {
-                // A static worker has no business stealing: protocol
-                // violation, same treatment as a malformed frame.
-                kill_worker(w);
-                break;
-              }
               ++w.status.steal_requests;
               serve_grant(w);
               continue;
@@ -920,30 +823,26 @@ Result<ShardRunStats> run_sharded(const std::string& manifest,
         } else if (n == 0) {
           w.eof = true;
           ::close(w.pipe_fd);
-          w.pipe_fd = -1;
-          if (w.stdin_fd >= 0) {
-            ::close(w.stdin_fd);
-            w.stdin_fd = -1;
-          }
+          ::close(w.stdin_fd);
           int status = 0;
           while (::waitpid(w.status.pid, &status, 0) < 0 && errno == EINTR) {
           }
           w.status.wait_status = status;
-          w.reaped = true;
           --live;
         }
       }
     }
 
+    bool deadline_cut_queue = false;
     for (std::size_t s = 0; s < workers.size(); ++s) {
-      Worker& w = workers[s];
+      const Worker& w = workers[s];
+      deadline_cut_queue = deadline_cut_queue || w.status.deadline_expired;
       // A worker that exited (or was killed) with granted-but-unrecorded
-      // slots is a worker failure for exactly those slots. Static
-      // ownership is the partition range; stealing ownership is the
-      // grant history. Either way a slot belongs to at most one worker,
-      // so nothing is lost or double-reported.
-      const auto fail_missing = [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
+      // slots is a worker failure for exactly those slots. A slot is
+      // granted to at most one worker, so nothing is lost or
+      // double-reported.
+      for (const ShardRange& g : w.granted) {
+        for (std::size_t i = g.begin; i < g.end; ++i) {
           if (merger.has_record(i)) continue;
           NetlistRecord rec;
           rec.ok = false;
@@ -951,26 +850,34 @@ Result<ShardRunStats> run_sharded(const std::string& manifest,
                                          options.shard_timeout_seconds);
           merger.add(i, std::move(rec));
         }
-      };
-      fail_missing(w.status.range.begin, w.status.range.end);
-      for (const ShardRange& g : w.granted) fail_missing(g.begin, g.end);
+      }
       stats.shards.push_back(w.status);
     }
-    // Stealing only: slots never granted because every worker died (or
-    // fail-fast cancelled the queue) still need records.
-    for (std::size_t i = next_slot; stealing && i < entries.size(); ++i) {
+    // Slots never granted still need records: fail-fast cancelled the
+    // queue, or a deadline cut it (the worker it killed was alive and
+    // would have pulled them), or every worker died first.
+    for (std::size_t i = next_slot; i < entries.size(); ++i) {
       if (merger.has_record(i)) continue;
+      const SourceLoc loc{entries[i].name, 0};
       NetlistRecord rec;
       rec.ok = false;
-      rec.diag =
-          fail_fast_triggered
-              ? make_diag(DiagCode::Skipped, Stage::Batch,
-                          "skipped: fail-fast after an earlier failure",
-                          SourceLoc{entries[i].name, 0})
-              : make_diag(DiagCode::WorkerFailed, Stage::Batch,
-                          "every shard worker exited before this netlist "
-                          "was granted",
-                          SourceLoc{entries[i].name, 0});
+      if (fail_fast_triggered) {
+        rec.diag = make_diag(DiagCode::Skipped, Stage::Batch,
+                             "skipped: fail-fast after an earlier failure",
+                             loc);
+      } else if (deadline_cut_queue) {
+        rec.diag = make_diag(
+            DiagCode::DeadlineExceeded, Stage::Batch,
+            "the " + std::to_string(options.shard_timeout_seconds) +
+                "-second shard deadline passed before this netlist was "
+                "granted",
+            loc);
+      } else {
+        rec.diag = make_diag(DiagCode::WorkerFailed, Stage::Batch,
+                             "every shard worker exited before this netlist "
+                             "was granted",
+                             loc);
+      }
       merger.add(i, std::move(rec));
     }
   }

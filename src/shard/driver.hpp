@@ -2,38 +2,41 @@
 //
 // Annotates a manifest of netlists across worker *processes*:
 //
-//   manifest -> deterministic contiguous shards -> fork/exec one worker
-//   per shard -> each worker streams per-netlist results and its perf
-//   summary back over a pipe (the serve/protocol length-prefixed JSON
-//   framing) -> the parent merges records in manifest order.
+//   manifest -> fork/exec N workers -> each worker asks the parent for
+//   work ("need-work"), annotates the granted index range, and asks
+//   again until the parent answers "done" -> every result and a final
+//   perf summary stream back over a pipe (the serve/protocol
+//   length-prefixed JSON framing) -> the parent merges records in
+//   manifest order.
 //
-// Partitioning is a pure function of (entry count, shard count):
-// contiguous ranges whose sizes differ by at most one, earlier shards
-// taking the remainder. Contiguity keeps the merge a streaming
-// in-order flush (shard k's records are a gap-free slice of the
-// manifest) and makes "which worker owns netlist i" reproducible from
-// the command line alone.
+// The parent owns the queue: a cursor over manifest slots, handed out
+// in manifest order as grants of clamp(remaining / (2 * workers), 1,
+// 1024) slots, so a skewed corpus cannot strand the fan-out behind one
+// unlucky worker. A granted slot has exactly one owner for all time (it
+// is never re-granted), which is what makes failure accounting exact.
 //
 // Determinism contract: the merged per-netlist output is byte-identical
-// at every shard count, including the in-process shards=1 path, because
+// at every worker count, including the in-process shards=1 path, because
 //   * every path formats records through the same record_line();
 //   * per-circuit sample streams derive from (root seed, structural
-//     hash) -- never from slot index, shard index, or scheduling
+//     hash) -- never from slot index, worker, or grant order
 //     (core::kDefaultSampleSeed invariant), so process boundaries
 //     cannot shift any result;
 //   * caches only memoize pure functions of structure, so per-process
 //     cache instances cannot diverge from a single shared one.
-// The sharding bench (bench/sharding.cpp) and the shard determinism
-// tests pin this byte-for-byte.
+// The shard determinism tests pin this byte-for-byte.
 //
 // Failure semantics (keep-going): a worker that crashes, exits nonzero,
-// or outlives its per-shard deadline never wedges the merge. Its
-// missing netlists surface as structured Diags (DiagCode::WorkerFailed
-// or DeadlineExceeded) in the merged output, and healthy shards are
-// unaffected. Without keep-going the driver kills the remaining workers
-// after the first failed record and marks unprocessed slots
-// DiagCode::Skipped, mirroring BatchRunner's FailFast policy (which
-// later slots are skipped is scheduling-dependent, exactly as there).
+// or outlives its deadline never wedges the merge. Its granted but
+// unrecorded netlists surface as structured Diags (DiagCode::WorkerFailed
+// or DeadlineExceeded) in the merged output, and healthy workers are
+// unaffected. Slots never granted because every worker is gone get
+// DeadlineExceeded when a deadline killed a worker (that worker was
+// alive, so the deadline cut the queue) and WorkerFailed otherwise.
+// Without keep-going the driver kills the remaining workers after the
+// first failed record and marks unprocessed slots DiagCode::Skipped,
+// mirroring BatchRunner's FailFast policy (which later slots are
+// skipped is scheduling-dependent, exactly as there).
 #pragma once
 
 #include <cstdint>
@@ -49,20 +52,13 @@
 
 namespace gana::shard {
 
-/// Half-open slice [begin, end) of the manifest owned by one worker.
+/// Half-open slice [begin, end) of the manifest: one grant.
 struct ShardRange {
   std::size_t begin = 0;
   std::size_t end = 0;
 
   [[nodiscard]] std::size_t size() const { return end - begin; }
 };
-
-/// Deterministic contiguous partition: ranges cover [0, count) exactly,
-/// sizes differ by at most one (earlier shards take the remainder), and
-/// the result depends only on (count, shards). `shards` is clamped to
-/// [1, count]; count == 0 yields no shards.
-[[nodiscard]] std::vector<ShardRange> shard_partition(std::size_t count,
-                                                      std::size_t shards);
 
 /// Annotation settings shared by every worker (and the in-process
 /// path); all of it is forwarded on the worker command line, so a shard
@@ -81,38 +77,20 @@ struct PipelineOptions {
   std::string load_library;
 };
 
-/// How manifest slots are assigned to workers (fork mode only).
-enum class Scheduler {
-  /// PR 8 behavior: one contiguous shard_partition range per worker,
-  /// fixed up front. Predictable ownership, but a skewed corpus leaves
-  /// workers idle while the unlucky one drains its giant netlists.
-  Static,
-  /// Workers pull bounded index ranges from the parent on demand
-  /// ("need-work" -> "grant" frames over the worker's stdin). Chunk
-  /// size decays near the tail so stragglers stay balanced. Merged
-  /// output is byte-identical to Static at every worker count (results
-  /// are pure functions of the netlist, and the Merger emits manifest
-  /// order regardless of which worker ran what).
-  Stealing,
-};
-
 struct ShardOptions {
-  /// Worker processes. 1 annotates in-process with no fork (the
-  /// baseline the byte-identity guard compares against); >= 2 fork/exec
-  /// one worker per shard.
+  /// Worker processes, clamped to the manifest size. 1 annotates
+  /// in-process with no fork (the baseline the byte-identity guard
+  /// compares against); >= 2 fork/exec that many workers.
   std::size_t shards = 1;
   PipelineOptions pipeline;
-  /// Per-shard wall-clock deadline enforced by the parent (fork mode
-  /// only): a worker still running past it is killed and its missing
-  /// netlists get DeadlineExceeded diags. 0 disables.
+  /// Wall-clock budget of each worker process, counted from its spawn
+  /// and enforced by the parent (fork mode only): a worker still
+  /// running past it is killed and its missing netlists get
+  /// DeadlineExceeded diags. 0 disables.
   double shard_timeout_seconds = 0.0;
   /// false = fail fast: kill remaining workers after the first failed
   /// record; unprocessed slots come back DiagCode::Skipped.
   bool keep_going = false;
-  /// Slot assignment policy for fork mode. Stealing is the default;
-  /// Static keeps the PR 8 contiguous partition (bench baseline, and
-  /// the predictable-ownership failure-semantics tests).
-  Scheduler scheduler = Scheduler::Stealing;
   /// Binary to exec with --worker; "" uses /proc/self/exe. Test and
   /// bench drivers point this at the gana_shard binary.
   std::string worker_exe;
@@ -136,11 +114,8 @@ struct NetlistRecord {
                                       const ManifestEntry& entry,
                                       const NetlistRecord& record);
 
-/// Post-mortem of one shard.
+/// Post-mortem of one worker (or of the in-process path).
 struct ShardStatus {
-  /// Static scheduler: the contiguous slice this worker owned.
-  /// Stealing: {0,0} (ownership is the granted-chunk history instead).
-  ShardRange range;
   int pid = -1;               ///< worker pid (-1 for the in-process path)
   int wait_status = 0;        ///< raw waitpid status (0 = clean exit)
   bool deadline_expired = false;  ///< parent killed it past the deadline
@@ -151,7 +126,7 @@ struct ShardStatus {
   /// before the first netlist), from the summary frame. The bench sums
   /// this across workers to attribute fan-out loss to cold starts.
   double startup_seconds = 0.0;
-  std::size_t steal_requests = 0;  ///< need-work frames (stealing only)
+  std::size_t steal_requests = 0;  ///< need-work frames received
   std::size_t chunks_served = 0;   ///< grants this worker received
 };
 
@@ -176,21 +151,18 @@ struct ShardRunStats {
                                                 const ShardOptions& options,
                                                 std::ostream& out);
 
-/// Per-slice outcome summary of annotate_slice.
+/// Outcome summary of one SliceRunner::run call.
 struct SliceResult {
   std::size_t ok = 0;
   std::size_t failed = 0;
   core::BatchTimings timings;  ///< summed over the slice's chunks
-  /// Model/library load + annotator construction time, paid once per
-  /// SliceRunner (== once per worker process).
-  double startup_seconds = 0.0;
 };
 
 /// The shared per-netlist machinery behind every execution path: one
 /// warm Annotator (model, library, caches, BatchRunner) constructed
 /// once, then `run` parses and annotates any number of manifest ranges
-/// through it. The static worker runs one range; a stealing worker runs
-/// one range per grant; the in-process path runs the whole manifest.
+/// through it. A worker runs one range per grant; the in-process path
+/// runs the whole manifest.
 /// Splitting construction from execution is what lets the perf summary
 /// attribute startup (artifact load) separately from annotation work.
 class SliceRunner {
@@ -201,8 +173,9 @@ class SliceRunner {
   ~SliceRunner();
 
   /// Loads the model/library and builds the annotator stack. Returns a
-  /// Diag on unloadable artifacts. Must be called (successfully) before
-  /// run(); the load time is reported by startup_seconds().
+  /// Diag on unloadable artifacts or an unknown domain (BadValue). Must
+  /// be called (successfully) before run(); the load time is reported
+  /// by startup_seconds().
   [[nodiscard]] Result<bool> init(const PipelineOptions& options);
 
   [[nodiscard]] double startup_seconds() const { return startup_seconds_; }
@@ -211,7 +184,7 @@ class SliceRunner {
   /// in slice order. `emit` returning false aborts the slice (broken
   /// output pipe). Reusable: each call is independent, sharing the warm
   /// annotator and caches. The returned SliceResult covers this call
-  /// only (startup_seconds is 0; read it from startup_seconds()).
+  /// only.
   [[nodiscard]] Result<SliceResult> run(
       const std::vector<ManifestEntry>& entries, ShardRange range,
       const std::function<bool(std::size_t, const NetlistRecord&)>& emit);
@@ -222,18 +195,11 @@ class SliceRunner {
   double startup_seconds_ = 0.0;
 };
 
-/// One-shot wrapper: init + run, returning the slice result with
-/// startup_seconds filled in. Kept as the simple entry point for the
-/// in-process path and existing callers.
-[[nodiscard]] Result<SliceResult> annotate_slice(
-    const std::vector<ManifestEntry>& entries, ShardRange range,
-    const PipelineOptions& options,
-    const std::function<bool(std::size_t, const NetlistRecord&)>& emit);
-
-/// Worker-process entry (`gana_shard --worker ...`): annotates its
-/// manifest slice and streams framed results to stdout. Returns the
-/// process exit code (0 = slice completed; per-netlist failures are
-/// reported in-band as records, not through the exit code).
+/// Worker-process entry (`gana_shard --worker ...`): pulls grants from
+/// the parent over stdin until it answers "done", streaming framed
+/// results and a final perf summary to stdout. Returns the process exit
+/// code (0 = every grant completed; per-netlist failures are reported
+/// in-band as records, not through the exit code).
 [[nodiscard]] int worker_main(const Args& args);
 
 }  // namespace gana::shard

@@ -73,6 +73,14 @@ int Args::get_int(const std::string& key, int fallback) const {
   return parse_whole<int>(key, it->second, "an integer");
 }
 
+std::uint64_t Args::get_u64(const std::string& key,
+                           std::uint64_t fallback) const {
+  auto it = flags_.find(key);
+  if (it == flags_.end()) return fallback;
+  return parse_whole<std::uint64_t>(key, it->second,
+                                    "an unsigned 64-bit integer");
+}
+
 double Args::get_double(const std::string& key, double fallback) const {
   auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;

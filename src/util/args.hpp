@@ -1,6 +1,7 @@
 // Minimal command-line flag parsing for the example binaries.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -36,6 +37,12 @@ class Args {
   /// anything else ("abc", "1x", "1e6", "99999999999", "") throws
   /// ArgError.
   [[nodiscard]] int get_int(const std::string& key, int fallback) const;
+  /// The flag's value as a uint64 (seeds), or `fallback` when absent.
+  /// The whole value must be a decimal integer in [0, 2^64-1]: anything
+  /// else ("abc", "-1", "1e6", "18446744073709551616", "") throws
+  /// ArgError.
+  [[nodiscard]] std::uint64_t get_u64(const std::string& key,
+                                      std::uint64_t fallback) const;
   /// The flag's value as a finite double ("0.5", "1e-3", "-2"), or
   /// `fallback` when absent; a malformed value throws ArgError.
   [[nodiscard]] double get_double(const std::string& key,

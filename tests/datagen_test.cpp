@@ -170,6 +170,17 @@ TEST(RfGen, IqReceiverHasTwoMixers) {
   EXPECT_GT(mixer_devices, mixer_single);
 }
 
+TEST(RfGen, DomainClassNamesKnowsOtaAndRfOnly) {
+  ASSERT_TRUE(domain_class_names("ota").has_value());
+  EXPECT_EQ(*domain_class_names("ota"),
+            (std::vector<std::string>{"ota", "bias"}));
+  ASSERT_TRUE(domain_class_names("rf").has_value());
+  EXPECT_EQ(*domain_class_names("rf"), rf_class_names());
+  for (const char* bad : {"", "xyz", "OTA", "rf ", "ota,rf"}) {
+    EXPECT_FALSE(domain_class_names(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
 TEST(ScFilter, MatchesPaperScale) {
   // Paper: 32 devices and 25 nets (57 graph vertices).
   Rng rng(10);

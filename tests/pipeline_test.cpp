@@ -266,12 +266,10 @@ TEST(ModelShape, CheckpointWithWrongInFeaturesIsRejected) {
   // the same diag instead of annotating anything.
   shard::PipelineOptions options;
   options.load_model = path;
-  const auto slice = shard::annotate_slice(
-      {}, {}, options, [](std::size_t, const shard::NetlistRecord&) {
-        return true;
-      });
-  ASSERT_FALSE(slice.ok());
-  EXPECT_EQ(slice.diag().code, DiagCode::ModelMismatch);
+  shard::SliceRunner runner;
+  const auto init = runner.init(options);
+  ASSERT_FALSE(init.ok());
+  EXPECT_EQ(init.diag().code, DiagCode::ModelMismatch);
   std::remove(path.c_str());
 }
 

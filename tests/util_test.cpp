@@ -193,6 +193,27 @@ TEST(Args, MalformedNumericValuesThrow) {
   EXPECT_EQ(args.get_double("sci", 0.0), 1e6);
 }
 
+TEST(Args, U64ValuesParseWholeAndInRange) {
+  const char* argv[] = {"prog",   "--zero", "0", "--max",
+                        "18446744073709551615"};
+  const Args args(5, argv);
+  EXPECT_EQ(args.get_u64("zero", 7), 0u);
+  EXPECT_EQ(args.get_u64("max", 0), ~std::uint64_t{0});
+  EXPECT_EQ(args.get_u64("missing", 7), 7u);
+}
+
+TEST(Args, MalformedU64ValuesThrow) {
+  // Seeds are never silently truncated, wrapped or defaulted.
+  const char* argv[] = {"prog",   "--abc",   "abc", "--trail", "1x",
+                        "--neg",  "-1",      "--sci", "1e6",   "--big",
+                        "18446744073709551616", "--empty="};
+  const Args args(12, argv);
+  for (const char* key : {"abc", "trail", "neg", "sci", "big", "empty"}) {
+    SCOPED_TRACE(key);
+    EXPECT_THROW((void)args.get_u64(key, 0), ArgError);
+  }
+}
+
 TEST(Args, DeclaredBooleanFlagsDoNotConsumePositionals) {
   const char* argv[] = {"prog", "--session", "rev0.sp", "rev1.sp",
                         "--jobs", "4"};
