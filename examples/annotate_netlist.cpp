@@ -5,12 +5,7 @@
 //   ./annotate_netlist circuit.sp [more.sp ...] [--domain ota|rf]
 //                      [--train] [--circuits 150] [--epochs 25]
 //                      [--jobs N] [--keep-going] [--svg out.svg]
-//                      [--session]
-//                      [--sample-cache] [--annotation-cache]
-//                      [--inference-cache] [--cache-capacity C]
-//                      [--prep-cache-capacity C]
-//                      [--annotation-cache-capacity C]
-//                      [--inference-cache-capacity C]
+//                      [--session] [--cache-capacity C]
 //                      [--timeout-seconds S]
 //                      [--perf-json perf.json]
 //                      [--save-model m.ckpt] [--load-model m.ckpt]
@@ -25,30 +20,20 @@
 //
 // --keep-going: process every input even when some fail; each file gets
 // an [ OK ]/[FAIL] summary line. Without it the run stops at the first
-// failure. Exit codes: 0 all annotated, 1 usage error (including an
-// unknown flag or a malformed flag value), 2 I/O error, 3
-// parse/validation error, 4 annotation error (first failure in input
-// order decides).
+// failure. Exit codes: 0 all annotated, 1 usage error (an unknown flag,
+// or a malformed or out-of-range flag value such as --jobs -2), 2 I/O
+// error, 3 parse/validation error, 4 annotation error (first failure in
+// input order decides).
 //
-// --sample-cache: share spectral-operator preparation between
-// structurally identical inputs (bit-identical outputs, less work).
+// Structurally identical inputs share work through three caches, always
+// attached: spectral-operator preparation, the GCN class probabilities
+// (keyed by the model's weights fingerprint) and the VF2
+// primitive-annotation sweep. Outputs are bit-identical to uncached
+// runs; the hit counts go to --perf-json.
 //
-// --annotation-cache: share the VF2 primitive-annotation sweep between
-// structurally identical inputs (bit-identical outputs, less work).
-//
-// --inference-cache: memoize the GCN class probabilities per structure
-// (keyed by the model's weights fingerprint); structurally identical
-// inputs then run one forward pass total (bit-identical outputs).
-//
-// --cache-capacity C: bound each enabled cache to ~C entries with FIFO
-// eviction (0, the default, keeps them unbounded). Eviction costs
-// recompute only; outputs stay bit-identical.
-//
-// --prep-cache-capacity / --annotation-cache-capacity /
-// --inference-cache-capacity: per-cache capacity overrides. Each falls
-// back to --cache-capacity when not given, so the shared knob keeps
-// working; a structurally diverse corpus can now e.g. bound the sample
-// prep cache while leaving the cheap inference cache unbounded.
+// --cache-capacity C: bound each cache to ~C entries with FIFO eviction
+// (0, the default, keeps them unbounded). Eviction costs recompute only;
+// outputs stay bit-identical.
 //
 // --session: treat the input files as successive *revisions* of one
 // evolving design and annotate them through an incremental
@@ -67,15 +52,9 @@
 // (implies --keep-going semantics for the timed-out slot only under
 // --keep-going, otherwise the run stops there like any other failure).
 //
-// --kernel simd|reference: select the dense/sparse product kernels
-// (default simd -- the compile-time dispatched AVX2/NEON/scalar kernel;
-// see DESIGN.md §10). Every kernel produces bit-identical
-// annotations; the switch exists for oracle comparison and debugging.
-//
 // --perf-json FILE: write the batch's wall/stage timings and perf
 // counters (allocations, spmm/matmul flops, parse/intern stats, cache
 // hits) as JSON.
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -84,7 +63,6 @@
 
 #include "gana.hpp"
 #include "gcn/serialize.hpp"
-#include "linalg/kernels.hpp"
 #include "primitives/library_io.hpp"
 #include "util/args.hpp"
 #include "util/perf.hpp"
@@ -170,23 +148,16 @@ void print_result(const gana::core::AnnotateResult& result) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const gana::Args args(argc, argv,
-                        {"train", "keep-going", "session", "sample-cache",
-                         "annotation-cache", "inference-cache"});
+  const gana::Args args(argc, argv, {"train", "keep-going", "session"});
   if (args.positional().empty()) {
     std::printf(
         "usage: annotate_netlist <file.sp> [more.sp ...]\n"
         "                        [--domain ota|rf] [--train]\n"
         "                        [--circuits 150] [--epochs 25]\n"
         "                        [--jobs N] [--keep-going] [--session]\n"
-        "                        [--sample-cache] [--annotation-cache]\n"
-        "                        [--inference-cache] [--cache-capacity C]\n"
-        "                        [--prep-cache-capacity C]\n"
-        "                        [--annotation-cache-capacity C]\n"
-        "                        [--inference-cache-capacity C]\n"
+        "                        [--cache-capacity C]\n"
         "                        [--timeout-seconds S]\n"
         "                        [--load-library lib|standard]\n"
-        "                        [--kernel simd|reference]\n"
         "                        [--perf-json perf.json]\n"
         "                        [--svg layout.svg]\n");
     return kExitUsage;
@@ -200,44 +171,21 @@ int main(int argc, char** argv) {
     return kExitUsage;
   }
   const std::vector<std::string>& classes = *domain_classes;
-  const std::string kernel = args.get("kernel", "simd");
-  if (kernel == "simd") {
-    gana::set_matmul_kernel(gana::MatmulKernel::Simd);
-    gana::set_spmm_kernel(gana::SpmmKernel::Simd);
-  } else if (kernel == "reference") {
-    gana::set_matmul_kernel(gana::MatmulKernel::Reference);
-    gana::set_spmm_kernel(gana::SpmmKernel::Reference);
-  } else {
-    std::fprintf(stderr, "error: unknown --kernel '%s'\n", kernel.c_str());
-    return kExitUsage;
-  }
   const bool keep_going = args.has("keep-going");
-  // Numeric flags are read before any work starts: a malformed value
-  // is a usage error, never a silent default.
-  std::size_t jobs = 0, prep_capacity = 0, annotation_capacity = 0,
-              inference_capacity = 0;
-  int circuits = 0, epochs = 0;
+  // Numeric flags are read before any work starts: a malformed or
+  // out-of-range value is a usage error, never a silent default.
+  std::size_t jobs = 0, circuits = 0, epochs = 0, cache_capacity = 0;
   double timeout_seconds = 0.0;
   try {
-    args.reject_unknown(
-        {"domain", "kernel", "jobs", "circuits", "epochs", "cache-capacity",
-         "prep-cache-capacity", "annotation-cache-capacity",
-         "inference-cache-capacity", "timeout-seconds", "load-model",
-         "save-model", "load-library", "perf-json", "svg", "json", "dot"});
-    jobs = static_cast<std::size_t>(std::max(args.get_int("jobs", 1), 0));
-    circuits = args.get_int("circuits", 150);
-    epochs = args.get_int("epochs", 25);
-    // Per-cache capacities, each falling back to the shared knob.
-    const int shared_capacity =
-        std::max(args.get_int("cache-capacity", 0), 0);
-    const auto cache_capacity = [&](const char* flag) {
-      return static_cast<std::size_t>(
-          std::max(args.get_int(flag, shared_capacity), 0));
-    };
-    prep_capacity = cache_capacity("prep-cache-capacity");
-    annotation_capacity = cache_capacity("annotation-cache-capacity");
-    inference_capacity = cache_capacity("inference-cache-capacity");
-    timeout_seconds = args.get_double("timeout-seconds", 0.0);
+    args.reject_unknown({"domain", "jobs", "circuits", "epochs",
+                         "cache-capacity", "timeout-seconds", "load-model",
+                         "save-model", "load-library", "perf-json", "svg",
+                         "json", "dot"});
+    jobs = args.get_count("jobs", 1, 0);
+    circuits = args.get_count("circuits", 150, 1);
+    epochs = args.get_count("epochs", 25, 1);
+    cache_capacity = args.get_count("cache-capacity", 0, 0);
+    timeout_seconds = args.get_seconds("timeout-seconds", 0.0);
   } catch (const gana::ArgError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return kExitUsage;
@@ -284,8 +232,7 @@ int main(int argc, char** argv) {
     std::printf("loaded model from %s (%zu parameters)\n",
                 args.get("load-model").c_str(), model->parameter_count());
   } else if (args.has("train")) {
-    model = train_quick_model(domain, static_cast<std::size_t>(circuits),
-                              epochs);
+    model = train_quick_model(domain, circuits, static_cast<int>(epochs));
   }
   if (model && args.has("save-model")) {
     gana::gcn::save_model_file(*model, args.get("save-model"));
@@ -311,21 +258,9 @@ int main(int argc, char** argv) {
     return kExitIo;
   }
   gana::core::Annotator& annotator = *owned_annotator;
-  if (args.has("sample-cache")) {
-    annotator.set_sample_cache(
-        std::make_shared<gana::gcn::SamplePrepCache>(prep_capacity));
-  }
-  if (args.has("annotation-cache")) {
-    annotator.set_annotation_cache(
-        std::make_shared<gana::primitives::AnnotationCache>(
-            annotation_capacity));
-  }
-  if (args.has("inference-cache")) {
-    // Attached after any --train / --load-model: set_inference_cache
-    // captures the weights fingerprint at this point.
-    annotator.set_inference_cache(
-        std::make_shared<gana::gcn::InferenceCache>(inference_capacity));
-  }
+  // After any --train / --load-model: the inference cache captures the
+  // weights fingerprint at this point.
+  annotator.attach_caches(cache_capacity);
   gana::core::BatchOptions bopt;
   bopt.policy = keep_going ? gana::core::FailurePolicy::CollectAll
                            : gana::core::FailurePolicy::FailFast;
@@ -437,24 +372,6 @@ int main(int argc, char** argv) {
               batch.timings.prepare_seconds * 1e3,
               batch.timings.gcn_seconds * 1e3,
               batch.timings.post_seconds * 1e3);
-  if (annotator.sample_cache() != nullptr) {
-    const auto stats = annotator.sample_cache()->stats();
-    std::printf("sample cache: %llu hits, %llu misses, %zu entries\n",
-                static_cast<unsigned long long>(stats.hits),
-                static_cast<unsigned long long>(stats.misses), stats.entries);
-  }
-  if (annotator.inference_cache() != nullptr) {
-    const auto stats = annotator.inference_cache()->stats();
-    std::printf("inference cache: %llu hits, %llu misses, %zu entries\n",
-                static_cast<unsigned long long>(stats.hits),
-                static_cast<unsigned long long>(stats.misses), stats.entries);
-  }
-  if (annotator.annotation_cache() != nullptr) {
-    const auto stats = annotator.annotation_cache()->stats();
-    std::printf("annotation cache: %llu hits, %llu misses, %zu entries\n",
-                static_cast<unsigned long long>(stats.hits),
-                static_cast<unsigned long long>(stats.misses), stats.entries);
-  }
   if (args.has("perf-json")) {
     std::ofstream f(args.get("perf-json"));
     f << gana::core::batch_timings_to_json(batch.timings, batch.jobs,

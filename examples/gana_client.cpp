@@ -18,7 +18,8 @@
 // exponential backoff + jitter up to --retries times before counting as
 // a failure.
 //
-// Exit codes: 0 all requests succeeded, 1 usage error, 2 local I/O or
+// Exit codes: 0 all requests succeeded, 1 usage error (including a
+// negative --retries or --timeout-seconds), 2 local I/O or
 // connection failure, 4 any request failed, 5 any request exceeded its
 // deadline (highest-numbered applicable code wins).
 #include <cstdio>
@@ -59,9 +60,10 @@ int main(int argc, char** argv) {
   double timeout = 0.0;
   try {
     args.reject_unknown({"socket", "timeout-seconds", "retries", "json"});
-    timeout = args.get_double("timeout-seconds", 0.0);
+    timeout = args.get_seconds("timeout-seconds", 0.0);
     if (timeout > 0.0) copt.timeout_seconds = timeout;
-    copt.max_retries = std::max(args.get_int("retries", copt.max_retries), 0);
+    copt.max_retries =
+        static_cast<int>(args.get_count("retries", copt.max_retries, 0));
   } catch (const gana::ArgError& e) {
     std::fprintf(stderr, "gana-client: %s\n", e.what());
     return kExitUsage;

@@ -7,9 +7,7 @@
 //                [--domain ota|rf] [--load-model m.ckpt]
 //                [--jobs N] [--max-inflight M] [--max-sessions K]
 //                [--timeout-seconds S] [--write-timeout-seconds S]
-//                [--cache-capacity C] [--prep-cache-capacity C]
-//                [--annotation-cache-capacity C]
-//                [--inference-cache-capacity C] [--seed N]
+//                [--cache-capacity C]
 //                [--fault-seed N] [--fault-alloc P] [--fault-error P]
 //                [--fault-delay P] [--fault-delay-seconds S]
 //
@@ -31,10 +29,7 @@
 // --cache-capacity C: bound each structural cache (sample prep, GCN
 // inference, VF2 annotation) to ~C entries with FIFO eviction; 0 keeps
 // them unbounded. Eviction costs recompute only -- responses stay
-// bit-identical. --prep-cache-capacity / --annotation-cache-capacity /
-// --inference-cache-capacity override the shared value per cache (the
-// three caches hold entries of very different sizes, so a daemon tuned
-// for a memory budget sizes them independently).
+// bit-identical.
 //
 // --fault-*: arm the deterministic fault injector (soak testing): every
 // pipeline stage entry of every request draws alloc-failure / stage-
@@ -42,8 +37,9 @@
 // request id). The same flags plus the same request ids always fault
 // the same stages -- crashes found by the soak harness replay exactly.
 //
-// The process exits 0 after a clean drain, 1 on usage errors, 2 when
-// the socket cannot be bound.
+// The process exits 0 after a clean drain, 1 on usage errors (an
+// unknown flag, or a malformed or out-of-range value such as --jobs -1),
+// 2 when the socket cannot be bound.
 #include <csignal>
 #include <cstdio>
 #include <memory>
@@ -80,9 +76,6 @@ int main(int argc, char** argv) {
         "                  [--timeout-seconds S]\n"
         "                  [--write-timeout-seconds S]\n"
         "                  [--cache-capacity C]\n"
-        "                  [--prep-cache-capacity C]\n"
-        "                  [--annotation-cache-capacity C]\n"
-        "                  [--inference-cache-capacity C] [--seed N]\n"
         "                  [--fault-seed N] [--fault-alloc P]\n"
         "                  [--fault-error P] [--fault-delay P]\n"
         "                  [--fault-delay-seconds S]\n");
@@ -97,8 +90,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Numeric flags are read before any work starts: a malformed value
-  // is a usage error, never a silent default.
+  // Numeric flags are read before any work starts: a malformed or
+  // out-of-range value is a usage error, never a silent default.
   gana::serve::ServerConfig config;
   gana::FaultPlan plan;
   std::uint64_t fault_seed = 1;
@@ -106,40 +99,20 @@ int main(int argc, char** argv) {
     args.reject_unknown(
         {"socket", "domain", "load-model", "load-library", "jobs",
          "max-inflight", "max-sessions", "timeout-seconds",
-         "write-timeout-seconds", "cache-capacity", "prep-cache-capacity",
-         "annotation-cache-capacity", "inference-cache-capacity", "seed",
-         "fault-seed", "fault-alloc", "fault-error", "fault-delay",
-         "fault-delay-seconds"});
+         "write-timeout-seconds", "cache-capacity", "fault-seed",
+         "fault-alloc", "fault-error", "fault-delay", "fault-delay-seconds"});
     config.socket_path = args.get("socket");
-    config.jobs =
-        static_cast<std::size_t>(std::max(args.get_int("jobs", 0), 0));
-    config.max_inflight = static_cast<std::size_t>(
-        std::max(args.get_int("max-inflight", 0), 0));
-    config.default_timeout_seconds = args.get_double("timeout-seconds", 0.0);
-    config.write_timeout_seconds = args.get_double(
+    config.jobs = args.get_count("jobs", 0, 0);
+    config.max_inflight = args.get_count("max-inflight", 0, 0);
+    config.default_timeout_seconds = args.get_seconds("timeout-seconds", 0.0);
+    config.write_timeout_seconds = args.get_seconds(
         "write-timeout-seconds", config.write_timeout_seconds);
-    config.max_sessions = static_cast<std::size_t>(
-        std::max(args.get_int("max-sessions", 0), 0));
-    config.cache_capacity = static_cast<std::size_t>(
-        std::max(args.get_int("cache-capacity", 0), 0));
-    const auto cache_override = [&args](const char* flag) {
-      std::optional<std::size_t> capacity;
-      if (args.has(flag)) {
-        capacity =
-            static_cast<std::size_t>(std::max(args.get_int(flag, 0), 0));
-      }
-      return capacity;
-    };
-    config.prep_cache_capacity = cache_override("prep-cache-capacity");
-    config.annotation_cache_capacity =
-        cache_override("annotation-cache-capacity");
-    config.inference_cache_capacity =
-        cache_override("inference-cache-capacity");
-    config.seed = args.get_u64("seed", config.seed);
+    config.max_sessions = args.get_count("max-sessions", 0, 0);
+    config.cache_capacity = args.get_count("cache-capacity", 0, 0);
     plan.alloc_failure = args.get_double("fault-alloc", 0.0);
     plan.stage_error = args.get_double("fault-error", 0.0);
     plan.stage_delay = args.get_double("fault-delay", 0.0);
-    plan.delay_seconds = args.get_double("fault-delay-seconds", 0.01);
+    plan.delay_seconds = args.get_seconds("fault-delay-seconds", 0.01);
     fault_seed = args.get_u64("fault-seed", fault_seed);
   } catch (const gana::ArgError& e) {
     std::fprintf(stderr, "gana-serve: %s\n", e.what());

@@ -12,7 +12,8 @@
 //       pulling index ranges from the parent as it goes idle, and
 //       writes merged JSONL records (one per netlist, manifest order)
 //       to stdout or --out. The merged bytes are identical for every
-//       --shards value; see src/shard/driver.hpp.
+//       --shards value; see src/shard/driver.hpp. Every process attaches
+//       the three structural caches, each bounded by --cache-capacity.
 //
 //   gana_shard --worker --manifest M ...
 //       Internal: one worker process, spawned by the driver; it reads
@@ -26,7 +27,9 @@
 // Exit codes follow annotate_netlist (0 ok, 1 usage, 2 io, 3 parse,
 // 4 annotate, 5 timeout) plus 6 when a worker process crashed or exited
 // nonzero; a worker killed at --shard-timeout-seconds (a wall-clock
-// budget per worker process, counted from its spawn) yields 5.
+// budget per worker process, counted from its spawn) yields 5. A
+// malformed or out-of-range value (--shards 0, --count -5) is a usage
+// error.
 
 #include <cstdio>
 #include <fstream>
@@ -58,7 +61,7 @@ void print_usage() {
       "  gana_shard --manifest FILE [--out FILE] [--shards N] [--jobs N]\n"
       "             [--domain ota|rf] [--keep-going]\n"
       "             [--shard-timeout-seconds S] [--timeout-seconds S]\n"
-      "             [--seed S] [--no-caches] [--cache-capacity N]\n"
+      "             [--cache-capacity N]\n"
       "             [--load-model FILE] [--load-library FILE|standard]\n"
       "             [--perf-json FILE] [--worker-exe FILE] [--quiet]\n"
       "  gana_shard --pack-model FILE --out FILE\n"
@@ -99,11 +102,9 @@ int run_datagen(const gana::Args& args) {
     print_usage();
     return kExitUsage;
   }
-  opt.count =
-      static_cast<std::size_t>(std::max(args.get_int("count", 100000), 0));
+  opt.count = args.get_count("count", 100000, 0);
   opt.seed = args.get_u64("seed", opt.seed);
-  opt.files_per_subdir =
-      static_cast<std::size_t>(std::max(args.get_int("per-dir", 1000), 1));
+  opt.files_per_subdir = args.get_count("per-dir", 1000, 1);
   opt.ota_fraction = args.get_double("ota-fraction", opt.ota_fraction);
   opt.rf_fraction = args.get_double("rf-fraction", opt.rf_fraction);
 
@@ -184,9 +185,8 @@ int run_pack_library(const gana::Args& args) {
 int run_driver(const gana::Args& args) {
   args.reject_unknown(
       {"manifest", "out", "shards", "jobs", "domain", "keep-going",
-       "shard-timeout-seconds", "timeout-seconds", "seed", "no-caches",
-       "cache-capacity", "load-model", "load-library", "perf-json",
-       "worker-exe", "quiet"});
+       "shard-timeout-seconds", "timeout-seconds", "cache-capacity",
+       "load-model", "load-library", "perf-json", "worker-exe", "quiet"});
   const std::string manifest = args.get("manifest");
   if (manifest.empty()) {
     std::fprintf(stderr, "gana-shard: --manifest is required\n");
@@ -195,24 +195,19 @@ int run_driver(const gana::Args& args) {
   }
 
   gana::shard::ShardOptions opt;
-  opt.shards =
-      static_cast<std::size_t>(std::max(args.get_int("shards", 1), 1));
+  opt.shards = args.get_count("shards", 1, 1);
   opt.keep_going = args.has("keep-going");
-  opt.shard_timeout_seconds = args.get_double("shard-timeout-seconds", 0.0);
+  opt.shard_timeout_seconds = args.get_seconds("shard-timeout-seconds", 0.0);
   opt.worker_exe = args.get("worker-exe");
-  opt.pipeline.jobs =
-      static_cast<std::size_t>(std::max(args.get_int("jobs", 1), 1));
-  opt.pipeline.seed = args.get_u64("seed", opt.pipeline.seed);
+  opt.pipeline.jobs = args.get_count("jobs", 1, 1);
   opt.pipeline.domain = args.get("domain", "ota");
   if (!gana::datagen::domain_class_names(opt.pipeline.domain).has_value()) {
     std::fprintf(stderr, "gana-shard: unknown --domain %s\n",
                  opt.pipeline.domain.c_str());
     return kExitUsage;
   }
-  opt.pipeline.caches = !args.has("no-caches");
-  opt.pipeline.cache_capacity =
-      static_cast<std::size_t>(std::max(args.get_int("cache-capacity", 0), 0));
-  opt.pipeline.timeout_seconds = args.get_double("timeout-seconds", 0.0);
+  opt.pipeline.cache_capacity = args.get_count("cache-capacity", 0, 0);
+  opt.pipeline.timeout_seconds = args.get_seconds("timeout-seconds", 0.0);
   opt.pipeline.load_model = args.get("load-model");
   opt.pipeline.load_library = args.get("load-library");
 

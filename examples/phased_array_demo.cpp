@@ -3,6 +3,8 @@
 // sub-block structure the postprocessing stages recover.
 //
 //   ./phased_array_demo [--channels 4]
+//
+// --channels is at least 1; any other value is a usage error (exit 1).
 #include <cstdio>
 #include <map>
 
@@ -14,7 +16,7 @@ int main(int argc, char** argv) {
   gana::datagen::PhasedArrayOptions opt;
   try {
     args.reject_unknown({"channels"});
-    opt.channels = args.get_int("channels", 4);
+    opt.channels = static_cast<int>(args.get_count("channels", 4, 1));
   } catch (const gana::ArgError& e) {
     std::fprintf(stderr, "phased_array_demo: %s\n", e.what());
     return 1;

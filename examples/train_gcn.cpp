@@ -2,6 +2,9 @@
 // (paper §V-A) and reports training/validation accuracy.
 //
 //   ./train_gcn [--circuits 200] [--epochs 40] [--k 8] [--pooling]
+//
+// --circuits and --epochs are at least 1 and --k lies in
+// 1..gcn::kMaxChebK; any other value is a usage error (exit 1).
 #include <cstdio>
 
 #include "gana.hpp"
@@ -13,9 +16,9 @@ int main(int argc, char** argv) {
   int epochs = 0, k = 0;
   try {
     args.reject_unknown({"circuits", "epochs", "k", "pooling"});
-    circuits = static_cast<std::size_t>(args.get_int("circuits", 200));
-    epochs = args.get_int("epochs", 40);
-    k = args.get_int("k", 8);
+    circuits = args.get_count("circuits", 200, 1);
+    epochs = static_cast<int>(args.get_count("epochs", 40, 1));
+    k = static_cast<int>(args.get_count("k", 8, 1, gana::gcn::kMaxChebK));
   } catch (const gana::ArgError& e) {
     std::fprintf(stderr, "train_gcn: %s\n", e.what());
     return 1;

@@ -227,9 +227,8 @@ BatchResult BatchRunner::unwrap(BatchOutcome outcome) const {
 BatchOutcome BatchRunner::run_isolated(
     const std::vector<datagen::LabeledCircuit>& batch) const {
   const Annotator& annotator = *annotator_;
-  const std::uint64_t root = options_.seed;
-  return dispatch(batch.size(), [&annotator, &batch, root](std::size_t i) {
-    return annotator.try_annotate(batch[i], root);
+  return dispatch(batch.size(), [&annotator, &batch](std::size_t i) {
+    return annotator.try_annotate(batch[i]);
   });
 }
 
@@ -237,12 +236,11 @@ BatchOutcome BatchRunner::run_isolated(
     const std::vector<spice::Netlist>& netlists,
     const std::vector<std::string>& names) const {
   const Annotator& annotator = *annotator_;
-  const std::uint64_t root = options_.seed;
   return dispatch(
-      netlists.size(), [&annotator, &netlists, &names, root](std::size_t i) {
+      netlists.size(), [&annotator, &netlists, &names](std::size_t i) {
         const std::string name =
             i < names.size() ? names[i] : "batch/" + std::to_string(i);
-        return annotator.try_annotate(netlists[i], name, root);
+        return annotator.try_annotate(netlists[i], name);
       });
 }
 

@@ -9,7 +9,7 @@
 // Determinism guarantee: results are bit-identical to the sequential
 // path regardless of thread count --
 //   * every circuit is a self-contained task writing only results[i];
-//   * each task's sample Rng stream is derived from (root seed,
+//   * each task's sample Rng stream is derived from (kDefaultSampleSeed,
 //     structural hash of the circuit graph) inside the Annotator --
 //     never from scheduling order, and not from the slot index either,
 //     so structurally identical circuits share one stream and the
@@ -57,9 +57,6 @@ struct BatchOptions {
   /// Worker threads; 1 runs inline on the calling thread, 0 means
   /// std::thread::hardware_concurrency().
   std::size_t jobs = 1;
-  /// Root sample seed handed to every task unchanged; the Annotator
-  /// derives the per-circuit prep stream from (seed, structural hash).
-  std::uint64_t seed = kDefaultSampleSeed;
   /// Failure handling for `run_isolated` (and how eagerly `run` aborts).
   FailurePolicy policy = FailurePolicy::FailFast;
   /// Per-task wall-clock budget in seconds; 0 disables. Each task gets

@@ -143,15 +143,13 @@ Annotator::Annotator(const gcn::GcnModel* model,
   }
 }
 
-AnnotateResult Annotator::annotate(const datagen::LabeledCircuit& input,
-                                   std::uint64_t sample_seed) const {
-  return value_or_throw(try_annotate(input, sample_seed));
+AnnotateResult Annotator::annotate(const datagen::LabeledCircuit& input) const {
+  return value_or_throw(try_annotate(input));
 }
 
 AnnotateResult Annotator::annotate(const spice::Netlist& netlist,
-                                   const std::string& name,
-                                   std::uint64_t sample_seed) const {
-  return value_or_throw(try_annotate(netlist, name, sample_seed));
+                                   const std::string& name) const {
+  return value_or_throw(try_annotate(netlist, name));
 }
 
 AnnotateResult Annotator::annotate_oracle(
@@ -175,30 +173,31 @@ AnnotateResult Annotator::annotate_oracle(
   return value_or_throw(run(
       input.name,
       [&](Stage* stage) { return prepare_circuit(input, prepare_, stage); },
-      kDefaultSampleSeed, hooks));
+      hooks));
 }
 
 Result<AnnotateResult> Annotator::try_annotate(
-    const datagen::LabeledCircuit& input, std::uint64_t sample_seed) const {
-  return run(
-      input.name,
-      [&](Stage* stage) { return prepare_circuit(input, prepare_, stage); },
-      sample_seed);
+    const datagen::LabeledCircuit& input) const {
+  return run(input.name, [&](Stage* stage) {
+    return prepare_circuit(input, prepare_, stage);
+  });
 }
 
-Result<AnnotateResult> Annotator::try_annotate(
-    const spice::Netlist& netlist, const std::string& name,
-    std::uint64_t sample_seed) const {
-  return run(
-      name,
-      [&](Stage* stage) {
-        return prepare_netlist(netlist, class_names_, name, prepare_, stage);
-      },
-      sample_seed);
+Result<AnnotateResult> Annotator::try_annotate(const spice::Netlist& netlist,
+                                               const std::string& name) const {
+  return run(name, [&](Stage* stage) {
+    return prepare_netlist(netlist, class_names_, name, prepare_, stage);
+  });
+}
+
+void Annotator::attach_caches(std::size_t capacity) {
+  set_sample_cache(std::make_shared<gcn::SamplePrepCache>(capacity));
+  set_annotation_cache(
+      std::make_shared<primitives::AnnotationCache>(capacity));
+  set_inference_cache(std::make_shared<gcn::InferenceCache>(capacity));
 }
 
 Matrix Annotator::compute_probabilities(const PreparedCircuit& prepared,
-                                        std::uint64_t sample_seed,
                                         Stage* stage) const {
   const std::size_t n = prepared.graph.vertex_count();
   if (model_ == nullptr) {
@@ -213,7 +212,7 @@ Matrix Annotator::compute_probabilities(const PreparedCircuit& prepared,
   // spectral operators whether or not the SamplePrepCache is attached.
   const int pool_levels = model_->config().required_pool_levels();
   const std::uint64_t prep_seed = graph::hash_combine(
-      sample_seed, graph::structural_hash(prepared.graph));
+      kDefaultSampleSeed, graph::structural_hash(prepared.graph));
   const std::uint64_t sample_key = graph::hash_combine(
       prep_seed, static_cast<std::uint64_t>(pool_levels));
   Matrix features = build_features(prepared.graph);
@@ -268,7 +267,6 @@ Matrix Annotator::compute_probabilities(const PreparedCircuit& prepared,
 
 Result<AnnotateResult> Annotator::run(const std::string& name,
                                       const PrepareFn& prepare,
-                                      std::uint64_t sample_seed,
                                       const StageHooks& hooks) const {
   Stage stage = Stage::Flatten;
   try {
@@ -287,7 +285,7 @@ Result<AnnotateResult> Annotator::run(const std::string& name,
       mark(&stage, Stage::Gcn);
       r.probabilities = hooks.probabilities(r.prepared);
     } else {
-      r.probabilities = compute_probabilities(r.prepared, sample_seed, &stage);
+      r.probabilities = compute_probabilities(r.prepared, &stage);
     }
     const std::size_t n = g.vertex_count();
     r.gcn_class.assign(n, -1);

@@ -66,12 +66,12 @@ std::vector<gcn::GraphSample> make_gcn_samples(
     std::uint64_t seed, const PrepareOptions& options = {});
 
 /// Root seed of the per-circuit sample Rng (Lanczos start vectors,
-/// Graclus tie-breaking) when the caller does not supply one. The
-/// effective prep stream is seeded by hash_combine(root, structural
-/// hash of the circuit graph), so structurally identical circuits get
-/// identical prep no matter which batch slot (or process) they appear
-/// in -- the invariant that makes SamplePrepCache hits bit-identical to
-/// cache-off runs.
+/// Graclus tie-breaking); a constant, so the annotation is a function
+/// of the circuit alone. The effective prep stream is seeded by
+/// hash_combine(root, structural hash of the circuit graph), so
+/// structurally identical circuits get identical prep no matter which
+/// batch slot, process or binary they appear in -- the invariant that
+/// makes SamplePrepCache hits bit-identical to cache-off runs.
 inline constexpr std::uint64_t kDefaultSampleSeed = 0xc0ffee;
 
 /// Full annotation result with per-stage classifications and accuracies.
@@ -152,13 +152,11 @@ class Annotator {
   /// Runs the full pipeline. Ground-truth labels in `input` are used only
   /// to fill the accuracy fields. Throws spice::NetlistError carrying
   /// the Diag try_annotate would return.
-  AnnotateResult annotate(const datagen::LabeledCircuit& input,
-                          std::uint64_t sample_seed = kDefaultSampleSeed) const;
+  AnnotateResult annotate(const datagen::LabeledCircuit& input) const;
 
   /// Pipeline on an unlabeled netlist.
   AnnotateResult annotate(const spice::Netlist& netlist,
-                          const std::string& name,
-                          std::uint64_t sample_seed = kDefaultSampleSeed) const;
+                          const std::string& name) const;
 
   /// Runs the pipeline with an ORACLE classifier: probabilities are
   /// one-hot on the ground-truth labels (uniform for labels outside the
@@ -172,11 +170,9 @@ class Annotator {
   /// NetlistError or otherwise -- comes back as a Diag stamped with the
   /// stage that was executing.
   [[nodiscard]] Result<AnnotateResult> try_annotate(
-      const datagen::LabeledCircuit& input,
-      std::uint64_t sample_seed = kDefaultSampleSeed) const;
+      const datagen::LabeledCircuit& input) const;
   [[nodiscard]] Result<AnnotateResult> try_annotate(
-      const spice::Netlist& netlist, const std::string& name,
-      std::uint64_t sample_seed = kDefaultSampleSeed) const;
+      const spice::Netlist& netlist, const std::string& name) const;
 
   /// The one annotation path every entry point above (and the
   /// incremental session) runs: `prepare`, then the GCN stage and
@@ -187,8 +183,14 @@ class Annotator {
   /// with the stage that was executing, labelled with `name`.
   [[nodiscard]] Result<AnnotateResult> run(const std::string& name,
                                            const PrepareFn& prepare,
-                                           std::uint64_t sample_seed,
                                            const StageHooks& hooks = {}) const;
+
+  /// Attaches all three caches below (sample prep, GCN inference, VF2
+  /// annotation), each bounded to ~`capacity` entries with FIFO eviction
+  /// (0 = unbounded): the cache policy of every binary. Call it after the
+  /// model's weights are final -- the inference cache keys on their
+  /// fingerprint. Cached and uncached runs are bit-identical.
+  void attach_caches(std::size_t capacity);
 
   /// Attaches a sample-prep cache shared by all annotate calls (and all
   /// threads -- the cache is internally synchronized). Pass nullptr to
@@ -255,7 +257,6 @@ class Annotator {
   /// folds in a fingerprint of the feature *values*, so circuits that
   /// share a structure but differ in sizing buckets never alias.
   [[nodiscard]] Matrix compute_probabilities(const PreparedCircuit& prepared,
-                                             std::uint64_t sample_seed,
                                              Stage* stage) const;
 
   const gcn::GcnModel* model_;  ///< not owned; may be null (uniform probabilities)

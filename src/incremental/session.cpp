@@ -102,9 +102,8 @@ bool subckts_equal(const std::map<std::string, spice::SubcktDef>& a,
 
 }  // namespace
 
-AnnotationSession::AnnotationSession(const core::Annotator* annotator,
-                                     SessionOptions options)
-    : annotator_(annotator), options_(options) {
+AnnotationSession::AnnotationSession(const core::Annotator* annotator)
+    : annotator_(annotator) {
   const primitives::PrimitiveLibrary& library = annotator_->library();
   pattern_safe_.resize(library.size());
   for (std::size_t li = 0; li < library.size(); ++li) {
@@ -133,7 +132,7 @@ Result<AnnotateResult> AnnotationSession::reannotate(const Netlist& netlist,
   Result<AnnotateResult> result = annotator_->run(
       name,
       [&](Stage* stage) { return prepare_revision(netlist, name, stage); },
-      options_.sample_seed, hooks);
+      hooks);
   if (!result.ok()) return result;
   if (reused) {
     stats_.annotation_reused = true;
@@ -241,16 +240,7 @@ void AnnotationSession::diff_flat(const Netlist& flat) {
 primitives::AnnotateOutcome AnnotationSession::incremental_annotate(
     const CircuitGraph& g) {
   const primitives::PrimitiveLibrary& library = annotator_->library();
-  primitives::AnnotateOptions opt;
-  opt.match = options_.match;
-
-  // Wall-clock budgets make truncation machine-dependent; such sessions
-  // run every revision cold (same rule as AnnotationCache).
-  if (opt.match.max_seconds != 0.0) {
-    stats_.fallback_cold = true;
-    return primitives::annotate_primitives_guarded(g, library, opt);
-  }
-
+  const primitives::AnnotateOptions opt{};
   primitives::AnnotateOutcome outcome;
   const std::uint64_t whole_key =
       primitives::annotation_cache_key(g, library, opt);
@@ -283,8 +273,7 @@ primitives::AnnotateOutcome AnnotationSession::incremental_annotate(
   if (!single_region) {
     subs.reserve(nregions);
     for (const auto& elems : part.elements) {
-      subs.push_back(
-          build_region_subgraph(g, elems, options_.canon_leaf_budget));
+      subs.push_back(build_region_subgraph(g, elems));
     }
   }
 
@@ -385,10 +374,7 @@ primitives::AnnotateOutcome AnnotationSession::incremental_annotate(
     stats_.regions = nregions;
     stats_.region_recomputes = nregions;
     perf::count_incremental_regions(nregions, 0, nregions);
-    primitives::AnnotateOutcome cold;
-    primitives::AnnotateOptions cold_opt;
-    cold_opt.match = options_.match;
-    return primitives::annotate_primitives_guarded(g, library, cold_opt);
+    return primitives::annotate_primitives_guarded(g, library, opt);
   }
 
   primitives::CachedAnnotation ann = primitives::accept_pattern_matches(

@@ -55,16 +55,6 @@
 
 namespace gana::incremental {
 
-struct SessionOptions {
-  std::uint64_t sample_seed = core::kDefaultSampleSeed;
-  /// Individualization leaf budget of the canonical labeler.
-  std::size_t canon_leaf_budget = 64;
-  /// VF2 budgets for the incremental sweeps. `max_seconds` must stay 0:
-  /// wall-clock truncation points are machine-dependent, so a session
-  /// with a wall budget runs every revision cold.
-  iso::MatchOptions match;
-};
-
 /// Per-revision reuse report (also flushed to the perf counters).
 struct SessionStats {
   bool full_prepare = true;   ///< false when the value-patch path ran
@@ -89,8 +79,7 @@ class AnnotationSession {
   /// `annotator` is borrowed and must outlive the session. Its attached
   /// sample/inference caches carry the GCN reuse; the session adds its
   /// own match-level stores on top.
-  explicit AnnotationSession(const core::Annotator* annotator,
-                             SessionOptions options = {});
+  explicit AnnotationSession(const core::Annotator* annotator);
 
   /// Annotates the next revision of the design. Never throws; failures
   /// come back as Diags exactly like Annotator::try_annotate. On
@@ -129,7 +118,6 @@ class AnnotationSession {
   void remember_patched(const spice::Netlist& input);
 
   const core::Annotator* annotator_;
-  SessionOptions options_;
   SessionStats stats_;
 
   // Previous-revision baseline.

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <map>
-#include <optional>
 
 #include "isomorph/candidate_index.hpp"
 #include "util/deadline.hpp"
@@ -56,11 +54,6 @@ class Vf2State {
       }
     }
     order_ = search_order();
-    if (options.max_seconds > 0.0) {
-      deadline_ = std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(options.max_seconds));
-    }
   }
 
   std::vector<Match> run(MatchStats* stats) {
@@ -283,26 +276,19 @@ class Vf2State {
     matches_.push_back(std::move(m));
   }
 
-  /// True once any budget stops the search. The states budget truncates
-  /// at a point determined only by the inputs, keeping truncated results
-  /// deterministic; the optional deadline is checked every 1024 states to
-  /// stay off the hot path. The per-request deadline (util/deadline.hpp)
-  /// rides the same 1024-state cadence but *throws* instead of
-  /// truncating: a request past its wall budget must abort with
-  /// DeadlineExceeded, not return a quietly partial annotation whose
-  /// truncation point would be machine-dependent.
+  /// True once the states budget stops the search, at a point
+  /// determined only by the inputs, so truncated results stay
+  /// deterministic. The per-request deadline (util/deadline.hpp), the
+  /// one wall-clock bound, is checked every 1024 states to stay off the
+  /// hot path, and *throws* instead of truncating: a request past its
+  /// wall budget aborts with DeadlineExceeded rather than returning a
+  /// partial annotation whose truncation point would be machine-dependent.
   bool budget_exhausted() {
     if (states_ > options_.max_states) {
       truncated_ = true;
       return true;
     }
-    if ((states_ & 1023u) == 0) {
-      check_deadline(Stage::Primitives);
-      if (deadline_ && std::chrono::steady_clock::now() > *deadline_) {
-        truncated_ = true;
-        return true;
-      }
-    }
+    if ((states_ & 1023u) == 0) check_deadline(Stage::Primitives);
     return false;
   }
 
@@ -363,7 +349,6 @@ class Vf2State {
   std::size_t states_ = 0;
   std::size_t sig_rejections_ = 0;
   bool truncated_ = false;
-  std::optional<std::chrono::steady_clock::time_point> deadline_;
 };
 
 }  // namespace

@@ -81,11 +81,6 @@ struct MatchOptions {
   /// Indexed engine prunes more, so its truncation point differs from
   /// the Reference engine's; each is deterministic on its own.
   std::size_t max_states = 50000000;
-  /// Optional wall-clock budget in seconds (0 = disabled). NOT
-  /// deterministic -- where the search stops depends on machine speed --
-  /// so the pipeline leaves this off and relies on `max_states`; it is an
-  /// escape hatch for interactive callers.
-  double max_seconds = 0.0;
   /// Deduplicate matches that cover the same element set (automorphic
   /// images, e.g. the two orderings of a differential pair). The kept
   /// representative is the lexicographically smallest map among the
@@ -99,7 +94,7 @@ struct MatchOptions {
 /// of `find_subgraph_matches`.
 struct MatchStats {
   std::size_t states = 0;    ///< explored search states
-  bool truncated = false;    ///< a budget (states/seconds/matches) was hit
+  bool truncated = false;    ///< a budget (states/matches) was hit
   /// Candidates rejected by the signature lookahead before recursion
   /// (Indexed engine only; 0 under Reference).
   std::size_t sig_rejections = 0;

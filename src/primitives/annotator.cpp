@@ -239,12 +239,9 @@ AnnotateOutcome annotate_primitives_guarded(const CircuitGraph& g,
                                             const PrimitiveLibrary& library,
                                             const AnnotateOptions& options) {
   AnnotateOutcome outcome;
-  // Wall-clock truncation points are machine-dependent; never share them.
-  const bool cacheable =
-      options.cache != nullptr && options.match.max_seconds == 0.0;
   std::uint64_t key = 0;
   std::shared_ptr<const CachedAnnotation> ann;
-  if (cacheable) {
+  if (options.cache != nullptr) {
     key = annotation_cache_key(g, library, options);
     ann = options.cache->find(key);
   }
@@ -256,8 +253,9 @@ AnnotateOutcome annotate_primitives_guarded(const CircuitGraph& g,
         compute_annotation(g, library, options, outcome));
     // On an insert race the first entry wins; both workers computed
     // identical records, so instantiating from either is equivalent.
-    ann = cacheable ? options.cache->insert(key, std::move(fresh))
-                    : std::move(fresh);
+    ann = options.cache != nullptr
+              ? options.cache->insert(key, std::move(fresh))
+              : std::move(fresh);
   }
   instantiate_annotation(g, library, *ann, outcome.primitives);
   return outcome;

@@ -66,9 +66,7 @@ struct AnnotateOptions {
   /// same canonical order the sequential sweep uses. Not owned.
   ThreadPool* pool = nullptr;
   /// When non-null, annotations are shared across structurally identical
-  /// circuits through this cache. Ignored when `match.max_seconds` is
-  /// set (wall-clock truncation points are machine-dependent, so such
-  /// results must not be shared). Not owned.
+  /// circuits through this cache. Not owned.
   AnnotationCache* cache = nullptr;
 };
 

@@ -15,10 +15,7 @@
 
 #include "core/batch_runner.hpp"
 #include "core/export.hpp"
-#include "gcn/inference_cache.hpp"
-#include "gcn/sample_cache.hpp"
 #include "incremental/session.hpp"
-#include "primitives/annotation_cache.hpp"
 #include "spice/parser.hpp"
 #include "util/deadline.hpp"
 #include "util/timer.hpp"
@@ -60,9 +57,8 @@ struct Server::Connection {
 /// shared_ptr keeps a FIFO-shed session alive until its last in-flight
 /// request answers.
 struct Server::SessionEntry {
-  explicit SessionEntry(const core::Annotator* annotator,
-                        incremental::SessionOptions options)
-      : session(annotator, options) {}
+  explicit SessionEntry(const core::Annotator* annotator)
+      : session(annotator) {}
   std::mutex mutex;
   incremental::AnnotationSession session;
 };
@@ -130,17 +126,8 @@ Server::Server(core::Annotator& annotator, ServerConfig config)
   resolved_max_sessions_ =
       config_.max_sessions != 0 ? config_.max_sessions : 8;
   // Graceful degradation: long-lived servers see unbounded distinct
-  // structures; bounded caches trade recompute for bounded memory. Each
-  // cache takes its own capacity when configured, the shared value
-  // otherwise.
-  annotator_->set_sample_cache(std::make_shared<gcn::SamplePrepCache>(
-      config_.prep_cache_capacity.value_or(config_.cache_capacity)));
-  annotator_->set_annotation_cache(
-      std::make_shared<primitives::AnnotationCache>(
-          config_.annotation_cache_capacity.value_or(
-              config_.cache_capacity)));
-  annotator_->set_inference_cache(std::make_shared<gcn::InferenceCache>(
-      config_.inference_cache_capacity.value_or(config_.cache_capacity)));
+  // structures; bounded caches trade recompute for bounded memory.
+  annotator_->attach_caches(config_.cache_capacity);
 }
 
 Server::~Server() { stop(); }
@@ -265,7 +252,7 @@ void Server::accept_loop() {
 }
 
 void Server::connection_loop(std::shared_ptr<Connection> conn) {
-  FrameDecoder decoder(config_.max_frame_bytes);
+  FrameDecoder decoder;
   char buf[16384];
   while (true) {
     const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
@@ -408,7 +395,7 @@ void Server::run_annotate(const std::shared_ptr<Connection>& conn,
       Result<core::AnnotateResult> outcome = make_diag(
           DiagCode::Internal, Stage::Serve, "request was never run");
       if (request.kind == RequestKind::Reannotate) {
-        // Same seed, same exporter as the cold path: a warm reannotate
+        // Same pipeline, same exporter as the cold path: a warm reannotate
         // answers with exactly the bytes an annotate of this netlist
         // would. Requests within one session serialize on its mutex
         // (each call advances the session's baseline revision).
@@ -417,7 +404,7 @@ void Server::run_annotate(const std::shared_ptr<Connection>& conn,
         std::lock_guard<std::mutex> lock(entry->mutex);
         outcome = entry->session.reannotate(parsed.value(), name);
       } else {
-        outcome = annotator_->try_annotate(parsed.value(), name, config_.seed);
+        outcome = annotator_->try_annotate(parsed.value(), name);
       }
       if (outcome.ok()) {
         response.ok = true;
@@ -465,9 +452,7 @@ std::shared_ptr<Server::SessionEntry> Server::checkout_session(
     session_fifo_.pop_front();
     n_sessions_shed_.fetch_add(1, std::memory_order_relaxed);
   }
-  incremental::SessionOptions options;
-  options.sample_seed = config_.seed;
-  auto entry = std::make_shared<SessionEntry>(annotator_, options);
+  auto entry = std::make_shared<SessionEntry>(annotator_);
   sessions_.emplace(id, entry);
   session_fifo_.push_back(id);
   n_sessions_created_.fetch_add(1, std::memory_order_relaxed);
@@ -484,7 +469,7 @@ void Server::note_failure(const Diag& diag) {
 void Server::send_response(const std::shared_ptr<Connection>& conn,
                            const Response& response) {
   const std::optional<std::string> frame =
-      encode_frame(encode_response(response), config_.max_frame_bytes);
+      encode_frame(encode_response(response));
   if (!frame.has_value()) {
     // Response larger than a frame allows (enormous annotation JSON):
     // replace it with a structured failure that always fits.
@@ -494,7 +479,7 @@ void Server::send_response(const std::shared_ptr<Connection>& conn,
     overflow.diag = make_diag(DiagCode::LimitExceeded, Stage::Serve,
                               "response exceeds the frame size limit");
     const std::optional<std::string> fallback =
-        encode_frame(encode_response(overflow), config_.max_frame_bytes);
+        encode_frame(encode_response(overflow));
     std::lock_guard<std::mutex> lock(conn->write_mutex);
     if (fallback.has_value()) send_all(*conn, *fallback);
     return;

@@ -18,11 +18,12 @@
 //     runs under a wall-clock Deadline.
 //  3. *Deterministic outputs.* An admitted healthy request produces the
 //     exact bytes `annotate_netlist --json` would: same Annotator, same
-//     seed, same exporter. Deadlines and faults change *which* requests
-//     fail, never the bytes of the ones that succeed. Reannotate
-//     requests route through a per-session incremental::AnnotationSession
-//     whose reuse paths carry the same bit-identity contract, so a warm
-//     reannotation answers with exactly an annotate's bytes.
+//     caches (Annotator::attach_caches), same exporter. Deadlines and
+//     faults change *which* requests fail, never the bytes of the ones
+//     that succeed. Reannotate requests route through a per-session
+//     incremental::AnnotationSession whose reuse paths carry the same
+//     bit-identity contract, so a warm reannotation answers with
+//     exactly an annotate's bytes.
 //
 // Reannotation sessions: a `reannotate` request names a session id and
 // carries the *full* netlist of the next revision; the server diffs it
@@ -58,7 +59,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -82,11 +82,6 @@ struct ServerConfig {
   double default_timeout_seconds = 0.0;  ///< per-request deadline when the
                                          ///< request names none; 0 = none
   std::size_t cache_capacity = 0;  ///< per structural cache (0 = unbounded)
-  /// Per-cache overrides of `cache_capacity`. Unset inherits the shared
-  /// value; an explicit 0 makes that one cache unbounded.
-  std::optional<std::size_t> prep_cache_capacity;
-  std::optional<std::size_t> annotation_cache_capacity;
-  std::optional<std::size_t> inference_cache_capacity;
   /// Live reannotation sessions held at once; 0 derives a default (8).
   /// Opening session max_sessions+1 sheds the *oldest-created* session
   /// (FIFO) -- its cached artifacts are dropped and the next reannotate
@@ -99,8 +94,6 @@ struct ServerConfig {
   /// once the budget expires, so a worker can never wedge in a write
   /// and shutdown always completes. 0 = unbounded (trusted peers only).
   double write_timeout_seconds = 30.0;
-  std::size_t max_frame_bytes = kMaxFrameBytes;
-  std::uint64_t seed = core::kDefaultSampleSeed;  ///< root sample seed
 };
 
 /// Point-in-time server health; all counters are lifetime totals.
@@ -127,7 +120,8 @@ struct ServerStats {
 class Server {
  public:
   /// `annotator` must stay alive (and unmodified) for the server's
-  /// lifetime; the server attaches its capacity-bounded caches to it.
+  /// lifetime; the server attaches its capacity-bounded caches to it
+  /// (Annotator::attach_caches with `cache_capacity`).
   Server(core::Annotator& annotator, ServerConfig config);
   ~Server();
 

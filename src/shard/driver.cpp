@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -252,20 +253,11 @@ Result<bool> SliceRunner::init(const PipelineOptions& options) {
   } catch (const DiagError& e) {
     return e.diag();  // the model does not fit the domain's annotator
   }
-  if (options.caches) {
-    const std::size_t cap = options.cache_capacity;
-    impl->annotator->set_sample_cache(
-        std::make_shared<gcn::SamplePrepCache>(cap));
-    impl->annotator->set_annotation_cache(
-        std::make_shared<primitives::AnnotationCache>(cap));
-    // After any model load: the inference cache captures the weights
-    // fingerprint at attach time.
-    impl->annotator->set_inference_cache(
-        std::make_shared<gcn::InferenceCache>(cap));
-  }
+  // After the model load: the inference cache captures the weights
+  // fingerprint at attach time.
+  impl->annotator->attach_caches(options.cache_capacity);
   core::BatchOptions bopt;
   bopt.jobs = options.jobs;
-  bopt.seed = options.seed;
   bopt.policy = core::FailurePolicy::CollectAll;
   bopt.timeout_seconds = options.timeout_seconds;
   impl->runner = std::make_unique<core::BatchRunner>(*impl->annotator, bopt);
@@ -357,16 +349,12 @@ int worker_main(const Args& args) {
   int crash_after = -1, stall_after = -1;
   try {
     // Every flag worker_argv emits, plus the two test hooks.
-    args.reject_unknown({"worker", "manifest", "jobs", "seed", "domain",
-                         "no-caches", "cache-capacity", "timeout-seconds",
-                         "load-model", "load-library", "crash-after",
-                         "stall-after"});
-    pipeline.jobs =
-        static_cast<std::size_t>(std::max(args.get_int("jobs", 1), 1));
-    pipeline.seed = args.get_u64("seed", core::kDefaultSampleSeed);
-    pipeline.cache_capacity = static_cast<std::size_t>(
-        std::max(args.get_int("cache-capacity", 0), 0));
-    pipeline.timeout_seconds = args.get_double("timeout-seconds", 0.0);
+    args.reject_unknown({"worker", "manifest", "jobs", "domain",
+                         "cache-capacity", "timeout-seconds", "load-model",
+                         "load-library", "crash-after", "stall-after"});
+    pipeline.jobs = args.get_count("jobs", 1, 1);
+    pipeline.cache_capacity = args.get_count("cache-capacity", 0, 0);
+    pipeline.timeout_seconds = args.get_seconds("timeout-seconds", 0.0);
     crash_after = args.get_int("crash-after", -1);
     stall_after = args.get_int("stall-after", -1);
   } catch (const ArgError& e) {
@@ -380,7 +368,6 @@ int worker_main(const Args& args) {
     return 2;
   }
   pipeline.domain = args.get("domain", "ota");
-  pipeline.caches = !args.has("no-caches");
   pipeline.load_model = args.get("load-model");
   pipeline.load_library = args.get("load-library");
 
@@ -516,18 +503,20 @@ std::vector<std::string> worker_argv(const ShardOptions& options,
   argv.push_back(manifest);
   argv.push_back("--jobs");
   argv.push_back(std::to_string(p.jobs));
-  argv.push_back("--seed");
-  argv.push_back(std::to_string(p.seed));
   argv.push_back("--domain");
   argv.push_back(p.domain);
-  if (!p.caches) argv.push_back("--no-caches");
   if (p.cache_capacity != 0) {
     argv.push_back("--cache-capacity");
     argv.push_back(std::to_string(p.cache_capacity));
   }
   if (p.timeout_seconds > 0.0) {
+    // Shortest round-trip form: std::to_string's six fixed decimals
+    // would turn a sub-microsecond budget into 0 (no deadline).
+    char buf[32];
+    const auto end =
+        std::to_chars(buf, buf + sizeof(buf), p.timeout_seconds).ptr;
     argv.push_back("--timeout-seconds");
-    argv.push_back(std::to_string(p.timeout_seconds));
+    argv.push_back(std::string(buf, end));
   }
   if (!p.load_model.empty()) {
     argv.push_back("--load-model");

@@ -18,12 +18,13 @@
 // Determinism contract: the merged per-netlist output is byte-identical
 // at every worker count, including the in-process shards=1 path, because
 //   * every path formats records through the same record_line();
-//   * per-circuit sample streams derive from (root seed, structural
-//     hash) -- never from slot index, worker, or grant order
-//     (core::kDefaultSampleSeed invariant), so process boundaries
-//     cannot shift any result;
+//   * per-circuit sample streams derive from (core::kDefaultSampleSeed,
+//     structural hash) -- never from slot index, worker, or grant
+//     order -- so process boundaries cannot shift any result;
 //   * caches only memoize pure functions of structure, so per-process
-//     cache instances cannot diverge from a single shared one.
+//     cache instances cannot diverge from a single shared one;
+//   * the per-netlist timeout reaches workers in shortest round-trip
+//     form, so every process enforces the same budget.
 // The shard determinism tests pin this byte-for-byte.
 //
 // Failure semantics (keep-going): a worker that crashes, exits nonzero,
@@ -63,11 +64,10 @@ struct ShardRange {
 /// Annotation settings shared by every worker (and the in-process
 /// path); all of it is forwarded on the worker command line, so a shard
 /// worker reconstructs the exact same pipeline the parent would run.
+/// Every path attaches the three caches (Annotator::attach_caches).
 struct PipelineOptions {
   std::size_t jobs = 1;   ///< BatchRunner threads inside one worker
-  std::uint64_t seed = core::kDefaultSampleSeed;
   std::string domain = "ota";     ///< class vocabulary: "ota" or "rf"
-  bool caches = true;             ///< sample/annotation/inference caches
   std::size_t cache_capacity = 0; ///< per-cache entry bound (0 unbounded)
   double timeout_seconds = 0.0;   ///< per-netlist deadline (0 disables)
   /// Optional model path: text checkpoint or binary artifact (sniffed).

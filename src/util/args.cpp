@@ -73,6 +73,18 @@ int Args::get_int(const std::string& key, int fallback) const {
   return parse_whole<int>(key, it->second, "an integer");
 }
 
+std::size_t Args::get_count(const std::string& key, std::size_t fallback,
+                            int min, int max) const {
+  if (!has(key)) return fallback;
+  const int v = get_int(key, 0);
+  if (v < min || v > max) {
+    throw ArgError("--" + key + " expects an integer in [" +
+                   std::to_string(min) + ", " + std::to_string(max) +
+                   "], got '" + get(key) + "'");
+  }
+  return static_cast<std::size_t>(v);
+}
+
 std::uint64_t Args::get_u64(const std::string& key,
                            std::uint64_t fallback) const {
   auto it = flags_.find(key);
@@ -88,6 +100,15 @@ double Args::get_double(const std::string& key, double fallback) const {
   if (!std::isfinite(v)) {
     throw ArgError("--" + key + " expects a finite number, got '" +
                    it->second + "'");
+  }
+  return v;
+}
+
+double Args::get_seconds(const std::string& key, double fallback) const {
+  const double v = get_double(key, fallback);
+  if (v < 0.0) {
+    throw ArgError("--" + key + " expects seconds >= 0, got '" + get(key) +
+                   "'");
   }
   return v;
 }

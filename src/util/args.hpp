@@ -1,7 +1,9 @@
 // Minimal command-line flag parsing for the example binaries.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -37,6 +39,12 @@ class Args {
   /// anything else ("abc", "1x", "1e6", "99999999999", "") throws
   /// ArgError.
   [[nodiscard]] int get_int(const std::string& key, int fallback) const;
+  /// A count flag: the value parsed as by get_int, or `fallback` when
+  /// the flag is absent. A value outside [min, max] -- a negative job
+  /// count, 0 shards -- throws ArgError instead of being clamped.
+  [[nodiscard]] std::size_t get_count(
+      const std::string& key, std::size_t fallback, int min,
+      int max = std::numeric_limits<int>::max()) const;
   /// The flag's value as a uint64 (seeds), or `fallback` when absent.
   /// The whole value must be a decimal integer in [0, 2^64-1]: anything
   /// else ("abc", "-1", "1e6", "18446744073709551616", "") throws
@@ -47,6 +55,10 @@ class Args {
   /// `fallback` when absent; a malformed value throws ArgError.
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
+  /// A `--*-seconds` flag: get_double, and a negative value throws
+  /// ArgError.
+  [[nodiscard]] double get_seconds(const std::string& key,
+                                   double fallback) const;
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;
   }

@@ -60,10 +60,9 @@ void expect_identical(const BatchResult& a, const BatchResult& b) {
 
 void check_thread_invariance(const Annotator& annotator,
                              const std::vector<datagen::LabeledCircuit>& batch) {
-  const std::uint64_t root = 2026;
   BatchResult ref;
   for (const std::size_t jobs : {1u, 2u, 8u}) {
-    const BatchRunner runner(annotator, {.jobs = jobs, .seed = root});
+    const BatchRunner runner(annotator, {.jobs = jobs});
     BatchResult got = runner.run(batch);
     EXPECT_EQ(got.results.size(), batch.size());
     if (jobs == 1u) {
@@ -123,12 +122,12 @@ TEST(BatchDeterminism, ParallelSpmmInsideBatchDoesNotChangeResults) {
   gcn::GcnModel model(tiny_config(2, /*pooling=*/false));
   const Annotator annotator(&model, {"ota", "bias"});
 
-  const BatchRunner seq(annotator, {.jobs = 1, .seed = 7});
+  const BatchRunner seq(annotator, {.jobs = 1});
   const BatchResult plain = seq.run(batch);
 
   set_compute_threads(4);
   const BatchResult spmm_parallel = seq.run(batch);
-  const BatchRunner par(annotator, {.jobs = 4, .seed = 7});
+  const BatchRunner par(annotator, {.jobs = 4});
   const BatchResult both = par.run(batch);
   set_compute_threads(1);
 
@@ -137,8 +136,9 @@ TEST(BatchDeterminism, ParallelSpmmInsideBatchDoesNotChangeResults) {
 }
 
 TEST(BatchDeterminism, MatchesDirectSequentialAnnotateCalls) {
-  // The runner's documented contract: every task gets the root seed
-  // unchanged (the per-circuit stream is derived from the structure).
+  // The runner's documented contract: every task runs exactly the
+  // direct annotation (the per-circuit stream is derived from the
+  // structure, never from the slot or the scheduling).
   datagen::DatasetOptions opt;
   opt.circuits = 3;
   opt.seed = 12;
@@ -146,10 +146,10 @@ TEST(BatchDeterminism, MatchesDirectSequentialAnnotateCalls) {
 
   gcn::GcnModel model(tiny_config(2, /*pooling=*/false));
   const Annotator annotator(&model, {"ota", "bias"});
-  const BatchRunner runner(annotator, {.jobs = 2, .seed = 99});
+  const BatchRunner runner(annotator, {.jobs = 2});
   const BatchResult got = runner.run(batch);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const AnnotateResult direct = annotator.annotate(batch[i], 99);
+    const AnnotateResult direct = annotator.annotate(batch[i]);
     expect_identical(direct, got.results[i], "direct vs batch " +
                                                  std::to_string(i));
   }
@@ -172,14 +172,14 @@ TEST(BatchDeterminism, SampleCacheOnVsOffBitIdenticalAcross1_2_8Threads) {
 
   gcn::GcnModel model(tiny_config(2, /*pooling=*/false));
   const Annotator plain(&model, {"ota", "bias"});
-  const BatchRunner seq(plain, {.jobs = 1, .seed = 77});
+  const BatchRunner seq(plain, {.jobs = 1});
   const BatchResult ref = seq.run(batch);
 
   for (const std::size_t jobs : {1u, 2u, 8u}) {
     Annotator cached(&model, {"ota", "bias"});
     auto cache = std::make_shared<gcn::SamplePrepCache>();
     cached.set_sample_cache(cache);
-    const BatchRunner runner(cached, {.jobs = jobs, .seed = 77});
+    const BatchRunner runner(cached, {.jobs = jobs});
     BatchResult got = runner.run(batch);
     SCOPED_TRACE("cached jobs=" + std::to_string(jobs));
     // Results carry the per-copy names; align them before comparing.

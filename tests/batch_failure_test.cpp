@@ -88,7 +88,7 @@ TEST(BatchFailure, MixedBatchIsolatesFailuresPerSlot) {
   gcn::GcnModel model(tiny_config(2));
   const Annotator annotator(&model, {"ota", "bias"});
   const BatchRunner runner(
-      annotator, {.jobs = 2, .seed = 11, .policy = FailurePolicy::CollectAll});
+      annotator, {.jobs = 2, .policy = FailurePolicy::CollectAll});
 
   const BatchOutcome got = runner.run_isolated(mixed.netlists, mixed.names);
   ASSERT_EQ(got.outcomes.size(), mixed.netlists.size());
@@ -117,13 +117,11 @@ TEST(BatchFailure, PerSlotOutcomesIdenticalAcross1_2_8Threads) {
   const MixedBatch mixed = make_mixed_batch();
   gcn::GcnModel model(tiny_config(2));
   const Annotator annotator(&model, {"ota", "bias"});
-  const std::uint64_t root = 2026;
 
   BatchOutcome ref;
   for (const std::size_t jobs : {1u, 2u, 8u}) {
     const BatchRunner runner(
-        annotator,
-        {.jobs = jobs, .seed = root, .policy = FailurePolicy::CollectAll});
+        annotator, {.jobs = jobs, .policy = FailurePolicy::CollectAll});
     BatchOutcome got = runner.run_isolated(mixed.netlists, mixed.names);
     ASSERT_EQ(got.outcomes.size(), mixed.netlists.size());
     if (jobs == 1u) {
@@ -149,17 +147,16 @@ TEST(BatchFailure, HealthySlotsBitIdenticalToDirectSequentialCalls) {
   const MixedBatch mixed = make_mixed_batch();
   gcn::GcnModel model(tiny_config(2));
   const Annotator annotator(&model, {"ota", "bias"});
-  const std::uint64_t root = 99;
   const BatchRunner runner(
-      annotator, {.jobs = 4, .seed = root, .policy = FailurePolicy::CollectAll});
+      annotator, {.jobs = 4, .policy = FailurePolicy::CollectAll});
   const BatchOutcome got = runner.run_isolated(mixed.netlists, mixed.names);
 
   for (std::size_t i = 0; i < mixed.netlists.size(); ++i) {
     if (mixed.bad.count(i)) continue;
     // Siblings failing must not perturb healthy results: identical to a
-    // direct (throwing) sequential annotation with the same root seed.
+    // direct (throwing) sequential annotation.
     const AnnotateResult direct =
-        annotator.annotate(mixed.netlists[i], mixed.names[i], root);
+        annotator.annotate(mixed.netlists[i], mixed.names[i]);
     ASSERT_TRUE(got.outcomes[i].ok());
     expect_identical(direct, got.outcomes[i].value(),
                      "slot " + std::to_string(i));
@@ -170,7 +167,7 @@ TEST(BatchFailure, FailFastSequentialSkipsRemainingTasks) {
   const MixedBatch mixed = make_mixed_batch();
   const Annotator annotator(nullptr, {"ota", "bias"});
   const BatchRunner runner(
-      annotator, {.jobs = 1, .seed = 1, .policy = FailurePolicy::FailFast});
+      annotator, {.jobs = 1, .policy = FailurePolicy::FailFast});
   const BatchOutcome got = runner.run_isolated(mixed.netlists, mixed.names);
   ASSERT_EQ(got.outcomes.size(), mixed.netlists.size());
   EXPECT_TRUE(got.outcomes[0].ok());
@@ -192,7 +189,7 @@ TEST(BatchFailure, FailFastParallelMarksUnstartedTasksSkipped) {
   const MixedBatch mixed = make_mixed_batch();
   const Annotator annotator(nullptr, {"ota", "bias"});
   const BatchRunner runner(
-      annotator, {.jobs = 4, .seed = 1, .policy = FailurePolicy::FailFast});
+      annotator, {.jobs = 4, .policy = FailurePolicy::FailFast});
   const BatchOutcome got = runner.run_isolated(mixed.netlists, mixed.names);
   ASSERT_EQ(got.outcomes.size(), mixed.netlists.size());
   for (std::size_t i = 0; i < got.outcomes.size(); ++i) {

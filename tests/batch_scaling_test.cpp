@@ -108,7 +108,7 @@ TEST(BatchScaling, SixtyFourCopyOtaBatchIdenticalAndCpuBounded) {
   BatchResult ref;
   BatchTimings base_timings;
   for (const std::size_t jobs : {1u, 2u, 8u}) {
-    const BatchRunner runner(annotator, {.jobs = jobs, .seed = 77});
+    const BatchRunner runner(annotator, {.jobs = jobs});
     BatchResult got = runner.run(batch);
     ASSERT_EQ(got.results.size(), batch.size());
     EXPECT_GT(got.timings.wall_seconds, 0.0);
@@ -141,7 +141,7 @@ TEST(BatchScaling, InferenceCacheOnOffBitIdenticalAcrossJobs) {
   gcn::GcnModel model(tiny_config());
   Annotator plain(&model, {"ota", "bias"});
   const BatchResult ref =
-      BatchRunner(plain, {.jobs = 1, .seed = 31}).run(batch);
+      BatchRunner(plain, {.jobs = 1}).run(batch);
 
   for (const std::size_t jobs : {1u, 8u}) {
     Annotator cached(&model, {"ota", "bias"});
@@ -149,7 +149,7 @@ TEST(BatchScaling, InferenceCacheOnOffBitIdenticalAcrossJobs) {
     auto icache = std::make_shared<gcn::InferenceCache>();
     cached.set_inference_cache(icache);
     const BatchResult got =
-        BatchRunner(cached, {.jobs = jobs, .seed = 31}).run(batch);
+        BatchRunner(cached, {.jobs = jobs}).run(batch);
     expect_identical_outputs(ref, got,
                              "inference cache, jobs=" + std::to_string(jobs));
     const auto stats = icache->stats();
@@ -173,18 +173,18 @@ TEST(BatchScaling, InferenceCacheKeysOnWeightsFingerprint) {
 
   Annotator plain_b(&model_b, {"ota", "bias"});
   const BatchResult want_b =
-      BatchRunner(plain_b, {.jobs = 1, .seed = 31}).run(batch);
+      BatchRunner(plain_b, {.jobs = 1}).run(batch);
 
   auto shared = std::make_shared<gcn::InferenceCache>();
   Annotator a(&model_a, {"ota", "bias"});
   a.set_inference_cache(shared);
-  (void)BatchRunner(a, {.jobs = 1, .seed = 31}).run(batch);
+  (void)BatchRunner(a, {.jobs = 1}).run(batch);
   EXPECT_EQ(shared->stats().entries, 1u);
 
   Annotator b(&model_b, {"ota", "bias"});
   b.set_inference_cache(shared);
   const BatchResult got_b =
-      BatchRunner(b, {.jobs = 1, .seed = 31}).run(batch);
+      BatchRunner(b, {.jobs = 1}).run(batch);
   expect_identical_outputs(want_b, got_b, "model B through a shared cache");
   EXPECT_EQ(shared->stats().entries, 2u);
 }
@@ -198,7 +198,7 @@ TEST(BatchScaling, RunnerReusesItsPoolAcrossRuns) {
   Annotator annotator(&model, {"ota", "bias"});
   annotator.set_sample_cache(std::make_shared<gcn::SamplePrepCache>());
 
-  const BatchRunner runner(annotator, {.jobs = 8, .seed = 5});
+  const BatchRunner runner(annotator, {.jobs = 8});
   const BatchResult first = runner.run(batch);
   const BatchResult second = runner.run(batch);
   const BatchResult third = runner.run(batch);
@@ -214,7 +214,7 @@ TEST(BatchScaling, ChunkedDispatchCoversEverySlotAtAwkwardCounts) {
   Annotator annotator(&model, {"ota", "bias"});
   for (const std::size_t count : {2u, 3u, 7u, 13u}) {
     const auto batch = ota_copies(count);
-    const BatchRunner runner(annotator, {.jobs = 8, .seed = 9});
+    const BatchRunner runner(annotator, {.jobs = 8});
     const BatchResult got = runner.run(batch);
     ASSERT_EQ(got.results.size(), count);
     for (std::size_t i = 0; i < count; ++i) {

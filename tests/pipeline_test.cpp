@@ -157,6 +157,20 @@ TEST(Annotator, StageTimingsPopulated) {
   EXPECT_GE(r.seconds_post, 0.0);
 }
 
+TEST(Annotator, AttachCachesAttachesAllThreeAtOneCapacity) {
+  // The one cache policy every binary uses: all three caches, each
+  // bounded by the same whole-cache capacity.
+  Annotator annotator(nullptr, {"ota", "bias"});
+  annotator.attach_caches(7);
+  ASSERT_NE(annotator.sample_cache(), nullptr);
+  ASSERT_NE(annotator.inference_cache(), nullptr);
+  ASSERT_NE(annotator.annotation_cache(), nullptr);
+  const std::size_t per_shard = per_shard_capacity_for(7);
+  EXPECT_EQ(annotator.sample_cache()->per_shard_capacity(), per_shard);
+  EXPECT_EQ(annotator.inference_cache()->per_shard_capacity(), per_shard);
+  EXPECT_EQ(annotator.annotation_cache()->per_shard_capacity(), per_shard);
+}
+
 TEST(Annotator, AnnotateThrowsTheDiagTryAnnotateReturns) {
   // Flatten rejects the instance of an undefined subcircuit (added
   // after parsing, whose validation would reject it first).

@@ -420,22 +420,6 @@ TEST(AnnotationCacheAccounting, OptionsThatChangeResultsChangeTheKey) {
   EXPECT_EQ(k0, primitives::annotation_cache_key(g, lib, pooled));
 }
 
-TEST(AnnotationCacheAccounting, WallClockBudgetDisablesSharing) {
-  const auto g = graph_of(kOtaText);
-  const auto lib = primitives::PrimitiveLibrary::standard();
-  primitives::AnnotationCache cache;
-  AnnotateOptions opt;
-  opt.cache = &cache;
-  opt.match.max_seconds = 10.0;  // machine-dependent truncation point
-  const auto a = primitives::annotate_primitives_guarded(g, lib, opt);
-  const auto b = primitives::annotate_primitives_guarded(g, lib, opt);
-  EXPECT_FALSE(a.cache_hit);
-  EXPECT_FALSE(b.cache_hit);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses, 0u);
-  EXPECT_EQ(stats.entries, 0u);
-}
-
 TEST(AnnotationCacheAccounting, SharedCacheUnderConcurrentAnnotators) {
   // Eight workers annotating the same structure against one shared
   // cache: every result must equal the uncached reference, whichever

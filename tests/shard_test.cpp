@@ -194,6 +194,23 @@ TEST_F(ShardDriverTest, MergedOutputByteIdenticalAcrossShardCounts) {
   EXPECT_EQ(s3.ok, 3u);
 }
 
+TEST_F(ShardDriverTest, NanosecondTimeoutReachesWorkersAtFullPrecision) {
+  // A 1 ns per-netlist budget trips at the first checkpoint of every
+  // netlist, in-process and in every worker alike. Printed with six
+  // fixed decimals it would reach workers as 0 (no deadline), and the
+  // forked run would annotate every netlist the in-process run rejects.
+  ShardOptions one = base_options(1);
+  one.pipeline.timeout_seconds = 1e-9;
+  ShardOptions two = one;
+  two.shards = 2;
+  ShardRunStats s1, s2;
+  const std::string base = run_to_string(manifest(), one, &s1);
+  EXPECT_EQ(run_to_string(manifest(), two, &s2), base);
+  EXPECT_EQ(s1.failed, 18u);
+  EXPECT_EQ(s2.failed, 18u);
+  EXPECT_EQ(count_containing(lines_of(base), "\"deadline-exceeded\""), 18u);
+}
+
 TEST_F(ShardDriverTest, RecordsAppearInManifestOrder) {
   const auto lines = lines_of(run_to_string(manifest(), base_options(4)));
   ASSERT_EQ(lines.size(), 18u);

@@ -214,6 +214,47 @@ TEST(Args, MalformedU64ValuesThrow) {
   }
 }
 
+TEST(Args, CountsAtOrAboveTheirFloorParse) {
+  const char* argv[] = {"prog", "--zero", "0", "--one", "1",
+                        "--k",  "256",  "--many", "100000"};
+  const Args args(9, argv);
+  EXPECT_EQ(args.get_count("zero", 5, 0), 0u);
+  EXPECT_EQ(args.get_count("one", 5, 1), 1u);
+  EXPECT_EQ(args.get_count("one", 5, 0), 1u);
+  EXPECT_EQ(args.get_count("k", 8, 1, 256), 256u);
+  EXPECT_EQ(args.get_count("many", 5, 0), 100000u);
+  EXPECT_EQ(args.get_count("missing", 7, 1), 7u);
+}
+
+TEST(Args, CountsOutOfRangeThrowInsteadOfClamping) {
+  // A clamp would silently run another configuration ("--jobs -2" as
+  // 0, one worker per hardware thread), so out of range is an error.
+  const char* argv[] = {"prog", "--neg", "-2", "--zero", "0",
+                        "--k",  "257",  "--bad",  "abc"};
+  const Args args(9, argv);
+  EXPECT_THROW((void)args.get_count("zero", 1, 1), ArgError);
+  EXPECT_THROW((void)args.get_count("k", 8, 1, 256), ArgError);
+  EXPECT_THROW((void)args.get_count("bad", 1, 0), ArgError);
+  try {
+    (void)args.get_count("neg", 1, 0);
+    FAIL() << "--neg -2 was accepted as a count";
+  } catch (const ArgError& e) {
+    EXPECT_NE(std::string(e.what()).find("--neg"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Args, SecondsAreNonNegative) {
+  const char* argv[] = {"prog",  "--zero", "0",          "--tiny", "1e-9",
+                        "--neg", "-1",     "--neg-half", "-0.5"};
+  const Args args(9, argv);
+  EXPECT_EQ(args.get_seconds("zero", 3.0), 0.0);
+  EXPECT_EQ(args.get_seconds("tiny", 3.0), 1e-9);
+  EXPECT_EQ(args.get_seconds("missing", 3.0), 3.0);
+  EXPECT_THROW((void)args.get_seconds("neg", 0.0), ArgError);
+  EXPECT_THROW((void)args.get_seconds("neg-half", 0.0), ArgError);
+}
+
 TEST(Args, DeclaredBooleanFlagsDoNotConsumePositionals) {
   const char* argv[] = {"prog", "--session", "rev0.sp", "rev1.sp",
                         "--jobs", "4"};
