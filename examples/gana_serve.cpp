@@ -36,6 +36,8 @@
 // error / stage-delay faults as a pure function of (fault-seed, stage,
 // request id). The same flags plus the same request ids always fault
 // the same stages -- crashes found by the soak harness replay exactly.
+// --fault-alloc, --fault-error and --fault-delay are probabilities in
+// [0, 1]; any other value is a usage error.
 //
 // The process exits 0 after a clean drain, 1 on usage errors (an
 // unknown flag, or a malformed or out-of-range value such as --jobs -1),
@@ -109,9 +111,9 @@ int main(int argc, char** argv) {
         "write-timeout-seconds", config.write_timeout_seconds);
     config.max_sessions = args.get_count("max-sessions", 0, 0);
     config.cache_capacity = args.get_count("cache-capacity", 0, 0);
-    plan.alloc_failure = args.get_double("fault-alloc", 0.0);
-    plan.stage_error = args.get_double("fault-error", 0.0);
-    plan.stage_delay = args.get_double("fault-delay", 0.0);
+    plan.alloc_failure = args.get_fraction("fault-alloc", 0.0);
+    plan.stage_error = args.get_fraction("fault-error", 0.0);
+    plan.stage_delay = args.get_fraction("fault-delay", 0.0);
     plan.delay_seconds = args.get_seconds("fault-delay-seconds", 0.01);
     fault_seed = args.get_u64("fault-seed", fault_seed);
   } catch (const gana::ArgError& e) {

@@ -28,8 +28,9 @@
 // 4 annotate, 5 timeout) plus 6 when a worker process crashed or exited
 // nonzero; a worker killed at --shard-timeout-seconds (a wall-clock
 // budget per worker process, counted from its spawn) yields 5. A
-// malformed or out-of-range value (--shards 0, --count -5) is a usage
-// error.
+// malformed or out-of-range value (--shards 0, --count -5, an
+// --ota-fraction or --rf-fraction outside [0, 1], or the two summing
+// past 1) is a usage error.
 
 #include <cstdio>
 #include <fstream>
@@ -105,8 +106,11 @@ int run_datagen(const gana::Args& args) {
   opt.count = args.get_count("count", 100000, 0);
   opt.seed = args.get_u64("seed", opt.seed);
   opt.files_per_subdir = args.get_count("per-dir", 1000, 1);
-  opt.ota_fraction = args.get_double("ota-fraction", opt.ota_fraction);
-  opt.rf_fraction = args.get_double("rf-fraction", opt.rf_fraction);
+  opt.ota_fraction = args.get_fraction("ota-fraction", opt.ota_fraction);
+  opt.rf_fraction = args.get_fraction("rf-fraction", opt.rf_fraction);
+  if (opt.ota_fraction + opt.rf_fraction > 1.0) {
+    throw gana::ArgError("--ota-fraction plus --rf-fraction exceeds 1");
+  }
 
   auto stats = gana::datagen::write_corpus(opt);
   if (!stats.ok()) {

@@ -10,5 +10,5 @@ cmake --build --preset tsan -j"$(nproc)" \
   --target thread_pool_test batch_determinism_test batch_failure_test \
   primitive_matching_test frontend_test kernel_equivalence_test \
   infer_workspace_test batch_scaling_test serve_test soak_test \
-  fault_injection_test shard_test incremental_test gana_shard
+  fault_injection_test shard_test incremental_test pipeline_test gana_shard
 ctest --preset tsan

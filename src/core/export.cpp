@@ -1,42 +1,74 @@
 #include "core/export.hpp"
 
+#include <charconv>
 #include <sstream>
+#include <string_view>
 
 namespace gana::core {
 namespace {
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
+/// Appends `s` with minimal JSON escaping: quotes, backslashes, \n, \t,
+/// and \u00XX for the other control bytes. Runs of clean bytes are
+/// copied whole.
+void append_escaped(std::string& out, std::string_view s) {
+  std::size_t clean = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, clean, i - clean);
+    clean = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+        out.append(esc, sizeof esc);
+      }
     }
   }
+  out.append(s, clean, s.size() - clean);
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  append_escaped(out, s);
   return out;
 }
 
-void constraint_json(const constraints::Constraint& c, std::ostream& out) {
-  out << "{\"kind\":\"" << constraints::to_string(c.kind) << "\",\"members\":[";
+/// Appends `"s"`, escaped.
+void append_string(std::string& out, std::string_view s) {
+  out += '"';
+  append_escaped(out, s);
+  out += '"';
+}
+
+/// Appends `v` as an ostream with default flags prints it: %g with six
+/// significant digits, in the C locale whatever the global one is.
+void append_double(std::string& out, double v) {
+  char buf[32];
+  const auto res =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 6);
+  out.append(buf, res.ptr);
+}
+
+void constraint_json(const constraints::Constraint& c, std::string& out) {
+  out += "{\"kind\":\"";
+  out += constraints::to_string(c.kind);
+  out += "\",\"members\":[";
   for (std::size_t i = 0; i < c.members.size(); ++i) {
-    if (i) out << ",";
-    out << "\"" << json_escape(c.members[i]) << "\"";
+    if (i) out += ',';
+    append_string(out, c.members[i]);
   }
-  out << "]";
-  if (!c.tag.empty()) out << ",\"tag\":\"" << json_escape(c.tag) << "\"";
-  out << "}";
+  out += ']';
+  if (!c.tag.empty()) {
+    out += ",\"tag\":";
+    append_string(out, c.tag);
+  }
+  out += '}';
 }
 
 const char* kind_name(HierarchyNode::Kind k) {
@@ -49,35 +81,38 @@ const char* kind_name(HierarchyNode::Kind k) {
   return "?";
 }
 
-void node_json(const HierarchyNode& n, std::ostream& out) {
-  out << "{\"kind\":\"" << kind_name(n.kind) << "\",\"name\":\""
-      << json_escape(n.name) << "\",\"type\":\"" << json_escape(n.type)
-      << "\"";
+void node_json(const HierarchyNode& n, std::string& out) {
+  out += "{\"kind\":\"";
+  out += kind_name(n.kind);
+  out += "\",\"name\":";
+  append_string(out, n.name);
+  out += ",\"type\":";
+  append_string(out, n.type);
   if (!n.constraints.empty()) {
-    out << ",\"constraints\":[";
+    out += ",\"constraints\":[";
     for (std::size_t i = 0; i < n.constraints.size(); ++i) {
-      if (i) out << ",";
+      if (i) out += ',';
       constraint_json(n.constraints[i], out);
     }
-    out << "]";
+    out += ']';
   }
   if (!n.children.empty()) {
-    out << ",\"children\":[";
+    out += ",\"children\":[";
     for (std::size_t i = 0; i < n.children.size(); ++i) {
-      if (i) out << ",";
+      if (i) out += ',';
       node_json(n.children[i], out);
     }
-    out << "]";
+    out += ']';
   }
-  out << "}";
+  out += '}';
 }
 
 }  // namespace
 
 std::string hierarchy_to_json(const HierarchyNode& root) {
-  std::ostringstream out;
+  std::string out;
   node_json(root, out);
-  return out.str();
+  return out;
 }
 
 std::string batch_timings_to_json(const BatchTimings& t, std::size_t jobs,
@@ -102,55 +137,63 @@ std::string batch_timings_to_json(const BatchTimings& t, std::size_t jobs,
 
 std::string annotation_to_json(const AnnotateResult& result,
                                const std::vector<std::string>& class_names) {
-  std::ostringstream out;
-  out << "{\"circuit\":\"" << json_escape(result.prepared.name) << "\",";
-  out << "\"classes\":[";
-  for (std::size_t i = 0; i < class_names.size(); ++i) {
-    if (i) out << ",";
-    out << "\"" << json_escape(class_names[i]) << "\"";
-  }
-  out << "],";
-  out << "\"accuracy\":{\"gcn\":" << result.acc_gcn
-      << ",\"post1\":" << result.acc_post1
-      << ",\"post2\":" << result.acc_post2 << "},";
-
-  out << "\"vertices\":[";
   const auto& g = result.prepared.graph;
+  std::string out;
+  // The phased array and the OTAs both export about 170 bytes per vertex.
+  out.reserve(192 * g.vertex_count() + 256);
+  out += "{\"circuit\":";
+  append_string(out, result.prepared.name);
+  out += ",\"classes\":[";
+  for (std::size_t i = 0; i < class_names.size(); ++i) {
+    if (i) out += ',';
+    append_string(out, class_names[i]);
+  }
+  out += "],\"accuracy\":{\"gcn\":";
+  append_double(out, result.acc_gcn);
+  out += ",\"post1\":";
+  append_double(out, result.acc_post1);
+  out += ",\"post2\":";
+  append_double(out, result.acc_post2);
+  out += "},";
+
+  out += "\"vertices\":[";
   for (std::size_t v = 0; v < g.vertex_count(); ++v) {
-    if (v) out << ",";
+    if (v) out += ',';
     const auto& vert = g.vertex(v);
-    out << "{\"name\":\"" << json_escape(vert.name) << "\",\"kind\":\""
-        << (vert.kind == graph::VertexKind::Element ? "element" : "net")
-        << "\",\"class\":";
+    out += "{\"name\":";
+    append_string(out, vert.name);
+    out += vert.kind == graph::VertexKind::Element
+               ? ",\"kind\":\"element\",\"class\":"
+               : ",\"kind\":\"net\",\"class\":";
     const int cls = result.final_class[v];
     if (cls >= 0 && static_cast<std::size_t>(cls) < class_names.size()) {
-      out << "\"" << json_escape(class_names[static_cast<std::size_t>(cls)])
-          << "\"";
+      append_string(out, class_names[static_cast<std::size_t>(cls)]);
     } else {
-      out << "null";
+      out += "null";
     }
-    out << "}";
+    out += '}';
   }
-  out << "],";
+  out += "],";
 
-  out << "\"primitives\":[";
+  out += "\"primitives\":[";
   for (std::size_t i = 0; i < result.post.primitives.size(); ++i) {
-    if (i) out << ",";
+    if (i) out += ',';
     const auto& p = result.post.primitives[i];
-    out << "{\"type\":\"" << json_escape(p.display_name)
-        << "\",\"elements\":[";
+    out += "{\"type\":";
+    append_string(out, p.display_name);
+    out += ",\"elements\":[";
     for (std::size_t j = 0; j < p.elements.size(); ++j) {
-      if (j) out << ",";
-      out << "\"" << json_escape(g.vertex(p.elements[j]).name) << "\"";
+      if (j) out += ',';
+      append_string(out, g.vertex(p.elements[j]).name);
     }
-    out << "]}";
+    out += "]}";
   }
-  out << "],";
+  out += "],";
 
-  out << "\"hierarchy\":";
+  out += "\"hierarchy\":";
   node_json(result.hierarchy, out);
-  out << "}";
-  return out.str();
+  out += '}';
+  return out;
 }
 
 std::string graph_to_dot(const graph::CircuitGraph& g,

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string>
 
 #include "gcn/coarsen.hpp"
 #include "graph/laplacian.hpp"
 #include "linalg/lanczos.hpp"
+#include "util/diag.hpp"
 
 namespace gana::gcn {
 
@@ -51,10 +53,11 @@ SparseMatrix row_normalized(const SparseMatrix& adj) {
 }  // namespace
 
 SamplePrep make_sample_prep(const SparseMatrix& adjacency, int pool_levels,
-                            Rng& rng) {
+                            Rng& rng, bool propagation) {
   SamplePrep prep;
   auto push_level = [&](const SparseMatrix& adj) {
     prep.lhat.push_back(make_scaled_laplacian(adj, rng));
+    if (!propagation) return;
     SparseMatrix p = row_normalized(adj);
     prep.prop_t.push_back(p.transposed());
     prep.prop.push_back(std::move(p));
@@ -95,10 +98,11 @@ GraphSample sample_from_prep(const SamplePrep& prep, Matrix features,
 
 GraphSample make_sample(const SparseMatrix& adjacency, Matrix features,
                         std::vector<int> labels, int pool_levels, Rng& rng,
-                        std::string name) {
+                        std::string name, bool propagation) {
   assert(features.rows() == adjacency.rows());
   assert(labels.size() == adjacency.rows());
-  SamplePrep prep = make_sample_prep(adjacency, pool_levels, rng);
+  SamplePrep prep =
+      make_sample_prep(adjacency, pool_levels, rng, propagation);
   GraphSample s;
   s.name = std::move(name);
   s.features = std::move(features);
@@ -263,7 +267,12 @@ const Matrix& SageConv::infer_graph(const Matrix& x, const GraphSample& sample,
                                     InferWorkspace& ws,
                                     Matrix& /*out*/) const {
   assert(x.cols() == in_);
-  assert(static_cast<std::size_t>(level_) < sample.prop.size());
+  if (static_cast<std::size_t>(level_) >= sample.prop.size()) {
+    throw DiagError(make_diag(
+        DiagCode::Internal, Stage::Gcn,
+        "sample has no propagation operator at level " +
+            std::to_string(level_) + " (prepared for a Chebyshev model)"));
+  }
   const SparseMatrix& p = sample.prop[static_cast<std::size_t>(level_)];
   const std::size_t n = x.rows();
   ws.z.resize_for_overwrite(n, 2 * in_);

@@ -115,7 +115,8 @@ class SageConv : public Layer {
   Matrix forward(const Matrix& x, const GraphSample& sample, bool training,
                  Rng& rng) override;
   [[nodiscard]] bool has_graph_step() const override { return true; }
-  /// [x | Px], built in ws.z.
+  /// [x | Px], built in ws.z. Throws DiagError (Internal, stage gcn)
+  /// when `sample` was prepared without propagation operators.
   const Matrix& infer_graph(const Matrix& x, const GraphSample& sample,
                             InferWorkspace& ws, Matrix& out) const override;
   void append_to_tail(RowTail& tail) const override {

@@ -1,6 +1,7 @@
 #include "gcn/model.hpp"
 
 #include "util/deadline.hpp"
+#include "util/diag.hpp"
 
 #include <algorithm>
 #include <cstdint>
@@ -55,6 +56,10 @@ std::optional<std::size_t> tensor_scalar_count(const ModelConfig& cfg) {
 
 GcnModel::GcnModel(const ModelConfig& config)
     : config_(config), rng_(config.seed) {
+  if (const std::string error = config_error(config_); !error.empty()) {
+    throw DiagError(
+        make_diag(DiagCode::BadValue, Stage::Gcn, "model config: " + error));
+  }
   std::size_t channels = config_.in_features;
   const int num_convs = static_cast<int>(config_.conv_channels.size());
   for (int i = 0; i < num_convs; ++i) {

@@ -54,7 +54,8 @@ inline constexpr int kMaxChebK = 256;
 
 /// Why `cfg` cannot build a model, or an empty string when it can:
 /// 1 <= cheb_k <= kMaxChebK, num_classes >= 1 and every width >= 1.
-/// Loaders check it before constructing anything.
+/// Loaders check it before constructing anything, and GcnModel's
+/// constructor throws on it.
 [[nodiscard]] std::string config_error(const ModelConfig& cfg);
 
 /// Scalars in every parameter and buffer tensor a model built from
@@ -66,6 +67,10 @@ inline constexpr int kMaxChebK = 256;
 /// A feed-forward stack of layers with explicit backprop.
 class GcnModel {
  public:
+  /// Throws DiagError (BadValue, stage gcn) carrying config_error's
+  /// message when `config` cannot build a model: a layer built from it
+  /// would check its shape only with asserts, compiled out of release
+  /// builds, and annotation would crash instead of failing.
   explicit GcnModel(const ModelConfig& config);
 
   /// Per-node logits, shape nodes x num_classes.

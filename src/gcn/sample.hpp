@@ -26,7 +26,7 @@ struct SamplePrep {
   /// their transposes, needed by backprop), used by the GraphSAGE-mean
   /// alternative convolution. Zero-degree vertices get an identity
   /// self-loop row so isolated vertices keep their own features under
-  /// mean propagation.
+  /// mean propagation. Empty when prepared without propagation.
   std::vector<SparseMatrix> prop;
   std::vector<SparseMatrix> prop_t;
 };
@@ -56,17 +56,20 @@ struct GraphSample {
 SparseMatrix make_scaled_laplacian(const SparseMatrix& adjacency, Rng& rng);
 
 /// Graph-level precomputation: scaled Laplacians, propagation operators,
-/// and `pool_levels` rounds of Graclus coarsening.
+/// and `pool_levels` rounds of Graclus coarsening. With `propagation`
+/// false, `prop` and `prop_t` stay empty: only SageConv reads them, so a
+/// Chebyshev model's prep skips them. The flag draws nothing from `rng`,
+/// so the Laplacians and cluster maps are the same either way.
 SamplePrep make_sample_prep(const SparseMatrix& adjacency, int pool_levels,
-                            Rng& rng);
+                            Rng& rng, bool propagation = true);
 
 /// Builds a GraphSample from an adjacency matrix: normalized Laplacian,
 /// Lanczos λ_max (with a Gershgorin fallback for tiny graphs), scaling,
 /// and `pool_levels` rounds of Graclus coarsening with the corresponding
-/// coarse operators.
+/// coarse operators. `propagation` is make_sample_prep's.
 GraphSample make_sample(const SparseMatrix& adjacency, Matrix features,
                         std::vector<int> labels, int pool_levels, Rng& rng,
-                        std::string name = {});
+                        std::string name = {}, bool propagation = true);
 
 /// Assembles a GraphSample around precomputed (possibly cached) prep;
 /// the operators are copied out of `prep`, features/labels stay

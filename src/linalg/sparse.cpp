@@ -61,33 +61,52 @@ SparseMatrix SparseMatrix::from_triplets(std::size_t rows, std::size_t cols,
               "x" + std::to_string(cols) + " matrix"));
     }
   }
-  std::sort(triplets.begin(), triplets.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.row != b.row ? a.row < b.row : a.col < b.col;
-            });
+  // Two stable counting-sort passes, O(nnz + rows + cols): by column
+  // into `by_col`, then by row straight into the CSR arrays. Each row
+  // then lists its columns in increasing order, and equal (row, col)
+  // entries sit next to each other in input order.
+  const std::size_t nnz = triplets.size();
+  std::vector<std::size_t> next(cols + 1, 0);
+  for (const Triplet& t : triplets) ++next[t.col + 1];
+  for (std::size_t c = 0; c < cols; ++c) next[c + 1] += next[c];
+  std::vector<std::size_t> by_col(nnz);
+  for (std::size_t i = 0; i < nnz; ++i) by_col[next[triplets[i].col]++] = i;
+
   SparseMatrix m;
   m.rows_ = rows;
   m.cols_ = cols;
   m.row_ptr_.assign(rows + 1, 0);
-  m.col_idx_.reserve(triplets.size());
-  m.values_.reserve(triplets.size());
-  std::size_t i = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    while (i < triplets.size() && triplets[i].row == r) {
-      double v = triplets[i].value;
-      const std::size_t c = triplets[i].col;
-      ++i;
-      while (i < triplets.size() && triplets[i].row == r &&
-             triplets[i].col == c) {
-        v += triplets[i].value;  // sum duplicates
-        ++i;
-      }
-      m.col_idx_.push_back(c);
-      m.values_.push_back(v);
-    }
-    m.row_ptr_[r + 1] = m.values_.size();
+  for (const Triplet& t : triplets) ++m.row_ptr_[t.row + 1];
+  for (std::size_t r = 0; r < rows; ++r) m.row_ptr_[r + 1] += m.row_ptr_[r];
+  next.assign(m.row_ptr_.begin(), m.row_ptr_.end() - 1);
+  m.col_idx_.resize(nnz);
+  m.values_.resize(nnz);
+  for (const std::size_t i : by_col) {
+    const std::size_t k = next[triplets[i].row]++;
+    m.col_idx_[k] = triplets[i].col;
+    m.values_[k] = triplets[i].value;
   }
-  assert(i == triplets.size());  // guaranteed by the range check above
+
+  // Sum duplicates in place, left to right (input order).
+  std::size_t out = 0;
+  std::size_t begin = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t end = m.row_ptr_[r + 1];
+    const std::size_t row_start = out;
+    for (std::size_t k = begin; k < end; ++k) {
+      if (out > row_start && m.col_idx_[out - 1] == m.col_idx_[k]) {
+        m.values_[out - 1] += m.values_[k];
+      } else {
+        m.col_idx_[out] = m.col_idx_[k];
+        m.values_[out] = m.values_[k];
+        ++out;
+      }
+    }
+    begin = end;
+    m.row_ptr_[r + 1] = out;
+  }
+  m.col_idx_.resize(out);
+  m.values_.resize(out);
   return m;
 }
 

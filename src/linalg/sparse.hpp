@@ -43,8 +43,14 @@ class SparseMatrix {
  public:
   SparseMatrix() = default;
 
-  /// Builds from triplets; duplicate (row, col) entries are summed and
-  /// resulting zeros are kept (callers may prune via `pruned()`).
+  /// Builds from triplets in O(nnz + rows + cols): two stable counting
+  /// sorts, by column and then by row, with no comparison sort.
+  /// Duplicate (row, col) entries are summed left to right in input
+  /// order, ((t0 + t1) + t2) + ..., and resulting zeros are kept
+  /// (callers may prune via `pruned()`). That order fixes the bits of a
+  /// sum of three or more non-integer duplicates; the library's own
+  /// duplicates are exact integer sums (adjacency, Graclus) or two
+  /// addends (scale_add_identity's diagonal), whose bits no order moves.
   /// Throws `DiagError` (DiagCode::Internal, Stage::GraphBuild) on any
   /// triplet with row >= rows or col >= cols -- enforced in every build
   /// mode, because in release builds an out-of-range triplet would

@@ -113,4 +113,13 @@ double Args::get_seconds(const std::string& key, double fallback) const {
   return v;
 }
 
+double Args::get_fraction(const std::string& key, double fallback) const {
+  const double v = get_double(key, fallback);
+  if (v < 0.0 || v > 1.0) {
+    throw ArgError("--" + key + " expects a value in [0, 1], got '" +
+                   get(key) + "'");
+  }
+  return v;
+}
+
 }  // namespace gana

@@ -59,6 +59,10 @@ class Args {
   /// ArgError.
   [[nodiscard]] double get_seconds(const std::string& key,
                                    double fallback) const;
+  /// A fraction or probability flag: get_double, and a value outside
+  /// [0, 1] throws ArgError.
+  [[nodiscard]] double get_fraction(const std::string& key,
+                                    double fallback) const;
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;
   }

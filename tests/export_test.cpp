@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 
 #include "core/export.hpp"
@@ -83,6 +84,68 @@ TEST(Export, JsonEscapesSpecialCharacters) {
   EXPECT_TRUE(json_balanced(json));
   EXPECT_NE(json.find("\\\""), std::string::npos);
   EXPECT_NE(json.find("\\n"), std::string::npos);
+
+  // Every control byte, a quote, a backslash, DEL and UTF-8, pinned byte
+  // for byte: \n and \t have short escapes, the other control bytes
+  // \u00XX (lower-case hex), and everything from 0x20 up but the quote
+  // and the backslash passes through raw.
+  std::string controls;
+  for (int c = 0; c < 0x20; ++c) controls += static_cast<char>(c);
+  HierarchyNode root;
+  root.kind = HierarchyNode::Kind::SubBlock;
+  root.name = "q\"b\\" + controls + "\x7f\xc2\xb5\xce\xa9 end";
+  root.type = "\xe2\x86\x92";
+  constraints::Constraint c;
+  c.kind = constraints::Kind::Symmetry;
+  c.members = {"m\"1", "m\\2"};
+  c.tag = "tag\t";
+  root.constraints.push_back(c);
+  HierarchyNode leaf;
+  leaf.kind = HierarchyNode::Kind::Element;
+  leaf.name = "\r";
+  leaf.type = "nmos";
+  root.children.push_back(leaf);
+  EXPECT_EQ(
+      hierarchy_to_json(root),
+      "{\"kind\":\"sub-block\",\"name\":\"q\\\"b\\\\"
+      "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+      "\\u0008\\t\\n\\u000b\\u000c\\u000d\\u000e\\u000f"
+      "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+      "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"
+      "\x7f\xc2\xb5\xce\xa9 end\",\"type\":\"\xe2\x86\x92\","
+      "\"constraints\":[{\"kind\":\"symmetry\",\"members\":"
+      "[\"m\\\"1\",\"m\\\\2\"],\"tag\":\"tag\\t\"}],"
+      "\"children\":[{\"kind\":\"element\",\"name\":\"\\u000d\","
+      "\"type\":\"nmos\"}]}");
+}
+
+TEST(Export, AccuracyDoublesPrintAsTheStreamDid) {
+  // %g with six significant digits, as an ostream with default flags
+  // prints a double.
+  AnnotateResult r;
+  r.prepared.name = "c";
+  r.hierarchy.name = "c";
+  const double values[] = {0.0,      -0.0,    1.0,     0.5,  1.0 / 3.0,
+                           0.987654321, 1e-7, 123456.0, 1234567.0, 2.5e300};
+  for (const double v : values) {
+    r.acc_gcn = v;
+    r.acc_post1 = v / 7.0;
+    r.acc_post2 = -v;
+    std::ostringstream stream;
+    stream << "{\"gcn\":" << r.acc_gcn << ",\"post1\":" << r.acc_post1
+           << ",\"post2\":" << r.acc_post2 << "}";
+    const std::string json = annotation_to_json(r, {"x"});
+    EXPECT_NE(json.find("\"accuracy\":" + stream.str()), std::string::npos)
+        << json;
+  }
+  r.acc_gcn = 0.123456789;
+  r.acc_post1 = 1.0;
+  r.acc_post2 = 1e-7;
+  EXPECT_EQ(annotation_to_json(r, {"x"}),
+            "{\"circuit\":\"c\",\"classes\":[\"x\"],\"accuracy\":{\"gcn\":"
+            "0.123457,\"post1\":1,\"post2\":1e-07},\"vertices\":[],"
+            "\"primitives\":[],\"hierarchy\":{\"kind\":\"system\",\"name\":"
+            "\"c\",\"type\":\"\"}}");
 }
 
 TEST(Export, DotContainsVerticesEdgesAndLabels) {

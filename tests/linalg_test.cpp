@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <vector>
 
 #include "linalg/dense.hpp"
 #include "linalg/lanczos.hpp"
@@ -84,6 +87,87 @@ TEST(Sparse, FromTripletsSumsDuplicates) {
   EXPECT_DOUBLE_EQ(m.at(0, 0), 3.0);
   EXPECT_DOUBLE_EQ(m.at(1, 0), 5.0);
   EXPECT_DOUBLE_EQ(m.at(1, 1), 0.0);
+}
+
+TEST(Sparse, FromTripletsAcceptsReverseOrder) {
+  const auto m = SparseMatrix::from_triplets(
+      3, 4, {{2, 3, 6.0}, {2, 1, 5.0}, {1, 2, 4.0}, {0, 3, 3.0},
+             {0, 2, 2.0}, {0, 0, 1.0}});
+  EXPECT_EQ(m.row_ptr(), (std::vector<std::size_t>{0, 3, 4, 6}));
+  EXPECT_EQ(m.col_idx(), (std::vector<std::size_t>{0, 2, 3, 2, 1, 3}));
+  EXPECT_EQ(m.values(), (std::vector<double>{1, 2, 3, 4, 5, 6}));
+}
+
+TEST(Sparse, FromTripletsSumsDuplicatesInInputOrder) {
+  // 2^53 + 1 rounds back to 2^53, so summed left to right the ones
+  // between +2^53 and -2^53 vanish and (1, 2) is exactly 0. Any order
+  // that moves a one before the first addend or past the last leaves it
+  // nonzero (reversed, 3000). The duplicates are interleaved with other
+  // entries, so an unstable sort would reorder them.
+  constexpr double kBig = 9007199254740992.0;  // 2^53
+  Rng rng(8);
+  std::vector<Triplet> t;
+  t.push_back({1, 2, kBig});
+  for (int i = 0; i < 3000; ++i) {
+    t.push_back({1, 2, 1.0});
+    t.push_back({2 * rng.index(2), rng.index(3), 1.0});  // rows 0 and 2
+  }
+  t.push_back({1, 2, -kBig});
+  EXPECT_EQ(SparseMatrix::from_triplets(3, 3, t).at(1, 2), 0.0);
+  std::reverse(t.begin(), t.end());
+  EXPECT_EQ(SparseMatrix::from_triplets(3, 3, t).at(1, 2), 3000.0);
+}
+
+TEST(Sparse, FromTripletsKeepsEmptyRows) {
+  const auto m = SparseMatrix::from_triplets(
+      6, 3, {{4, 1, 2.0}, {1, 0, 1.0}, {4, 1, 3.0}});
+  EXPECT_EQ(m.row_ptr(), (std::vector<std::size_t>{0, 0, 1, 1, 1, 2, 2}));
+  EXPECT_EQ(m.col_idx(), (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(m.values(), (std::vector<double>{1.0, 5.0}));
+  const auto empty = SparseMatrix::from_triplets(3, 2, {});
+  EXPECT_EQ(empty.row_ptr(), (std::vector<std::size_t>{0, 0, 0, 0}));
+  EXPECT_EQ(empty.nnz(), 0u);
+}
+
+TEST(Sparse, FromTripletsBuildsA200kEntryRowInLinearTime) {
+  // One row of 200k entries, columns descending and each stored twice:
+  // a supply net with that many terminals. A per-row insertion sort
+  // takes tens of seconds here; the counting sort a few milliseconds.
+  constexpr std::size_t kCols = 100000;
+  std::vector<Triplet> t;
+  t.reserve(2 * kCols);
+  for (std::size_t c = kCols; c-- > 0;) {
+    t.push_back({1, c, 1.0});
+    t.push_back({1, c, static_cast<double>(c)});
+  }
+  const auto start = std::chrono::steady_clock::now();
+  const auto m = SparseMatrix::from_triplets(3, kCols, std::move(t));
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, 2.0);
+  ASSERT_EQ(m.row_ptr(), (std::vector<std::size_t>{0, 0, kCols, kCols}));
+  for (std::size_t c = 0; c < kCols; ++c) {
+    ASSERT_EQ(m.col_idx()[c], c);
+    ASSERT_EQ(m.values()[c], 1.0 + static_cast<double>(c));
+  }
+}
+
+TEST(Sparse, ScaleAddIdentityAndTransposedArePinned) {
+  // Off-diagonal entries plus one stored diagonal: scale_add_identity
+  // appends its diagonal after the row's entries, and the two-addend
+  // sum lands in column order.
+  const auto m = SparseMatrix::from_triplets(
+      3, 3, {{0, 1, 0.5}, {1, 1, 0.25}, {1, 0, -2.0}, {2, 0, 3.0}});
+  const auto s = m.scale_add_identity(0.1, -1.0);
+  EXPECT_EQ(s.row_ptr(), (std::vector<std::size_t>{0, 2, 4, 6}));
+  EXPECT_EQ(s.col_idx(), (std::vector<std::size_t>{0, 1, 0, 1, 0, 2}));
+  EXPECT_EQ(s.values(), (std::vector<double>{-1.0, 0.05, -0.2, -0.975,
+                                             0.30000000000000004, -1.0}));
+  const auto t = m.transposed();
+  EXPECT_EQ(t.row_ptr(), (std::vector<std::size_t>{0, 2, 4, 4}));
+  EXPECT_EQ(t.col_idx(), (std::vector<std::size_t>{1, 2, 0, 1}));
+  EXPECT_EQ(t.values(), (std::vector<double>{-2.0, 3.0, 0.5, 0.25}));
 }
 
 TEST(Sparse, FromTripletsRejectsOutOfRangeInEveryBuildMode) {

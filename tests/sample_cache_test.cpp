@@ -4,10 +4,14 @@
 // bit-identical to freshly computed prep.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/export.hpp"
+#include "core/pipeline.hpp"
+#include "datagen/ota_gen.hpp"
 #include "gcn/inference_cache.hpp"
 #include "gcn/sample.hpp"
 #include "gcn/sample_cache.hpp"
@@ -161,6 +165,79 @@ TEST(SamplePrep, FromPrepBitIdenticalToMakeSample) {
     EXPECT_TRUE(via_prep.prop_t[l].values() == direct.prop_t[l].values());
   }
   EXPECT_TRUE(via_prep.features.data() == direct.features.data());
+}
+
+TEST(SamplePrep, ChebyshevOnlyPrepKeepsTheLaplaciansAndClusterMaps) {
+  // Skipping the propagation operators draws nothing from the prep
+  // stream, so every other operator keeps its bits.
+  const SparseMatrix adj = four_cycle();
+  Rng rng_all(17);
+  const gcn::SamplePrep all = gcn::make_sample_prep(adj, 1, rng_all);
+  Rng rng_cheb(17);
+  const gcn::SamplePrep cheb =
+      gcn::make_sample_prep(adj, 1, rng_cheb, /*propagation=*/false);
+  EXPECT_EQ(all.prop.size(), 2u);
+  EXPECT_TRUE(cheb.prop.empty());
+  EXPECT_TRUE(cheb.prop_t.empty());
+  ASSERT_EQ(cheb.lhat.size(), all.lhat.size());
+  for (std::size_t l = 0; l < all.lhat.size(); ++l) {
+    EXPECT_TRUE(cheb.lhat[l].values() == all.lhat[l].values());
+    EXPECT_TRUE(cheb.lhat[l].col_idx() == all.lhat[l].col_idx());
+  }
+  EXPECT_EQ(cheb.cluster_maps, all.cluster_maps);
+  EXPECT_EQ(rng_cheb.next_u64(), rng_all.next_u64());
+}
+
+/// Every probability's exact bits, as text.
+std::string probability_bits(const Matrix& p) {
+  std::string out;
+  for (const double v : p.data()) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    out += ' ' + std::to_string(bits);
+  }
+  return out;
+}
+
+TEST(SamplePrep, CacheSharedAcrossConvKindsServesEachItsOwnRun) {
+  // A Chebyshev model's prep has no propagation operators. One cache
+  // shared by a ChebConv and a SageConv annotator must therefore key
+  // the two apart, or SageConv would be served the Chebyshev prep.
+  Rng rng(5);
+  const datagen::LabeledCircuit circuit =
+      datagen::generate_ota({}, rng, "ota");
+  gcn::ModelConfig cfg;
+  cfg.conv_channels = {8, 8};
+  cfg.cheb_k = 3;
+  cfg.fc_hidden = 16;
+  const gcn::GcnModel cheb_model(cfg);
+  cfg.conv_kind = gcn::ConvKind::SageMean;
+  const gcn::GcnModel sage_model(cfg);
+  const std::vector<std::string> classes = {"ota", "bias"};
+
+  const auto run = [&](const core::Annotator& a) {
+    const auto r = a.try_annotate(circuit);
+    return r.ok() ? core::annotation_to_json(r.value(), classes) +
+                        probability_bits(r.value().probabilities)
+                  : "failed: " + r.diag().render();
+  };
+  const core::Annotator cheb_alone(&cheb_model, classes);
+  const core::Annotator sage_alone(&sage_model, classes);
+  const std::string cheb_expected = run(cheb_alone);
+  const std::string sage_expected = run(sage_alone);
+  ASSERT_NE(cheb_expected.rfind("failed", 0), 0u) << cheb_expected;
+  ASSERT_NE(sage_expected.rfind("failed", 0), 0u) << sage_expected;
+
+  auto shared = std::make_shared<gcn::SamplePrepCache>();
+  core::Annotator cheb(&cheb_model, classes);
+  core::Annotator sage(&sage_model, classes);
+  cheb.set_sample_cache(shared);
+  sage.set_sample_cache(shared);
+  EXPECT_EQ(run(cheb), cheb_expected);  // inserts a prep without `prop`
+  EXPECT_EQ(run(sage), sage_expected);
+  EXPECT_EQ(run(cheb), cheb_expected);  // hits
+  EXPECT_EQ(run(sage), sage_expected);
+  EXPECT_EQ(shared->stats().entries, 2u);
 }
 
 // --- The three structural caches: each counts one miss, then one hit,

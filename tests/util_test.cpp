@@ -255,6 +255,28 @@ TEST(Args, SecondsAreNonNegative) {
   EXPECT_THROW((void)args.get_seconds("neg-half", 0.0), ArgError);
 }
 
+TEST(Args, FractionsLieInTheUnitInterval) {
+  const char* argv[] = {"prog", "--zero", "0",    "--one",   "1",
+                        "--mid", "0.25", "--neg", "-0.01",   "--big",
+                        "1.5",   "--huge", "3",   "--word",  "half"};
+  const Args args(15, argv);
+  EXPECT_EQ(args.get_fraction("zero", 0.5), 0.0);
+  EXPECT_EQ(args.get_fraction("one", 0.5), 1.0);
+  EXPECT_EQ(args.get_fraction("mid", 0.5), 0.25);
+  EXPECT_EQ(args.get_fraction("missing", 0.5), 0.5);
+  for (const char* key : {"neg", "big", "huge", "word"}) {
+    SCOPED_TRACE(key);
+    try {
+      (void)args.get_fraction(key, 0.0);
+      ADD_FAILURE() << "--" << key << " was accepted as a fraction";
+    } catch (const ArgError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + key),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Args, DeclaredBooleanFlagsDoNotConsumePositionals) {
   const char* argv[] = {"prog", "--session", "rev0.sp", "rev1.sp",
                         "--jobs", "4"};
