@@ -1,8 +1,6 @@
 #include "primitives/annotator.hpp"
 
 #include <algorithm>
-#include <exception>
-#include <future>
 #include <memory>
 #include <set>
 #include <utility>
@@ -64,42 +62,19 @@ CachedAnnotation compute_annotation(const CircuitGraph& g,
   const iso::CandidateIndex index(g);
 
   std::vector<PatternMatchList> results(order.size());
-  ThreadPool* pool = options.pool;
-  const bool parallel = pool != nullptr && pool->size() > 1 &&
-                        order.size() > 1 && !ThreadPool::inside_worker();
-  if (parallel) {
-    std::vector<std::future<PatternMatchList>> futures;
-    futures.reserve(order.size());
-    // Re-install the submitting thread's request context (deadline,
-    // fault key) inside each pattern task: the per-1024-states deadline
-    // check in VF2 reads a thread_local, which pool workers would
-    // otherwise not see. An expired deadline then aborts every pattern
-    // task, not just the ones running on the submitting thread.
-    const RequestContext* ctx = current_request_context();
-    for (std::size_t li : order) {
-      const PrimitiveSpec& spec = library.spec(li);
-      futures.push_back(pool->submit([&spec, &g, &index, &options, ctx] {
-        ScopedRequestContext scope(ctx);
-        return match_library_pattern(spec, g, index, options.match);
-      }));
-    }
-    // Drain every future even if one throws: the tasks reference stack
-    // locals (`index`), so none may outlive this scope.
-    std::exception_ptr err;
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      try {
-        results[i] = pool->wait(futures[i]);
-      } catch (...) {
-        if (!err) err = std::current_exception();
-      }
-    }
-    if (err) std::rethrow_exception(err);
-  } else {
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      results[i] =
-          match_library_pattern(library.spec(order[i]), g, index, options.match);
-    }
-  }
+  // One pattern per chunk. Each chunk re-installs the caller's request
+  // context (deadline, fault key): the per-1024-states deadline check in
+  // VF2 reads a thread_local, which pool workers would otherwise not
+  // see, so an expired deadline aborts the patterns on every thread.
+  const RequestContext* ctx = current_request_context();
+  parallel_for(options.pool, order.size(), 1,
+               [&](std::size_t begin, std::size_t end) {
+                 ScopedRequestContext scope(ctx);
+                 for (std::size_t i = begin; i < end; ++i) {
+                   results[i] = match_library_pattern(library.spec(order[i]),
+                                                      g, index, options.match);
+                 }
+               });
 
   return accept_pattern_matches(g, library, order, results, options, outcome);
 }

@@ -60,10 +60,11 @@ struct AnnotateOptions {
   /// truncates deterministically instead of hanging; the outcome reports
   /// it so callers can surface a partial-annotation warning.
   iso::MatchOptions match;
-  /// When non-null (and the calling thread is not already a pool
-  /// worker), library patterns are matched in parallel on this pool.
-  /// Never affects results: acceptance runs on the merged lists in the
-  /// same canonical order the sequential sweep uses. Not owned.
+  /// When non-null, library patterns are matched in parallel on this
+  /// pool (parallel_for, one pattern per chunk); a task of the pool may
+  /// pass it too, since the calling thread claims patterns itself. Never
+  /// affects results: acceptance runs on the merged lists in the same
+  /// canonical order the sequential sweep uses. Not owned.
   ThreadPool* pool = nullptr;
   /// When non-null, annotations are shared across structurally identical
   /// circuits through this cache. Not owned.

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -87,11 +88,17 @@ class ThreadPool {
 
 /// Splits [0, n) into contiguous chunks of at most `grain` items and runs
 /// `body(begin, end)` for each, using the pool's workers plus the calling
-/// thread. Blocks until every chunk finished; rethrows the first chunk
-/// exception. Falls back to a single sequential call when `pool` is null,
-/// has no parallelism, or the range is one chunk. Chunk boundaries depend
-/// only on (n, grain) -- never on the thread count -- so callers that
-/// write disjoint ranges get bit-identical results at any parallelism.
+/// thread. Chunks are claimed, not queued: the caller and up to
+/// pool->size() helper tasks each take the next unclaimed chunk until
+/// none is left. So the caller runs only this loop's chunks, never other
+/// queued work, and then waits only for chunks already running; a helper
+/// that starts after the loop returned finds nothing to claim. Blocks
+/// until every chunk finished and rethrows the exception of the
+/// lowest-numbered chunk that threw. Falls back to a single sequential
+/// call when `pool` is null, has no parallelism, or the range is one
+/// chunk. Chunk boundaries depend only on (n, grain) -- never on the
+/// thread count -- so callers that write disjoint ranges get
+/// bit-identical results at any parallelism.
 template <typename F>
 void parallel_for(ThreadPool* pool, std::size_t n, std::size_t grain,
                   F&& body) {
@@ -102,22 +109,41 @@ void parallel_for(ThreadPool* pool, std::size_t n, std::size_t grain,
     return;
   }
   const std::size_t chunks = (n + grain - 1) / grain;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * grain;
-    const std::size_t end = std::min(n, begin + grain);
-    futures.push_back(pool->submit([&body, begin, end]() { body(begin, end); }));
-  }
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      pool->wait(f);
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+  // Shared with the helpers, which may outlive this call.
+  struct Claims {
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> finished{0};
+    std::mutex mutex;
+    std::size_t error_chunk = SIZE_MAX;
+    std::exception_ptr error;
+  };
+  auto claims = std::make_shared<Claims>();
+  // `body` is called only after a successful claim, and this call returns
+  // only once every claimed chunk finished, so no helper calls it later.
+  auto work = [claims, &body, n, grain, chunks] {
+    for (std::size_t c; (c = claims->next.fetch_add(1)) < chunks;) {
+      try {
+        body(c * grain, std::min(n, c * grain + grain));
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(claims->mutex);
+        if (c < claims->error_chunk) {
+          claims->error_chunk = c;
+          claims->error = std::current_exception();
+        }
+      }
+      claims->finished.fetch_add(1);
     }
+  };
+  const std::size_t helpers = std::min(pool->size(), chunks - 1);
+  for (std::size_t h = 0; h < helpers; ++h) (void)pool->submit(work);
+  work();
+  while (claims->finished.load() < chunks) {
+    std::this_thread::yield();
   }
-  if (first_error) std::rethrow_exception(first_error);
+  // Move the error out: the last helper may free the claims on its own
+  // thread, and the exception must be released on this one.
+  const std::exception_ptr error = std::move(claims->error);
+  if (error) std::rethrow_exception(error);
 }
 
 /// Process-wide pool for data parallelism inside a single pipeline run

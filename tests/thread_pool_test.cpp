@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "linalg/sparse.hpp"
@@ -128,6 +131,83 @@ TEST(ParallelFor, PropagatesChunkException) {
                      if (begin == 64) throw std::logic_error("bad chunk");
                    }),
       std::logic_error);
+}
+
+TEST(ParallelFor, RethrowsTheLowestFailingChunk) {
+  ThreadPool pool(3);
+  for (int round = 0; round < 20; ++round) {
+    try {
+      parallel_for(&pool, 64, 1, [](std::size_t begin, std::size_t /*end*/) {
+        if (begin == 10 || begin == 40) {
+          throw std::runtime_error(std::to_string(begin));
+        }
+      });
+      ADD_FAILURE() << "no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "10");
+    }
+  }
+}
+
+TEST(ParallelFor, CallerRunsOnlyItsOwnChunks) {
+  // Both workers are blocked, so the loop's helper tasks queue behind a
+  // foreign task. The calling thread must claim every chunk itself and
+  // return without running the foreign task; the helpers start after
+  // the loop returned and must find nothing left to claim.
+  ThreadPool pool(2);
+  std::promise<void> release;
+  const std::shared_future<void> gate = release.get_future().share();
+  std::atomic<int> blocked{0};
+  std::vector<std::future<void>> blockers;
+  for (int i = 0; i < 2; ++i) {
+    blockers.push_back(pool.submit([gate, &blocked] {
+      blocked.fetch_add(1);
+      gate.wait();
+    }));
+  }
+  while (blocked.load() < 2) std::this_thread::yield();
+  std::atomic<bool> foreign_ran{false};
+  std::future<void> foreign = pool.submit([&foreign_ran] { foreign_ran = true; });
+  std::vector<int> hits(64, 0);
+  parallel_for(&pool, hits.size(), 4, [&hits](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) ++hits[i];
+  });
+  EXPECT_FALSE(foreign_ran.load());
+  for (const int h : hits) EXPECT_EQ(h, 1);
+  release.set_value();
+  for (auto& b : blockers) b.get();
+  foreign.get();
+  EXPECT_TRUE(foreign_ran.load());
+}
+
+TEST(ParallelFor, StressConcurrentAndNestedLoops) {
+  // Two outside threads and the pool's own workers run loops on one pool
+  // at once, some nested inside another loop's chunk: every index of
+  // every loop is written exactly once, and read only after the loop
+  // returned.
+  ThreadPool pool(3);
+  std::atomic<int> bad{0};
+  const auto loop = [&pool, &bad](std::size_t n, std::size_t grain) {
+    std::vector<int> hits(n, 0);
+    parallel_for(&pool, n, grain, [&hits](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) ++hits[i];
+    });
+    for (const int h : hits) {
+      if (h != 1) bad.fetch_add(1);
+    }
+  };
+  const auto outside = [&loop] {
+    for (std::size_t r = 0; r < 200; ++r) loop(64 + r % 7, 1 + r % 5);
+  };
+  std::thread a(outside);
+  std::thread b(outside);
+  for (int r = 0; r < 50; ++r) {
+    parallel_for(&pool, 8, 1,
+                 [&loop](std::size_t, std::size_t) { loop(32, 2); });
+  }
+  a.join();
+  b.join();
+  EXPECT_EQ(bad.load(), 0);
 }
 
 TEST(ComputePool, ConfigurableWidth) {
