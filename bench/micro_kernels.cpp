@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "gana.hpp"
-#include "linalg/lanczos.hpp"
 
 namespace {
 
@@ -126,7 +125,7 @@ BENCHMARK(BM_FullPrimitiveAnnotation)->Range(8, 256)->Complexity(benchmark::oN);
 
 void BM_SparseMatVec(benchmark::State& state) {
   const auto g = graph::build_graph(chained_cells(static_cast<int>(state.range(0))));
-  const auto lhat = graph::scaled_laplacian(graph::normalized_laplacian(g), 2.0);
+  const auto lhat = gcn::make_scaled_laplacian(graph::adjacency(g));
   Matrix x(lhat.rows(), 32, 1.0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(lhat.multiply(x));
@@ -154,17 +153,6 @@ void BM_GcnForward(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_GcnForward)->Range(8, 128)->Complexity(benchmark::oN);
-
-void BM_Lanczos(benchmark::State& state) {
-  const auto g = graph::build_graph(chained_cells(static_cast<int>(state.range(0))));
-  const auto lap = graph::normalized_laplacian(g);
-  Rng rng(2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lanczos_lambda_max(lap, rng, 24));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_Lanczos)->Range(8, 512)->Complexity(benchmark::oN);
 
 }  // namespace
 

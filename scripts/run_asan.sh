@@ -15,5 +15,5 @@ cmake --build --preset asan -j"$(nproc)" \
   infer_workspace_test batch_scaling_test serve_test soak_test deadline_test \
   fault_injection_test diag_json_test util_test shard_test \
   incremental_test artifact_test pipeline_test linalg_test thread_pool_test \
-  gana_shard
+  card_order_test gana_shard
 ctest --preset asan

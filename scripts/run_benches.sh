@@ -2,7 +2,7 @@
 # Builds the release preset and runs every bench target, collecting the
 # perf-record benches' BENCH_*.json files at the repo root.
 #
-# Perf-record benches (gcn_inference, primitive_matching) verify that
+# Perf-record benches (primitive_matching, incremental) verify that
 # their accelerated path is bit-identical to the reference path and say
 # so in the record's "identical" field. Each record is written to a
 # temporary path first; a run whose "identical" field is false never
@@ -10,9 +10,7 @@
 # bad one is preserved next to it as *.rejected.json, and the script
 # exits nonzero. The same refusal applies to a perf regression: a new
 # record reporting "speedup_target_met":false never replaces an existing
-# record that met the target. Records that carry a
-# "jobs_scaling_efficiency" field (summed thread-CPU at 1 job / at 8
-# jobs; 1.0 = no parallel CPU inflation) get it echoed per bench.
+# record that met the target.
 #
 # Usage: scripts/run_benches.sh  (from anywhere inside the repo;
 #        GANA_BENCH_QUICK=1 for a fast smoke pass)
@@ -39,7 +37,7 @@ done
 # or failed verification after writing its record never overwrites a
 # good one).
 status=0
-for b in gcn_inference primitive_matching incremental; do
+for b in primitive_matching incremental; do
   echo "=== $b ==="
   record="BENCH_$b.json"
   tmp="$record.tmp"
@@ -47,11 +45,6 @@ for b in gcn_inference primitive_matching incremental; do
   "$bin/$b" "$tmp" || bench_status=$?
   if ! scripts/promote_bench_record.sh "$bench_status" "$tmp" "$record"; then
     status=1
-  fi
-  if [ -f "$record" ] && grep -q '"jobs_scaling_efficiency"' "$record"; then
-    eff=$(sed -n 's/.*"jobs_scaling_efficiency":\([-0-9.eE+]*\).*/\1/p' \
-          "$record")
-    echo "$b jobs-scaling efficiency (cpu@1 / cpu@8): $eff"
   fi
   if [ "$bench_status" -ne 0 ]; then
     echo "$b exited with status $bench_status" >&2

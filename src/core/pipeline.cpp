@@ -159,13 +159,6 @@ PreparedCircuit prepare_netlist(const spice::Netlist& netlist,
   return prepare(netlist, name, std::move(class_names), {}, options, stage);
 }
 
-gcn::GraphSample make_gcn_sample(const PreparedCircuit& prepared,
-                                 int pool_levels, Rng& rng) {
-  return gcn::make_sample(graph::adjacency(prepared.graph),
-                          build_features(prepared.graph), prepared.labels,
-                          pool_levels, rng, prepared.name);
-}
-
 std::vector<gcn::GraphSample> make_gcn_samples(
     const std::vector<datagen::LabeledCircuit>& circuits, int pool_levels,
     std::uint64_t seed, const PrepareOptions& options) {
@@ -173,8 +166,11 @@ std::vector<gcn::GraphSample> make_gcn_samples(
   std::vector<gcn::GraphSample> out;
   out.reserve(circuits.size());
   for (const auto& c : circuits) {
-    out.push_back(
-        make_gcn_sample(prepare_circuit(c, options), pool_levels, rng));
+    PreparedCircuit p = prepare_circuit(c, options);
+    out.push_back(gcn::make_sample(graph::adjacency(p.graph),
+                                   build_features(p.graph),
+                                   std::move(p.labels), pool_levels, rng,
+                                   std::move(p.name)));
   }
   return out;
 }
@@ -269,9 +265,10 @@ Matrix Annotator::compute_probabilities(const PreparedCircuit& prepared,
     return Matrix(n, k, 1.0 / static_cast<double>(k));
   }
   mark(stage, Stage::Features);
-  // Seed the prep stream from the circuit's structure, not its batch
-  // slot: structurally identical circuits then get bit-identical
-  // spectral operators whether or not the SamplePrepCache is attached.
+  // Seed the prep stream, which only Graclus reads, from the circuit's
+  // structure, not its batch slot: structurally identical circuits then
+  // get bit-identical cluster maps whether or not the SamplePrepCache is
+  // attached.
   // Only SageConv reads the propagation operators, so a Chebyshev
   // model's prep skips them; the key carries that bit, or a cache shared
   // by both kinds could serve SageConv a prep without them.

@@ -56,19 +56,17 @@ PreparedCircuit prepare_netlist(const spice::Netlist& netlist,
                                 const PrepareOptions& options = {},
                                 Stage* stage = nullptr);
 
-/// GCN sample from a prepared circuit.
-gcn::GraphSample make_gcn_sample(const PreparedCircuit& prepared,
-                                 int pool_levels, Rng& rng);
-
-/// Batch conversion of labeled circuits into GCN samples.
+/// Batch conversion of labeled circuits into GCN samples. `seed` starts
+/// one Rng stream over the batch, which only Graclus reads: samples of
+/// unpooled models carry the L̂ the Annotator builds for the circuit.
 std::vector<gcn::GraphSample> make_gcn_samples(
     const std::vector<datagen::LabeledCircuit>& circuits, int pool_levels,
     std::uint64_t seed, const PrepareOptions& options = {});
 
-/// Root seed of the per-circuit sample Rng (Lanczos start vectors,
-/// Graclus tie-breaking); a constant, so the annotation is a function
-/// of the circuit alone. The effective prep stream is seeded by
-/// hash_combine(root, structural hash of the circuit graph), so
+/// Root seed of the per-circuit sample Rng, which only Graclus
+/// tie-breaking reads (pooled models); a constant, so the annotation is
+/// a function of the circuit alone. The effective prep stream is seeded
+/// by hash_combine(root, structural hash of the circuit graph), so
 /// structurally identical circuits get identical prep no matter which
 /// batch slot, process or binary they appear in -- the invariant that
 /// makes SamplePrepCache hits bit-identical to cache-off runs.

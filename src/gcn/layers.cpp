@@ -7,7 +7,6 @@
 
 #include "gcn/coarsen.hpp"
 #include "graph/laplacian.hpp"
-#include "linalg/lanczos.hpp"
 #include "util/diag.hpp"
 
 namespace gana::gcn {
@@ -16,16 +15,14 @@ namespace gana::gcn {
 // Sample preparation
 // ---------------------------------------------------------------------------
 
-SparseMatrix make_scaled_laplacian(const SparseMatrix& adjacency, Rng& rng) {
-  const SparseMatrix lap = graph::normalized_laplacian(adjacency);
-  double lmax = lanczos_lambda_max(lap, rng, 24);
-  // Clamp into the normalized-Laplacian range (0, 2] first, THEN pad for
-  // the Lanczos under-estimate. Padding before clamping silently undid
-  // the pad whenever the padded value crossed 2 -- exactly the bipartite
-  // case (circuit graphs are bipartite, lambda_max == 2), where an
-  // unpadded estimate leaves |spec(L̂)| touching 1.
-  lmax = std::min(std::max(lmax, 1e-3), 2.0) * 1.01;
-  return graph::scaled_laplacian(lap, lmax);
+SparseMatrix make_scaled_laplacian(const SparseMatrix& adjacency) {
+  // A normalized Laplacian's spectrum lies in [0, 2] on any graph with
+  // non-negative weights, and reaches 2 on every bipartite one -- every
+  // circuit graph, since each edge joins an element to a net. The 1%
+  // pad keeps the top of L̂'s spectrum strictly below 1.
+  constexpr double kLambdaMax = 2.0 * 1.01;
+  return graph::normalized_laplacian(adjacency).scale_add_identity(
+      2.0 / kLambdaMax, -1.0);
 }
 
 namespace {
@@ -56,7 +53,7 @@ SamplePrep make_sample_prep(const SparseMatrix& adjacency, int pool_levels,
                             Rng& rng, bool propagation) {
   SamplePrep prep;
   auto push_level = [&](const SparseMatrix& adj) {
-    prep.lhat.push_back(make_scaled_laplacian(adj, rng));
+    prep.lhat.push_back(make_scaled_laplacian(adj));
     if (!propagation) return;
     SparseMatrix p = row_normalized(adj);
     prep.prop_t.push_back(p.transposed());

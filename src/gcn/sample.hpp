@@ -16,9 +16,10 @@ namespace gana::gcn {
 
 /// The graph-level precomputation of one sample: multilevel spectral
 /// operators and cluster maps. Everything here is a function of the
-/// adjacency *pattern* alone (plus the prep Rng stream), never of device
-/// values or names -- which is why structurally identical circuits can
-/// share one SamplePrep through the SamplePrepCache.
+/// adjacency *pattern* alone (plus, for pooled models, the Rng stream
+/// that breaks Graclus ties), never of device values or names -- which
+/// is why structurally identical circuits can share one SamplePrep
+/// through the SamplePrepCache.
 struct SamplePrep {
   std::vector<SparseMatrix> lhat;
   std::vector<std::vector<std::size_t>> cluster_maps;
@@ -49,24 +50,24 @@ struct GraphSample {
   [[nodiscard]] std::size_t nodes() const { return features.rows(); }
 };
 
-/// Scaled Laplacian L̂ of one adjacency matrix: normalized Laplacian,
-/// Lanczos λ_max estimate (clamped into (0, 2] *before* the 1.01 safety
-/// pad so the |spec(L̂)| <= 1 contract holds even when λ_max is exactly
-/// 2, as on bipartite graphs), then 2L/λ_max - I.
-SparseMatrix make_scaled_laplacian(const SparseMatrix& adjacency, Rng& rng);
+/// Scaled Laplacian L̂ = 2L/λ - I of one adjacency matrix, with L its
+/// normalized Laplacian and λ = 2 × 1.01 on every graph: λ_max(L) is 2
+/// on a bipartite circuit graph and at most 2 on its coarsened levels,
+/// so spec(L̂) lies in [-1, 2/1.01 - 1] whatever the vertex order.
+SparseMatrix make_scaled_laplacian(const SparseMatrix& adjacency);
 
 /// Graph-level precomputation: scaled Laplacians, propagation operators,
-/// and `pool_levels` rounds of Graclus coarsening. With `propagation`
-/// false, `prop` and `prop_t` stay empty: only SageConv reads them, so a
-/// Chebyshev model's prep skips them. The flag draws nothing from `rng`,
-/// so the Laplacians and cluster maps are the same either way.
+/// and `pool_levels` rounds of Graclus coarsening. Only Graclus draws
+/// from `rng`, so with `pool_levels` 0 the prep is a function of the
+/// adjacency alone. With `propagation` false, `prop` and `prop_t` stay
+/// empty: only SageConv reads them, so a Chebyshev model's prep skips
+/// them; the Laplacians and cluster maps are the same either way.
 SamplePrep make_sample_prep(const SparseMatrix& adjacency, int pool_levels,
                             Rng& rng, bool propagation = true);
 
-/// Builds a GraphSample from an adjacency matrix: normalized Laplacian,
-/// Lanczos λ_max (with a Gershgorin fallback for tiny graphs), scaling,
-/// and `pool_levels` rounds of Graclus coarsening with the corresponding
-/// coarse operators. `propagation` is make_sample_prep's.
+/// Builds a GraphSample from an adjacency matrix: make_sample_prep's
+/// operators (`rng` breaks Graclus ties) around the given features and
+/// labels. `propagation` is make_sample_prep's.
 GraphSample make_sample(const SparseMatrix& adjacency, Matrix features,
                         std::vector<int> labels, int pool_levels, Rng& rng,
                         std::string name = {}, bool propagation = true);

@@ -42,10 +42,4 @@ SparseMatrix normalized_laplacian(const CircuitGraph& g) {
   return normalized_laplacian(adjacency(g));
 }
 
-SparseMatrix scaled_laplacian(const SparseMatrix& laplacian,
-                              double lambda_max) {
-  const double scale = lambda_max > 0.0 ? 2.0 / lambda_max : 0.0;
-  return laplacian.scale_add_identity(scale, -1.0);
-}
-
 }  // namespace gana::graph

@@ -1,4 +1,5 @@
-// Graph Laplacian operators for the spectral GCN (paper §III-A, Eq. 1-5).
+// Graph Laplacian operators for the spectral GCN (paper §III-A, Eq. 1);
+// gcn::make_scaled_laplacian applies the Eq. 3 scaling.
 #pragma once
 
 #include "graph/circuit_graph.hpp"
@@ -16,10 +17,5 @@ SparseMatrix normalized_laplacian(const SparseMatrix& adjacency);
 
 /// Convenience overload building the adjacency internally.
 SparseMatrix normalized_laplacian(const CircuitGraph& g);
-
-/// Scaled Laplacian L̂ = 2 L / λ_max - I used by the Chebyshev filters
-/// (Eq. 3); its spectrum lies in [-1, 1].
-SparseMatrix scaled_laplacian(const SparseMatrix& laplacian,
-                              double lambda_max);
 
 }  // namespace gana::graph

@@ -113,8 +113,7 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
 namespace {
 
 /// Original scalar ikj product: the bit-identity oracle for the Simd
-/// kernel, and the pre-fast-path baseline bench/gcn_inference measures
-/// against. ikj keeps the inner loop sequential over both B and C rows;
+/// kernel. ikj keeps the inner loop sequential over both B and C rows;
 /// each C row starts from +0.0.
 void matmul_block_reference(const double* a, std::size_t rows,
                             std::size_t kk, const Matrix& b, double* c) {

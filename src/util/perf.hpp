@@ -3,8 +3,8 @@
 // Process-wide relaxed atomics, incremented once per kernel call (never
 // per element), so they are cheap enough to stay on in production. The
 // batch runtime snapshots them around a run and reports the deltas in
-// BatchTimings; bench/gcn_inference uses them to prove the workspace
-// path performs zero steady-state heap allocations.
+// BatchTimings; InferWorkspace.SteadyStateZeroAllocations uses them to
+// prove the workspace path performs zero steady-state heap allocations.
 //
 // Counters are global, not per-thread: concurrent *independent* batch
 // runs in one process would mix their deltas. Within one BatchRunner run

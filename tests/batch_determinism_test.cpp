@@ -170,28 +170,33 @@ TEST(BatchDeterminism, SampleCacheOnVsOffBitIdenticalAcross1_2_8Threads) {
     batch[i].name = "copy" + std::to_string(i);
   }
 
-  gcn::GcnModel model(tiny_config(2, /*pooling=*/false));
-  const Annotator plain(&model, {"ota", "bias"});
-  const BatchRunner seq(plain, {.jobs = 1});
-  const BatchResult ref = seq.run(batch);
+  // The pooled model's prep also carries Graclus cluster maps, the one
+  // part of it drawn from the prep Rng.
+  for (const bool pooling : {false, true}) {
+    gcn::GcnModel model(tiny_config(2, pooling));
+    const Annotator plain(&model, {"ota", "bias"});
+    const BatchRunner seq(plain, {.jobs = 1});
+    const BatchResult ref = seq.run(batch);
 
-  for (const std::size_t jobs : {1u, 2u, 8u}) {
-    Annotator cached(&model, {"ota", "bias"});
-    auto cache = std::make_shared<gcn::SamplePrepCache>();
-    cached.set_sample_cache(cache);
-    const BatchRunner runner(cached, {.jobs = jobs});
-    BatchResult got = runner.run(batch);
-    SCOPED_TRACE("cached jobs=" + std::to_string(jobs));
-    // Results carry the per-copy names; align them before comparing.
-    ASSERT_EQ(got.results.size(), ref.results.size());
-    for (std::size_t i = 0; i < got.results.size(); ++i) {
-      expect_identical(ref.results[i], got.results[i],
-                       "slot " + std::to_string(i));
+    for (const std::size_t jobs : {1u, 2u, 8u}) {
+      Annotator cached(&model, {"ota", "bias"});
+      auto cache = std::make_shared<gcn::SamplePrepCache>();
+      cached.set_sample_cache(cache);
+      const BatchRunner runner(cached, {.jobs = jobs});
+      BatchResult got = runner.run(batch);
+      SCOPED_TRACE(std::string(pooling ? "pooled" : "unpooled") +
+                   " cached jobs=" + std::to_string(jobs));
+      // Results carry the per-copy names; align them before comparing.
+      ASSERT_EQ(got.results.size(), ref.results.size());
+      for (std::size_t i = 0; i < got.results.size(); ++i) {
+        expect_identical(ref.results[i], got.results[i],
+                         "slot " + std::to_string(i));
+      }
+      // All eight copies share one structural hash: a single prep entry.
+      const auto stats = cache->stats();
+      EXPECT_EQ(stats.entries, 1u);
+      EXPECT_GE(stats.hits + stats.misses, batch.size());
     }
-    // All eight copies share one structural hash: a single prep entry.
-    const auto stats = cache->stats();
-    EXPECT_EQ(stats.entries, 1u);
-    EXPECT_GE(stats.hits + stats.misses, batch.size());
   }
 }
 

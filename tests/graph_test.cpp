@@ -1,17 +1,44 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "gcn/sample.hpp"
 #include "graph/builder.hpp"
 #include "graph/laplacian.hpp"
-#include "linalg/lanczos.hpp"
 #include "spice/flatten.hpp"
 #include "spice/parser.hpp"
-#include "util/rng.hpp"
 
 namespace gana::graph {
 namespace {
 
 CircuitGraph graph_of(const std::string& text) {
   return build_graph(spice::flatten(spice::parse_netlist(text)));
+}
+
+/// True when the symmetric `m` is positive semidefinite up to `tol`: a
+/// dense Cholesky factorization of m + tol·I meets no non-positive pivot.
+bool positive_semidefinite(const SparseMatrix& m, double tol = 1e-9) {
+  const std::size_t n = m.rows();
+  std::vector<double> a(n * n, 0.0);
+  auto at = [&](std::size_t i, std::size_t j) -> double& {
+    return a[i * n + j];
+  };
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t k = m.row_ptr()[r]; k < m.row_ptr()[r + 1]; ++k) {
+      at(r, m.col_idx()[k]) = m.values()[k];
+    }
+    at(r, r) += tol;
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t k = 0; k < j; ++k) at(j, j) -= at(j, k) * at(j, k);
+    if (at(j, j) <= 0.0) return false;
+    at(j, j) = std::sqrt(at(j, j));
+    for (std::size_t i = j + 1; i < n; ++i) {
+      for (std::size_t k = 0; k < j; ++k) at(i, j) -= at(i, k) * at(j, k);
+      at(i, j) /= at(j, j);
+    }
+  }
+  return true;
 }
 
 TEST(Builder, CurrentMirrorMatchesPaperFigure2) {
@@ -145,23 +172,33 @@ c1 y z 1p
 .end
 )");
   const auto lap = normalized_laplacian(g);
-  Rng rng(3);
-  const double lmax = lanczos_lambda_max(lap, rng);
-  EXPECT_GT(lmax, 0.0);
-  EXPECT_LE(lmax, 2.0 + 1e-9);
+  // spec(L) in [0, 2] <=> L and 2I - L are both positive semidefinite.
+  EXPECT_TRUE(positive_semidefinite(lap));
+  EXPECT_TRUE(positive_semidefinite(lap.scale_add_identity(-1.0, 2.0)));
+  EXPECT_FALSE(positive_semidefinite(lap.scale_add_identity(-1.0, 1.99)));
 }
 
 TEST(Laplacian, ScaledSpectrumWithinMinusOneOne) {
-  const auto g = graph_of("m0 d g s gnd! nmos\nr1 d g 1k\n.end\n");
-  const auto lap = normalized_laplacian(g);
-  Rng rng(4);
-  const double lmax = lanczos_lambda_max(lap, rng);
-  const auto lhat = scaled_laplacian(lap, std::max(lmax, 1e-3));
-  EXPECT_LE(lambda_max_upper_bound(lhat), 2.0 + 1e-6);
-  // The scaled operator maps the constant-ish eigenvector near -1; just
-  // check symmetry and bounded Gershgorin radius.
-  Rng rng2(5);
-  EXPECT_LE(lanczos_lambda_max(lhat, rng2), 1.0 + 1e-6);
+  // A fixture circuit's graph. Elements and nets form its two sides, so
+  // v = +sqrt(d) on elements and -sqrt(d) on nets has Lv = 2v, and L̂,
+  // scaled by λ = 2.02 at every level, maps v to (4/2.02 - 1)v exactly.
+  const auto g = build_graph(spice::flatten(spice::parse_netlist_file(
+      std::string(GANA_TEST_FIXTURE_DIR) + "/two_stage_ota.sp")));
+  const SparseMatrix adj = adjacency(g);
+  const SparseMatrix lhat = gcn::make_scaled_laplacian(adj);
+  const std::vector<double> deg = adj.row_sums();
+  std::vector<double> v(g.vertex_count());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const double side = g.vertex(i).kind == VertexKind::Element ? 1.0 : -1.0;
+    v[i] = side * std::sqrt(deg[i]);
+  }
+  const std::vector<double> lv = lhat.multiply(v);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    EXPECT_NEAR(lv[i], (4.0 / 2.02 - 1.0) * v[i], 1e-12) << "vertex " << i;
+  }
+  // spec(L̂) in [-1, 1] <=> I - L̂ and I + L̂ are positive semidefinite.
+  EXPECT_TRUE(positive_semidefinite(lhat.scale_add_identity(-1.0, 1.0)));
+  EXPECT_TRUE(positive_semidefinite(lhat.scale_add_identity(1.0, 1.0)));
 }
 
 TEST(Graph, DegreeAndOpposite) {

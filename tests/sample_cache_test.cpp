@@ -4,6 +4,7 @@
 // bit-identical to freshly computed prep.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -12,13 +13,14 @@
 #include "core/export.hpp"
 #include "core/pipeline.hpp"
 #include "datagen/ota_gen.hpp"
+#include "datagen/phased_array.hpp"
 #include "gcn/inference_cache.hpp"
 #include "gcn/sample.hpp"
 #include "gcn/sample_cache.hpp"
+#include "graph/builder.hpp"
 #include "graph/circuit_graph.hpp"
 #include "graph/laplacian.hpp"
 #include "graph/structural_hash.hpp"
-#include "linalg/lanczos.hpp"
 #include "primitives/annotation_cache.hpp"
 #include "util/perf.hpp"
 #include "util/rng.hpp"
@@ -113,8 +115,8 @@ TEST(SamplePrepCache, CountsHitsAndMissesAndFirstInsertWins) {
   EXPECT_EQ(cache.find(42), nullptr);
 }
 
-/// The 4-cycle: bipartite, so its normalized Laplacian has lambda_max
-/// exactly 2 -- the case the clamp-after-pad bug used to mishandle.
+/// The 4-cycle: bipartite, so its normalized Laplacian has λ_max
+/// exactly 2.
 SparseMatrix four_cycle() {
   std::vector<Triplet> t;
   for (std::size_t i = 0; i < 4; ++i) {
@@ -126,16 +128,63 @@ SparseMatrix four_cycle() {
 }
 
 TEST(ScaledLaplacian, BipartiteSpectrumStrictlyInsideUnitDisc) {
-  // With the clamp applied before the 1.01 pad, the effective lambda_max
-  // is 2.02 and the top eigenvalue of L̂ is 2*2/2.02 - 1 < 1. The old
-  // pad-then-clamp order pinned it at exactly 1 (or above, when Lanczos
-  // under-estimated), breaking the |spec(L̂)| <= 1 Chebyshev contract.
-  Rng rng(5);
-  const SparseMatrix lhat = gcn::make_scaled_laplacian(four_cycle(), rng);
-  Rng est_rng(6);
-  const double top = lanczos_lambda_max(lhat, est_rng, 24);
-  EXPECT_NEAR(top, 2.0 * 2.0 / 2.02 - 1.0, 1e-9);
-  EXPECT_LT(top, 1.0);
+  // v = ±sqrt(d), alternating over the cycle's two sides, has Lv = 2v.
+  // L̂ is scaled by λ = 2.02, so it maps v to (2*2/2.02 - 1)v: the top
+  // of its spectrum sits strictly below 1, as the Chebyshev recurrence
+  // needs. Scaling by λ = 2 would put it at exactly 1.
+  const SparseMatrix lhat = gcn::make_scaled_laplacian(four_cycle());
+  const double s = std::sqrt(2.0);
+  const std::vector<double> v = {s, -s, s, -s};
+  const std::vector<double> lv = lhat.multiply(v);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    EXPECT_NEAR(lv[i], (2.0 * 2.0 / 2.02 - 1.0) * v[i], 1e-12);
+  }
+}
+
+TEST(SamplePrep, UnpooledPrepReadsNoRandomness) {
+  // Only Graclus draws from the prep stream: without pooling, any two
+  // seeds give the same operators bit for bit, and the stream is left
+  // untouched.
+  Rng gen(9);
+  const SparseMatrix adj = graph::adjacency(graph::build_graph(
+      datagen::generate_phased_array({}, gen).netlist));
+  Rng rng_a(1);
+  Rng rng_b(2);
+  const gcn::SamplePrep a = gcn::make_sample_prep(adj, 0, rng_a);
+  const gcn::SamplePrep b = gcn::make_sample_prep(adj, 0, rng_b);
+  ASSERT_EQ(a.lhat.size(), 1u);
+  ASSERT_EQ(b.lhat.size(), 1u);
+  EXPECT_TRUE(a.lhat[0].values() == b.lhat[0].values());
+  EXPECT_TRUE(a.lhat[0].col_idx() == b.lhat[0].col_idx());
+  EXPECT_TRUE(a.lhat[0].row_ptr() == b.lhat[0].row_ptr());
+  EXPECT_EQ(rng_a.next_u64(), Rng(1).next_u64());
+}
+
+TEST(SamplePrep, TrainingSampleGivesTheAnnotatorsProbabilities) {
+  // make_gcn_samples draws one Rng stream over the whole dataset, while
+  // the Annotator seeds each circuit's prep from its structural hash.
+  // Neither stream reaches an unpooled model's L̂, so the model is served
+  // at inference the operators it was trained on: inference on the
+  // training sample reproduces the Annotator's probabilities bit for bit.
+  Rng gen(9);
+  const std::vector<datagen::LabeledCircuit> circuits = {
+      datagen::generate_ota({}, gen, "ota"),
+      datagen::generate_phased_array({}, gen)};
+  const std::vector<gcn::GraphSample> samples =
+      core::make_gcn_samples(circuits, 0, 11);
+  ASSERT_EQ(samples.size(), circuits.size());
+  for (std::size_t i = 0; i < circuits.size(); ++i) {
+    SCOPED_TRACE(circuits[i].name);
+    gcn::ModelConfig cfg;
+    cfg.num_classes = circuits[i].class_names.size();
+    cfg.conv_channels = {8, 8};
+    cfg.fc_hidden = 16;
+    const gcn::GcnModel model(cfg);
+    const core::Annotator annotator(&model, circuits[i].class_names);
+    const Matrix expected = gcn::softmax(model.infer(samples[i]));
+    EXPECT_TRUE(annotator.annotate(circuits[i]).probabilities.data() ==
+                expected.data());
+  }
 }
 
 TEST(SamplePrep, FromPrepBitIdenticalToMakeSample) {
