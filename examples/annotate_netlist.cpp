@@ -38,13 +38,13 @@
 // --session: treat the input files as successive *revisions* of one
 // evolving design and annotate them through an incremental
 // AnnotationSession (DESIGN.md §14): the front end is skipped for
-// value-only edits, primitive matching is re-run only for the regions an
-// edit dirtied, and an unchanged structure reuses the whole cached
-// annotation. All revisions are annotated under the session's design
-// name (the first file's path), and each output is bit-identical to a
-// cold run of that revision under that name. Revisions run sequentially
-// (--jobs parallelizes inside the GCN); each gets a "revision" line
-// with its reuse report.
+// value-only edits, and a structure seen before reuses its cached
+// primitive annotation. All revisions are annotated under the session's
+// design name (the first file's path), and each output is bit-identical
+// to a cold run of that revision under that name. Revisions run
+// sequentially (--jobs parallelizes inside the GCN), each under its own
+// --timeout-seconds deadline; each gets a "revision" line with its
+// reuse report.
 //
 // --timeout-seconds S: per-netlist wall-clock deadline. A circuit that
 // exceeds it fails with DiagCode::DeadlineExceeded, gets a [TIMEOUT]
@@ -67,7 +67,6 @@
 #include "util/args.hpp"
 #include "util/perf.hpp"
 #include "util/thread_pool.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -268,9 +267,10 @@ int main(int argc, char** argv) {
   gana::core::BatchOutcome batch;
   if (args.has("session")) {
     // Edit-sequence replay: each input is the next revision of one
-    // design, annotated incrementally. Sequential by construction
-    // (revision i+1 diffs against i), so --jobs goes inside the GCN and
-    // --timeout-seconds is ignored (deadlines would force cold runs).
+    // design, annotated incrementally. The revisions run as one batch
+    // at jobs 1, in order (revision i+1 diffs against i), so they get
+    // the batch's per-revision deadline, fail-fast and timing sums;
+    // --jobs goes inside the GCN.
     gana::incremental::AnnotationSession session(&annotator);
     // One evolving design: every revision keeps the session's design
     // name so value-only edits can take the patched-prepare path (the
@@ -278,46 +278,21 @@ int main(int argc, char** argv) {
     const std::string design_name =
         netlist_names.empty() ? std::string() : netlist_names[0];
     gana::set_compute_threads(jobs);
-    gana::Timer wall;
-    const gana::PerfSnapshot perf_before = gana::perf_snapshot();
-    batch.jobs = 1;
-    bool aborted = false;
-    for (std::size_t i = 0; i < netlists.size(); ++i) {
-      if (aborted) {
-        batch.outcomes.push_back(gana::make_diag(
-            gana::DiagCode::Skipped, gana::Stage::Batch,
-            "task " + std::to_string(i) +
-                " skipped: fail-fast after an earlier failure"));
-        continue;
-      }
-      auto outcome = session.reannotate(netlists[i], design_name);
-      if (outcome.ok()) {
-        const auto& st = session.last_stats();
-        std::printf(
-            "revision %zu: %s, devices +%zu/-%zu/~%zu, regions %zu "
-            "(%zu reused, %zu recomputed)%s%s\n",
-            i, st.full_prepare ? "full prepare" : "patched prepare",
-            st.devices_added, st.devices_removed, st.devices_changed,
-            st.regions, st.region_reuses, st.region_recomputes,
-            st.annotation_reused ? ", annotation reused" : "",
-            st.fallback_cold ? ", cold fallback" : "");
-      } else {
-        aborted = !keep_going;
-      }
-      batch.outcomes.push_back(std::move(outcome));
-    }
+    batch = gana::core::BatchRunner(annotator, bopt)
+                .run_isolated(netlists.size(), [&](std::size_t i) {
+                  auto outcome = session.reannotate(netlists[i], design_name);
+                  if (outcome.ok()) {
+                    const auto& st = session.last_stats();
+                    std::printf(
+                        "revision %zu: %s, devices +%zu/-%zu/~%zu%s\n", i,
+                        st.full_prepare ? "full prepare" : "patched prepare",
+                        st.devices_added, st.devices_removed,
+                        st.devices_changed,
+                        st.annotation_reused ? ", annotation reused" : "");
+                  }
+                  return outcome;
+                });
     gana::set_compute_threads(1);
-    batch.timings.wall_seconds = wall.seconds();
-    batch.timings.apply_perf_delta(gana::perf_snapshot() - perf_before);
-    for (const auto& o : batch.outcomes) {
-      if (!o.ok()) continue;
-      batch.timings.prepare_seconds += o.value().cpu_seconds_prepare;
-      batch.timings.gcn_seconds += o.value().cpu_seconds_gcn;
-      batch.timings.post_seconds += o.value().cpu_seconds_post;
-      batch.timings.prepare_wall_seconds += o.value().seconds_prepare;
-      batch.timings.gcn_wall_seconds += o.value().seconds_gcn;
-      batch.timings.post_wall_seconds += o.value().seconds_post;
-    }
   } else if (netlists.size() <= 1) {
     // One circuit: parallelism goes inside the pipeline (row-parallel
     // sparse products in the Chebyshev convolutions).

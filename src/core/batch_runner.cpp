@@ -104,11 +104,9 @@ ThreadPool& BatchRunner::pool() const {
   return *pool_;
 }
 
-/// `task` maps an index to Result<AnnotateResult> and must not throw
-/// (Annotator::try_annotate already converts everything to Diags); a
-/// throw here would be a harness bug and is surfaced as an Internal Diag.
-template <typename Task>
-BatchOutcome BatchRunner::dispatch(std::size_t count, const Task& task) const {
+BatchOutcome BatchRunner::run_isolated(
+    std::size_t count,
+    const std::function<Result<AnnotateResult>(std::size_t)>& task) const {
   BatchOutcome out;
   out.jobs = resolved_jobs();
   const bool fail_fast = options_.policy == FailurePolicy::FailFast;
@@ -227,7 +225,7 @@ BatchResult BatchRunner::unwrap(BatchOutcome outcome) const {
 BatchOutcome BatchRunner::run_isolated(
     const std::vector<datagen::LabeledCircuit>& batch) const {
   const Annotator& annotator = *annotator_;
-  return dispatch(batch.size(), [&annotator, &batch](std::size_t i) {
+  return run_isolated(batch.size(), [&annotator, &batch](std::size_t i) {
     return annotator.try_annotate(batch[i]);
   });
 }
@@ -236,7 +234,7 @@ BatchOutcome BatchRunner::run_isolated(
     const std::vector<spice::Netlist>& netlists,
     const std::vector<std::string>& names) const {
   const Annotator& annotator = *annotator_;
-  return dispatch(
+  return run_isolated(
       netlists.size(), [&annotator, &netlists, &names](std::size_t i) {
         const std::string name =
             i < names.size() ? names[i] : "batch/" + std::to_string(i);

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -173,13 +174,20 @@ class BatchRunner {
       const std::vector<spice::Netlist>& netlists,
       const std::vector<std::string>& names = {}) const;
 
+  /// The dispatch under both variants above: runs `task(i)` for every
+  /// i in [0, count) with the batch's jobs, failure policy, per-task
+  /// deadline and timing sums. A task returns its outcome; an exception
+  /// escaping it becomes that slot's Diag. Callers whose tasks are not
+  /// one try_annotate each (an incremental session's revisions, at
+  /// jobs 1 so they run in order) get the same batch semantics.
+  [[nodiscard]] BatchOutcome run_isolated(
+      std::size_t count,
+      const std::function<Result<AnnotateResult>(std::size_t)>& task) const;
+
   [[nodiscard]] const BatchOptions& options() const { return options_; }
   [[nodiscard]] std::size_t resolved_jobs() const;
 
  private:
-  template <typename Task>
-  BatchOutcome dispatch(std::size_t count, const Task& task) const;
-
   BatchResult unwrap(BatchOutcome outcome) const;
 
   /// Returns the persistent worker pool, creating it (with resolved_jobs()

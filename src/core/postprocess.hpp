@@ -65,12 +65,12 @@ PostprocessResult postprocess_stage1(
     const primitives::PrimitiveLibrary& library,
     const primitives::AnnotateOptions& annotate_options = {});
 
-/// Postprocessing I on a *precomputed* primitive annotation. The
-/// incremental session engine runs VF2 per region (splicing cached
-/// per-structure results for clean regions), merges the instances into
-/// whole-graph order, and hands the merged outcome here -- everything
-/// after extraction (CCC vote, stand-alone separation, LC/BPF rules,
-/// bias inheritance) is cheap and global. Bit-identical to
+/// Postprocessing I on a *precomputed* primitive annotation: what
+/// core::Annotator::run calls after extraction, whether the sweep ran
+/// beside the GCN, through a cache, or through a session's
+/// whole-structure store -- everything after extraction (CCC vote,
+/// stand-alone separation, LC/BPF rules, bias inheritance) is cheap
+/// and global. Bit-identical to
 /// postprocess_stage1 when `annotation` equals
 /// annotate_primitives_guarded(g, library, options).
 PostprocessResult postprocess_stage1_with_annotation(

@@ -61,6 +61,8 @@ void save_model(const GcnModel& model, std::ostream& out) {
   out << kMagic << "\n";
   out << "in_features " << cfg.in_features << "\n";
   out << "num_classes " << cfg.num_classes << "\n";
+  out << "conv_kind "
+      << (cfg.conv_kind == ConvKind::SageMean ? "sage" : "cheb") << "\n";
   out << "conv_channels";
   for (std::size_t c : cfg.conv_channels) out << " " << c;
   out << "\n";
@@ -149,12 +151,12 @@ Result<GcnModel> load_model_result(std::istream& in,
       (key == "use_pooling" ? cfg.use_pooling : cfg.batch_norm) = flag != 0;
     } else if (key == "pool_mode") {
       std::string mode;
-      value_ok = static_cast<bool>(in >> mode);
+      value_ok = (in >> mode) && (mode == "max" || mode == "mean");
       cfg.pool_mode =
           mode == "max" ? GraclusPool::Mode::Max : GraclusPool::Mode::Mean;
     } else if (key == "conv_kind") {
       std::string kind;
-      value_ok = static_cast<bool>(in >> kind);
+      value_ok = (in >> kind) && (kind == "cheb" || kind == "sage");
       cfg.conv_kind =
           kind == "sage" ? ConvKind::SageMean : ConvKind::Chebyshev;
     } else if (key == "dropout") {
@@ -284,12 +286,14 @@ Result<ModelConfig> decode_config(const util::ArtifactSection& section,
   ModelConfig cfg;
   cfg.in_features = r.u64();
   cfg.num_classes = r.u64();
-  cfg.conv_kind = r.u8() == 1 ? ConvKind::SageMean : ConvKind::Chebyshev;
+  const std::uint8_t conv_kind = r.u8();
+  cfg.conv_kind = conv_kind == 1 ? ConvKind::SageMean : ConvKind::Chebyshev;
   const std::uint32_t cheb_k = r.u32();
   cfg.fc_hidden = r.u64();
   cfg.use_pooling = r.u8() != 0;
+  const std::uint8_t pool_mode = r.u8();
   cfg.pool_mode =
-      r.u8() == 0 ? GraclusPool::Mode::Max : GraclusPool::Mode::Mean;
+      pool_mode == 0 ? GraclusPool::Mode::Max : GraclusPool::Mode::Mean;
   cfg.dropout = r.f64();
   cfg.batch_norm = r.u8() != 0;
   cfg.seed = r.u64();
@@ -302,6 +306,12 @@ Result<ModelConfig> decode_config(const util::ArtifactSection& section,
   cfg.conv_channels.clear();
   for (std::uint32_t i = 0; i < channels; ++i) {
     cfg.conv_channels.push_back(r.u64());
+  }
+  if (conv_kind > 1 || pool_mode > 1) {
+    return checkpoint_diag(DiagCode::BadValue, name,
+                           "model config: unknown conv_kind " +
+                               std::to_string(conv_kind) + " or pool_mode " +
+                               std::to_string(pool_mode));
   }
   // Range-checked before narrowing: 0xFFFFFFFF must not become -1.
   if (cheb_k < 1 || cheb_k > static_cast<std::uint32_t>(kMaxChebK)) {

@@ -2,7 +2,7 @@
 //
 // Two on-disk formats:
 //  - the portable text checkpoint ("gana-gcn-v1": config header +
-//    parameter tensors at full double precision), unchanged since PR 2;
+//    parameter tensors at full double precision);
 //  - the binary model artifact (util/artifact container, kind Model),
 //    whose "weights" section is 64-byte aligned so `load_model_artifact`
 //    maps the file and borrows the tensors in place -- zero parse, zero
@@ -28,7 +28,9 @@ void save_model_file(const GcnModel& model, const std::string& path);
 
 /// Reads a text checkpoint. Config keys may appear in any order;
 /// duplicate keys are rejected (DuplicateName) instead of
-/// last-write-wins, so text -> binary packing is unambiguous. `name`
+/// last-write-wins, and so are unknown `conv_kind` and `pool_mode`
+/// values (BadValue) instead of defaulted, so text -> binary packing is
+/// unambiguous. A missing key keeps its ModelConfig default. `name`
 /// labels diagnostics.
 [[nodiscard]] Result<GcnModel> load_model_result(
     std::istream& in, const std::string& name = "<stream>");

@@ -1,7 +1,5 @@
 #include "graph/structural_hash.hpp"
 
-#include <algorithm>
-
 namespace gana::graph {
 namespace {
 
@@ -34,57 +32,6 @@ std::uint64_t structural_hash(const CircuitGraph& g) {
   }
   h = fnv_word(h, g.edge_count());
   for (const Edge& e : g.edges()) {
-    h = fnv_word(h, e.element);
-    h = fnv_word(h, e.net);
-    h = fnv_word(h, e.label);
-  }
-  return h;
-}
-
-std::uint64_t subgraph_structural_hash(
-    const CircuitGraph& g, const std::vector<std::size_t>& vertices) {
-  // Position of each included whole-graph vertex in `vertices`; npos
-  // marks exclusion. A flat array keeps the restriction pass O(V + E).
-  std::vector<std::size_t> position(g.vertex_count(), CircuitGraph::npos);
-  for (std::size_t i = 0; i < vertices.size(); ++i) {
-    position[vertices[i]] = i;
-  }
-
-  std::uint64_t h = fnv_word(kFnvOffset, vertices.size());
-  std::uint64_t elements = 0;
-  for (std::size_t v : vertices) {
-    if (g.vertex(v).kind == VertexKind::Element) ++elements;
-  }
-  h = fnv_word(h, elements);
-  for (std::size_t v : vertices) {
-    const Vertex& vert = g.vertex(v);
-    std::uint64_t word = static_cast<std::uint64_t>(vert.kind);
-    if (vert.kind == VertexKind::Element) {
-      word |= static_cast<std::uint64_t>(vert.dtype) << 8;
-    } else {
-      word |= static_cast<std::uint64_t>(vert.role) << 8;
-    }
-    h = fnv_word(h, word);
-  }
-
-  struct IndEdge {
-    std::size_t element, net;
-    std::uint8_t label;
-  };
-  std::vector<IndEdge> edges;
-  for (const Edge& e : g.edges()) {
-    const std::size_t ep = position[e.element];
-    const std::size_t np = position[e.net];
-    if (ep == CircuitGraph::npos || np == CircuitGraph::npos) continue;
-    edges.push_back({ep, np, e.label});
-  }
-  std::sort(edges.begin(), edges.end(), [](const IndEdge& a, const IndEdge& b) {
-    if (a.element != b.element) return a.element < b.element;
-    if (a.net != b.net) return a.net < b.net;
-    return a.label < b.label;
-  });
-  h = fnv_word(h, edges.size());
-  for (const IndEdge& e : edges) {
     h = fnv_word(h, e.element);
     h = fnv_word(h, e.net);
     h = fnv_word(h, e.label);

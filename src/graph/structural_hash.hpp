@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "graph/circuit_graph.hpp"
 
@@ -25,17 +24,6 @@ namespace gana::graph {
 
 /// 64-bit FNV-1a over the structural word stream described above.
 [[nodiscard]] std::uint64_t structural_hash(const CircuitGraph& g);
-
-/// Sub-graph hashing mode: the structural hash of the sub-graph induced
-/// by `vertices` (whole-graph vertex ids), with vertices renumbered to
-/// their positions in `vertices` and edges restricted to those whose two
-/// endpoints are both included, streamed in (element, net, label) sorted
-/// order. The hash is a function of the induced structure *in the given
-/// vertex order* -- callers that want an order-independent key (the
-/// incremental session's per-region cache) pass a canonical order
-/// (incremental::canonical_region_order).
-[[nodiscard]] std::uint64_t subgraph_structural_hash(
-    const CircuitGraph& g, const std::vector<std::size_t>& vertices);
 
 /// Order-sensitive combiner (splitmix64 finalizer over h ^ mix(v)); used
 /// to fold pool levels and the batch seed into a cache key.

@@ -1,16 +1,12 @@
 #include "incremental/session.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <utility>
 
 #include "graph/builder.hpp"
 #include "graph/structural_hash.hpp"
-#include "incremental/region.hpp"
-#include "isomorph/candidate_index.hpp"
 #include "primitives/annotator.hpp"
-#include "util/perf.hpp"
 
 namespace gana::incremental {
 
@@ -102,15 +98,6 @@ bool subckts_equal(const std::map<std::string, spice::SubcktDef>& a,
 
 }  // namespace
 
-AnnotationSession::AnnotationSession(const core::Annotator* annotator)
-    : annotator_(annotator) {
-  const primitives::PrimitiveLibrary& library = annotator_->library();
-  pattern_safe_.resize(library.size());
-  for (std::size_t li = 0; li < library.size(); ++li) {
-    pattern_safe_[li] = pattern_region_safe(library.spec(li));
-  }
-}
-
 Result<AnnotateResult> AnnotationSession::reannotate(const Netlist& netlist,
                                                      const std::string& name) {
   stats_ = SessionStats{};
@@ -126,8 +113,16 @@ Result<AnnotateResult> AnnotationSession::reannotate(const Netlist& netlist,
              same_bits(probabilities, prev_.probabilities);
     return reused ? &prev_ : nullptr;
   };
+  // Extraction is the cold sweep over the session's own store: a
+  // structure seen before re-instantiates its accepted primitives.
   hooks.extract = [this](const CircuitGraph& g) {
-    return incremental_annotate(g);
+    primitives::AnnotateOptions options;
+    options.cache = &annotations_;
+    primitives::AnnotateOutcome outcome =
+        primitives::annotate_primitives_guarded(g, annotator_->library(),
+                                                options);
+    stats_.annotation_reused = outcome.cache_hit;
+    return outcome;
   };
   Result<AnnotateResult> result = annotator_->run(
       name,
@@ -137,13 +132,10 @@ Result<AnnotateResult> AnnotationSession::reannotate(const Netlist& netlist,
   if (reused) {
     stats_.annotation_reused = true;
     stats_.result_reused = true;
-    stats_.regions = prev_regions_;
-    stats_.region_reuses = prev_regions_;
-    perf::count_incremental_regions(prev_regions_, prev_regions_, 0);
   } else {
     prev_ = result.value();
-    prev_regions_ = stats_.regions;
   }
+  stats_.region_reuses = stats_.annotation_reused ? 1 : 0;
   if (stats_.full_prepare) {
     remember(netlist);
   } else {
@@ -235,167 +227,6 @@ void AnnotationSession::diff_flat(const Netlist& flat) {
     }
   }
   stats_.devices_removed = prev_.prepared.flat.devices.size() - matched;
-}
-
-primitives::AnnotateOutcome AnnotationSession::incremental_annotate(
-    const CircuitGraph& g) {
-  const primitives::PrimitiveLibrary& library = annotator_->library();
-  const primitives::AnnotateOptions opt{};
-  primitives::AnnotateOutcome outcome;
-  const std::uint64_t whole_key =
-      primitives::annotation_cache_key(g, library, opt);
-  if (const auto it = whole_annotations_.find(whole_key);
-      it != whole_annotations_.end()) {
-    // Value or rename edit: the structure (and thus the whole accepted
-    // match set) is unchanged; only names need re-instantiation.
-    outcome.cache_hit = true;
-    outcome.truncated = it->second.ann->truncated;
-    stats_.annotation_reused = true;
-    stats_.regions = it->second.regions;
-    stats_.region_reuses = it->second.regions;
-    perf::count_incremental_regions(stats_.regions, stats_.region_reuses, 0);
-    primitives::instantiate_annotation(g, library, *it->second.ann,
-                                       outcome.primitives);
-    return outcome;
-  }
-
-  const RegionPartition part = partition_regions(g);
-  const std::size_t nregions = part.elements.size();
-  // A design that is one region has nothing to splice: re-matching its
-  // region is re-matching the whole graph, and canonically labelling a
-  // large region costs far more than the match (on the phased array it
-  // exhausts the leaf budget and falls back to id order anyway). Every
-  // pattern then takes the whole-graph path and the result is kept
-  // under the whole-structure key alone, so a renumbered copy of a
-  // one-region design re-matches instead of reusing region lists.
-  const bool single_region = nregions == 1;
-  std::vector<RegionSubgraph> subs;
-  if (!single_region) {
-    subs.reserve(nregions);
-    for (const auto& elems : part.elements) {
-      subs.push_back(build_region_subgraph(g, elems));
-    }
-  }
-
-  const std::vector<std::size_t> order = library.priority_order();
-  const iso::CandidateIndex whole_index(g);
-  std::vector<primitives::PatternMatchList> lists(order.size());
-  std::vector<bool> region_fresh(nregions, single_region);
-  std::vector<std::unique_ptr<iso::CandidateIndex>> region_index(nregions);
-  bool truncated = false;
-
-  for (std::size_t i = 0; i < order.size() && !truncated; ++i) {
-    const std::size_t li = order[i];
-    const primitives::PrimitiveSpec& spec = library.spec(li);
-    if (single_region || !pattern_safe_[li]) {
-      // Whole-graph pattern: exactly the cold matching stage.
-      lists[i] =
-          primitives::match_library_pattern(spec, g, whole_index, opt.match);
-      truncated = lists[i].stats.truncated;
-      continue;
-    }
-    // Cold-equivalent counting filter (so patterns_skipped agrees).
-    if (!whole_index.profile().admits(iso::count_profile(spec.graph))) {
-      lists[i].skipped = true;
-      continue;
-    }
-    std::vector<iso::Match> merged;
-    for (std::size_t rid = 0; rid < nregions && !truncated; ++rid) {
-      const std::uint64_t key = graph::hash_combine(
-          subs[rid].key, static_cast<std::uint64_t>(li));
-      std::shared_ptr<const std::vector<iso::Match>> matches;
-      if (const auto it = region_matches_.find(key);
-          it != region_matches_.end()) {
-        matches = it->second;
-      } else {
-        region_fresh[rid] = true;
-        if (region_index[rid] == nullptr) {
-          region_index[rid] =
-              std::make_unique<iso::CandidateIndex>(subs[rid].graph);
-        }
-        auto computed = std::make_shared<std::vector<iso::Match>>();
-        if (region_index[rid]->profile().admits(
-                iso::count_profile(spec.graph))) {
-          // Dedup after translation: the cached record must contain
-          // every automorphic image so the lex-min representative can
-          // be chosen in whole-graph coordinates, as cold VF2 does.
-          iso::MatchOptions ropt = opt.match;
-          ropt.dedup_by_elements = false;
-          iso::MatchStats st;
-          *computed = iso::find_subgraph_matches(
-              spec.pattern(), subs[rid].graph, ropt, &st, region_index[rid].get());
-          lists[i].stats.states += st.states;
-          lists[i].stats.sig_rejections += st.sig_rejections;
-          truncated = truncated || st.truncated;
-        }
-        if (!truncated) region_matches_.emplace(key, computed);
-        matches = std::move(computed);
-      }
-      if (truncated) break;
-      for (const iso::Match& m : *matches) {
-        iso::Match whole;
-        whole.map.reserve(m.map.size());
-        for (std::size_t lv : m.map) {
-          whole.map.push_back(subs[rid].to_whole[lv]);
-        }
-        merged.push_back(std::move(whole));
-      }
-    }
-    if (truncated) break;
-    // Reproduce the cold list: lex-min map per element key (matches of
-    // one element set never span regions for a safe pattern), then the
-    // canonical (element key, map) acceptance order.
-    std::vector<std::vector<std::size_t>> keys(merged.size());
-    std::vector<std::size_t> idx(merged.size());
-    for (std::size_t k = 0; k < merged.size(); ++k) {
-      idx[k] = k;
-      keys[k] = merged[k].element_key(spec.graph);
-    }
-    std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-      if (keys[a] != keys[b]) return keys[a] < keys[b];
-      return merged[a].map < merged[b].map;
-    });
-    std::vector<iso::Match> sorted;
-    sorted.reserve(idx.size());
-    for (std::size_t k = 0; k < idx.size(); ++k) {
-      if (opt.match.dedup_by_elements && k > 0 &&
-          keys[idx[k]] == keys[idx[k - 1]]) {
-        continue;  // automorphic image; the lex-min map came first
-      }
-      sorted.push_back(std::move(merged[idx[k]]));
-    }
-    lists[i].matches = std::move(sorted);
-  }
-
-  if (truncated) {
-    // A budget fired under region decomposition. Cold truncation points
-    // are the pinned deterministic ones, so replay the whole sweep cold.
-    stats_.fallback_cold = true;
-    stats_.regions = nregions;
-    stats_.region_recomputes = nregions;
-    perf::count_incremental_regions(nregions, 0, nregions);
-    return primitives::annotate_primitives_guarded(g, library, opt);
-  }
-
-  primitives::CachedAnnotation ann = primitives::accept_pattern_matches(
-      g, library, order, lists, opt, outcome);
-  stats_.regions = nregions;
-  for (const bool fresh : region_fresh) {
-    if (fresh) {
-      ++stats_.region_recomputes;
-    } else {
-      ++stats_.region_reuses;
-    }
-  }
-  perf::count_incremental_regions(stats_.regions, stats_.region_reuses,
-                                  stats_.region_recomputes);
-  auto stored = std::make_shared<const primitives::CachedAnnotation>(
-      std::move(ann));
-  if (!outcome.truncated) {
-    whole_annotations_[whole_key] = {stored, nregions};
-  }
-  primitives::instantiate_annotation(g, library, *stored, outcome.primitives);
-  return outcome;
 }
 
 void AnnotationSession::remember(const Netlist& input) {

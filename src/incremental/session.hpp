@@ -2,7 +2,7 @@
 //
 // An AnnotationSession holds the artifacts of the previous annotation
 // of one evolving design and re-annotates each edited revision by
-// recomputing only what the edit dirtied. It is a reuse policy over
+// skipping the work the edit left unchanged. It is a reuse policy over
 // core::Annotator::run, the one annotation path, and plugs into it at
 // three points:
 //
@@ -19,67 +19,65 @@
 //     leaves the GCN probabilities bit-identical (compared, not
 //     assumed), every downstream stage would run on inputs equal to the
 //     previous revision's, so run re-emits the stored result;
-//   * the `extract` hook: the VF2 sweep is decomposed by region
-//     (incremental/region.hpp). Region-safe patterns are matched per
-//     region with results cached under the region's canonical structure
-//     key, so an edit re-matches only the regions it touched; the
-//     remaining patterns are matched whole-graph. A design that is a
-//     single region skips the split (and its canonical labelling) and
-//     matches every pattern whole-graph. A whole-graph annotation store
-//     short-circuits both when the structural hash is unchanged.
+//   * the `extract` hook: primitive extraction runs
+//     primitives::annotate_primitives_guarded, the cold path's own
+//     whole-graph sweep, against a session-owned AnnotationCache. A
+//     revision whose structure (structural hash) an earlier revision
+//     already had -- a value or rename edit, or an edit reverted --
+//     re-instantiates the stored annotation against its own names
+//     instead of re-running VF2.
 //
 // Everything else -- guard, stage marks, timers, CCC, both postprocess
 // stages, hierarchy, accuracies -- is Annotator::run's own code.
 //
 // Bit-identity contract: reannotate() output equals a cold
 // Annotator::try_annotate of the same netlist, byte for byte, at any
-// thread count. Every reuse path above preserves it by construction
-// (patching reproduces what prepare would build; region match sets
-// equal whole-graph sets restricted to the region for safe patterns;
-// acceptance runs globally on the merged lists). Any VF2 budget
-// truncation anywhere aborts reuse and falls back to the cold sweep,
-// whose truncation points the determinism tests already pin.
+// thread count. Every reuse path above preserves it by construction:
+// patching reproduces what prepare would build, and the store holds
+// what the cold sweep returns for an equal structure, truncated sweeps
+// included (their truncation points depend only on the structure).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/pipeline.hpp"
-#include "isomorph/vf2.hpp"
 #include "primitives/annotation_cache.hpp"
 #include "spice/netlist.hpp"
 
 namespace gana::incremental {
 
-/// Per-revision reuse report (also flushed to the perf counters).
+/// Per-revision reuse report.
 struct SessionStats {
   bool full_prepare = true;   ///< false when the value-patch path ran
   std::size_t devices_added = 0;    ///< flattened-instance-level diff
   std::size_t devices_removed = 0;  ///< vs. the previous revision
   std::size_t devices_changed = 0;
   bool structure_changed = true;  ///< whole-graph structural hash moved
-  std::size_t regions = 0;
-  std::size_t region_reuses = 0;      ///< served from the region cache
-  std::size_t region_recomputes = 0;  ///< ran VF2 fresh
-  bool annotation_reused = false;  ///< whole-graph annotation store hit
+  bool annotation_reused = false;  ///< whole-structure store hit
   /// The previous revision's entire derived result (CCC, postprocess,
   /// hierarchy, classes) was re-emitted: a value-only edit left the
   /// structure, names, and GCN probabilities bit-identical, so every
   /// downstream stage's inputs were unchanged.
   bool result_reused = false;
-  bool fallback_cold = false;      ///< truncation forced a cold sweep
+  /// Region accounting of a session that matches the whole graph: one
+  /// region, reused exactly when the annotation was, and never a cold
+  /// fallback. bench/e2e's sizing_session reports these three.
+  static constexpr std::size_t regions = 1;
+  std::size_t region_reuses = 0;  ///< 1 when annotation_reused, else 0
+  static constexpr bool fallback_cold = false;
 };
 
 class AnnotationSession {
  public:
   /// `annotator` is borrowed and must outlive the session. Its attached
   /// sample/inference caches carry the GCN reuse; the session adds its
-  /// own match-level stores on top.
-  explicit AnnotationSession(const core::Annotator* annotator);
+  /// own whole-structure annotation store on top.
+  explicit AnnotationSession(const core::Annotator* annotator)
+      : annotator_(annotator) {}
 
   /// Annotates the next revision of the design. Never throws; failures
   /// come back as Diags exactly like Annotator::try_annotate. On
@@ -95,18 +93,11 @@ class AnnotationSession {
   }
 
  private:
-  struct WholeEntry {
-    std::shared_ptr<const primitives::CachedAnnotation> ann;
-    std::size_t regions = 0;  ///< region count of the structure, for stats
-  };
-
   /// The prepare step of one revision: the value patch when it applies,
   /// else the cold prepare plus the flat diff.
   core::PreparedCircuit prepare_revision(const spice::Netlist& netlist,
                                          const std::string& name,
                                          Stage* stage);
-  primitives::AnnotateOutcome incremental_annotate(
-      const graph::CircuitGraph& g);
   bool try_patch_prepare(const spice::Netlist& input, const std::string& name,
                          core::PreparedCircuit& out);
   void diff_flat(const spice::Netlist& flat);
@@ -129,7 +120,6 @@ class AnnotationSession {
   /// derived fields are the outputs of pure functions whose inputs did
   /// not change, so the reuse hook hands it back to Annotator::run.
   core::AnnotateResult prev_;
-  std::size_t prev_regions_ = 0;  ///< prev_'s region count, for stats
   std::uint64_t prev_graph_hash_ = 0;
   std::unordered_map<std::string, std::size_t> prev_flat_index_;
   std::vector<std::size_t> prev_device_vertex_;  ///< flat index -> vertex id
@@ -137,15 +127,10 @@ class AnnotationSession {
   /// Flat-device indices the last successful patch-path revision edited.
   std::vector<std::size_t> patch_changed_;
 
-  // Match-level stores, keyed by structure. Unbounded: a session tracks
-  // one evolving design, so the population is the design's distinct
-  // region structures (dozens), not a corpus.
-  std::unordered_map<std::uint64_t,
-                     std::shared_ptr<const std::vector<iso::Match>>>
-      region_matches_;
-  std::unordered_map<std::uint64_t, WholeEntry> whole_annotations_;
-  /// Region-safety of each library pattern, classified once.
-  std::vector<bool> pattern_safe_;
+  /// Accepted primitives per structure, keyed like the cold path's
+  /// annotation cache. Unbounded: a session tracks one evolving design,
+  /// so the population is that design's distinct structures.
+  primitives::AnnotationCache annotations_;
 };
 
 }  // namespace gana::incremental

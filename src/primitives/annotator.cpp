@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
 #include <utility>
 
 #include "graph/structural_hash.hpp"
@@ -85,13 +84,8 @@ CachedAnnotation accept_pattern_matches(const CircuitGraph& g,
                                         const PrimitiveLibrary& library,
                                         const std::vector<std::size_t>& order,
                                         const std::vector<PatternMatchList>& results,
-                                        const AnnotateOptions& options,
+                                        const AnnotateOptions& /*options*/,
                                         AnnotateOutcome& outcome) {
-  std::set<std::size_t> filter(options.element_filter.begin(),
-                               options.element_filter.end());
-  auto in_scope = [&](std::size_t v) {
-    return filter.empty() || filter.count(v) > 0;
-  };
   std::vector<bool> claimed(g.vertex_count(), false);
 
   CachedAnnotation ann;
@@ -107,14 +101,14 @@ CachedAnnotation accept_pattern_matches(const CircuitGraph& g,
     outcome.vf2_states += r.stats.states;
     outcome.sig_rejections += r.stats.sig_rejections;
     for (const auto& m : r.matches) {
-      // Collect matched target elements; reject if out of scope or
-      // already claimed by a higher-priority primitive.
+      // Collect matched target elements; reject if one is already
+      // claimed by a higher-priority primitive.
       std::vector<std::size_t> elements;
       bool ok = true;
       for (std::size_t pv = 0; pv < m.map.size(); ++pv) {
         if (spec.graph.vertex(pv).kind != VertexKind::Element) continue;
         const std::size_t tv = m.map[pv];
-        if (!in_scope(tv) || (!options.allow_overlap && claimed[tv])) {
+        if (claimed[tv]) {
           ok = false;
           break;
         }
@@ -134,9 +128,7 @@ CachedAnnotation accept_pattern_matches(const CircuitGraph& g,
           inst.device_binding.emplace_back(pvert.name, m.map[pv]);
         }
       }
-      if (!options.allow_overlap) {
-        for (std::size_t tv : inst.elements) claimed[tv] = true;
-      }
+      for (std::size_t tv : inst.elements) claimed[tv] = true;
       ann.instances.push_back(std::move(inst));
     }
   }
@@ -198,11 +190,6 @@ std::uint64_t annotation_cache_key(const CircuitGraph& g,
     h = graph::hash_combine(
         h, static_cast<std::uint64_t>(static_cast<std::int64_t>(spec.priority)));
   }
-  h = graph::hash_combine(h, options.allow_overlap ? 1 : 0);
-  std::vector<std::size_t> filter = options.element_filter;
-  std::sort(filter.begin(), filter.end());
-  h = graph::hash_combine(h, filter.size());
-  for (std::size_t v : filter) h = graph::hash_combine(h, v);
   h = graph::hash_combine(h, options.match.max_matches);
   h = graph::hash_combine(h, options.match.max_states);
   h = graph::hash_combine(h, options.match.dedup_by_elements ? 1 : 0);

@@ -13,8 +13,9 @@
 //    (library priority, element-key) order, so greedy acceptance is
 //    bit-identical to the sequential sweep at any thread count.
 // An optional AnnotationCache keyed by the circuit's structural hash
-// lets structurally identical circuits (batch copies of one cell) pay
-// for a single sweep.
+// lets structurally identical circuits (batch copies of one cell, or
+// the revisions of one design in an incremental session) pay for a
+// single sweep.
 #pragma once
 
 #include <cstddef>
@@ -50,12 +51,9 @@ struct PrimitiveInstance {
   std::vector<constraints::Constraint> constraints;
 };
 
+/// Each element belongs to at most one primitive: matches are accepted
+/// greedily in library priority order.
 struct AnnotateOptions {
-  /// When false (default) each element belongs to at most one primitive;
-  /// matches are accepted greedily in library priority order.
-  bool allow_overlap = false;
-  /// Restrict annotation to these element vertex ids (empty = all).
-  std::vector<std::size_t> element_filter;
   /// Per-pattern VF2 resource budget. On adversarial graphs the search
   /// truncates deterministically instead of hanging; the outcome reports
   /// it so callers can surface a partial-annotation warning.
@@ -119,10 +117,9 @@ struct PatternMatchList {
 
 /// Runs the matching stage for one library pattern against `g`:
 /// counting filter, VF2 enumeration, then the canonical
-/// (element-key, map) sort greedy acceptance relies on. Exposed for the
-/// incremental session engine, which substitutes per-region cached
-/// match lists for some patterns and must feed the shared acceptance
-/// pass lists with exactly this ordering.
+/// (element-key, map) sort greedy acceptance relies on. Exposed, with
+/// the two functions below, so a caller can time the sweep pattern by
+/// pattern (bench/e2e's traced pass).
 PatternMatchList match_library_pattern(const PrimitiveSpec& spec,
                                        const graph::CircuitGraph& g,
                                        const iso::CandidateIndex& index,
@@ -130,11 +127,11 @@ PatternMatchList match_library_pattern(const PrimitiveSpec& spec,
 
 /// Greedy acceptance over per-pattern match lists: walks `order`
 /// (library priority order, `lists` parallel to it) and accepts matches
-/// first-come within each list, skipping elements already claimed (or
-/// outside `options.element_filter`). Fills the work counters of
-/// `outcome` from the per-list stats. This is the sequencing that makes
-/// the sweep deterministic -- every matching strategy (sequential,
-/// pattern-parallel, per-region cached) funnels through it.
+/// first-come within each list, skipping matches with an element
+/// already claimed. Fills the work counters of `outcome` from the
+/// per-list stats. This is the sequencing that makes the sweep
+/// deterministic -- sequential and pattern-parallel matching both
+/// funnel through it. Acceptance reads no option; `options` is unused.
 CachedAnnotation accept_pattern_matches(const graph::CircuitGraph& g,
                                         const PrimitiveLibrary& library,
                                         const std::vector<std::size_t>& order,
@@ -154,7 +151,7 @@ void instantiate_annotation(const graph::CircuitGraph& g,
 /// `options`: the circuit's structural hash folded with a library
 /// fingerprint (per-spec pattern structural hashes and priorities, in
 /// priority order) and every option that can change the accepted set
-/// (overlap mode, element filter, VF2 budgets, engine). Thread count and
+/// (VF2 budgets, dedup, engine). Thread count and
 /// cache attachment are deliberately excluded -- they never change
 /// results. Exposed for tests.
 [[nodiscard]] std::uint64_t annotation_cache_key(

@@ -27,8 +27,8 @@
 //
 // Reannotation sessions: a `reannotate` request names a session id and
 // carries the *full* netlist of the next revision; the server diffs it
-// against the session's previous revision and recomputes only the dirty
-// cone. Sessions are bounded at max_sessions and shed FIFO by creation
+// against the session's previous revision and skips the work the edit
+// left unchanged. Sessions are bounded at max_sessions and shed FIFO by creation
 // order; a shed id transparently restarts cold on its next request.
 // Requests within one session serialize on the session's mutex (they
 // mutate its baseline); distinct sessions run concurrently and share

@@ -46,13 +46,7 @@ namespace gana {
   X(intern_misses)           /* SymbolTable first-time interns */          \
   X(frontend_allocs)         /* interned front-end heap allocations        \
                                 (arena chunks, table rehashes,             \
-                                whole-file buffers) */                     \
-  X(incr_regions)            /* regions seen by session runs */            \
-  X(incr_region_reuses)      /* regions fully served by the session's      \
-                                per-structure caches */                    \
-  X(incr_region_recomputes)  /* regions that ran VF2 fresh */              \
-  X(incr_canon_fallbacks)    /* regions whose canonical-order search hit   \
-                                the branch budget */
+                                whole-file buffers) */
 
 /// Point-in-time copy of every counter; subtract two snapshots to get
 /// the activity of a region.
@@ -123,23 +117,6 @@ inline void count_intern(std::uint64_t hits, std::uint64_t misses) {
 
 inline void count_frontend_alloc(std::uint64_t n = 1) {
   detail::frontend_allocs.fetch_add(n, std::memory_order_relaxed);
-}
-
-/// Flushed once per session run with the run's region totals (never per
-/// region): how many regions the partition produced, how many were fully
-/// served from the session's per-structure caches, and how many re-ran
-/// GCN + VF2.
-inline void count_incremental_regions(std::uint64_t regions,
-                                      std::uint64_t reuses,
-                                      std::uint64_t recomputes) {
-  detail::incr_regions.fetch_add(regions, std::memory_order_relaxed);
-  detail::incr_region_reuses.fetch_add(reuses, std::memory_order_relaxed);
-  detail::incr_region_recomputes.fetch_add(recomputes,
-                                           std::memory_order_relaxed);
-}
-
-inline void count_incremental_canon_fallback() {
-  detail::incr_canon_fallbacks.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace perf

@@ -202,10 +202,6 @@ PerfSnapshot distinct_counters() {
   p.intern_hits = 18;
   p.intern_misses = 19;
   p.frontend_allocs = 20;
-  p.incr_regions = 21;
-  p.incr_region_reuses = 22;
-  p.incr_region_recomputes = 23;
-  p.incr_canon_fallbacks = 24;
   return p;
 }
 
@@ -229,15 +225,13 @@ TEST(BatchTimingsJson, EmitsEveryKeyOnceInOrder) {
       // The 7 timing keys.
       "wall_seconds", "prepare_seconds", "gcn_seconds", "post_seconds",
       "prepare_wall_seconds", "gcn_wall_seconds", "post_wall_seconds",
-      // The 24 counter keys.
+      // The 20 counter keys.
       "matrix_allocs", "matrix_alloc_bytes", "spmm_calls", "spmm_flops",
       "matmul_calls", "matmul_flops", "sample_cache_hits",
       "sample_cache_misses", "inference_cache_hits", "inference_cache_misses",
       "vf2_states", "vf2_sig_rejections", "vf2_pattern_skips",
       "annotation_cache_hits", "annotation_cache_misses", "cache_evictions",
-      "parse_bytes", "intern_hits", "intern_misses", "frontend_allocs",
-      "incr_regions", "incr_region_reuses", "incr_region_recomputes",
-      "incr_canon_fallbacks"};
+      "parse_bytes", "intern_hits", "intern_misses", "frontend_allocs"};
   std::size_t last = 0;
   std::size_t count = 0;
   for (const char* key : keys) {
@@ -270,9 +264,7 @@ TEST(BatchTimingsJson, BytesArePinnedForEqualCounters) {
       "\"vf2_pattern_skips\":13,\"annotation_cache_hits\":14,"
       "\"annotation_cache_misses\":15,\"cache_evictions\":16,"
       "\"parse_bytes\":17,\"intern_hits\":18,\"intern_misses\":19,"
-      "\"frontend_allocs\":20,\"incr_regions\":21,"
-      "\"incr_region_reuses\":22,\"incr_region_recomputes\":23,"
-      "\"incr_canon_fallbacks\":24}");
+      "\"frontend_allocs\":20}");
 }
 
 TEST(BatchTimingsJson, PerfDeltaLeavesTimingsAndSumsAddEveryField) {
@@ -289,7 +281,7 @@ TEST(BatchTimingsJson, PerfDeltaLeavesTimingsAndSumsAddEveryField) {
   EXPECT_NE(d.find("\"post_wall_seconds\":8.5,"), std::string::npos) << d;
   EXPECT_NE(d.find("\"matrix_alloc_bytes\":2469135780246,"),
             std::string::npos) << d;
-  EXPECT_NE(d.find("\"incr_canon_fallbacks\":48}"), std::string::npos) << d;
+  EXPECT_NE(d.find("\"frontend_allocs\":40}"), std::string::npos) << d;
 }
 
 }  // namespace

@@ -288,22 +288,6 @@ TEST(AnnotatorParallel, IdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(AnnotatorParallel, AllowOverlapModeIsDeterministicToo) {
-  const auto g = graph_of(kOtaText);
-  const auto lib = primitives::PrimitiveLibrary::standard();
-  AnnotateOptions seq_opt;
-  seq_opt.allow_overlap = true;
-  const auto seq = primitives::annotate_primitives_guarded(g, lib, seq_opt);
-  // Overlap mode accepts at least as many instances as exclusive mode.
-  EXPECT_GE(seq.primitives.size(),
-            primitives::annotate_primitives(g, lib).size());
-  ThreadPool pool(8);
-  AnnotateOptions par_opt = seq_opt;
-  par_opt.pool = &pool;
-  const auto par = primitives::annotate_primitives_guarded(g, lib, par_opt);
-  EXPECT_TRUE(same_instances(seq.primitives, par.primitives));
-}
-
 TEST(AnnotatorParallel, TruncatedSweepsStayDeterministicInParallel) {
   const auto g = high_fanout_graph();
   const auto lib = primitives::PrimitiveLibrary::standard();
@@ -399,17 +383,11 @@ TEST(AnnotationCacheAccounting, OptionsThatChangeResultsChangeTheKey) {
   const auto g = graph_of(kOtaText);
   const auto lib = primitives::PrimitiveLibrary::standard();
   const AnnotateOptions base;
-  AnnotateOptions overlap = base;
-  overlap.allow_overlap = true;
-  AnnotateOptions filtered = base;
-  filtered.element_filter = {0, 1};
   AnnotateOptions budget = base;
   budget.match.max_states = 50;
   AnnotateOptions reference = base;
   reference.match.engine = iso::MatchEngine::Reference;
   const auto k0 = primitives::annotation_cache_key(g, lib, base);
-  EXPECT_NE(k0, primitives::annotation_cache_key(g, lib, overlap));
-  EXPECT_NE(k0, primitives::annotation_cache_key(g, lib, filtered));
   EXPECT_NE(k0, primitives::annotation_cache_key(g, lib, budget));
   EXPECT_NE(k0, primitives::annotation_cache_key(g, lib, reference));
   // Thread count is excluded by design: attaching a pool must hit the

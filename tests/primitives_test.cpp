@@ -259,21 +259,6 @@ md2 outn inn tail gnd! nmos
   EXPECT_TRUE(has_symmetry);
 }
 
-TEST(Annotator, ElementFilterRestrictsScope) {
-  const auto g = graph_of(R"(
-m0 a a s gnd! nmos
-m1 b a s gnd! nmos
-m2 c c s2 gnd! nmos
-m3 e c s2 gnd! nmos
-.end
-)");
-  AnnotateOptions opt;
-  opt.element_filter = {0, 1};  // first mirror only
-  const auto found = annotate_primitives(g, lib(), opt);
-  ASSERT_EQ(found.size(), 1u);
-  EXPECT_EQ(found[0].elements, (std::vector<std::size_t>{0, 1}));
-}
-
 TEST(Annotator, UnclaimedElements) {
   const auto g = graph_of(R"(
 m0 a a s gnd! nmos

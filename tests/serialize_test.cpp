@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "gcn/serialize.hpp"
 #include "gcn/trainer.hpp"
@@ -57,6 +59,83 @@ TEST(Serialize, RoundTripPreservesConfig) {
   EXPECT_EQ(loaded.config().cheb_k, 3);
   EXPECT_EQ(loaded.config().fc_hidden, 7u);
   EXPECT_DOUBLE_EQ(loaded.config().dropout, 0.25);
+}
+
+void expect_same_config(const ModelConfig& a, const ModelConfig& b) {
+  EXPECT_EQ(a.in_features, b.in_features);
+  EXPECT_EQ(a.num_classes, b.num_classes);
+  EXPECT_EQ(a.conv_kind, b.conv_kind);
+  EXPECT_EQ(a.conv_channels, b.conv_channels);
+  EXPECT_EQ(a.cheb_k, b.cheb_k);
+  EXPECT_EQ(a.fc_hidden, b.fc_hidden);
+  EXPECT_EQ(a.use_pooling, b.use_pooling);
+  EXPECT_EQ(a.pool_mode, b.pool_mode);
+  EXPECT_EQ(a.dropout, b.dropout);
+  EXPECT_EQ(a.batch_norm, b.batch_norm);
+  EXPECT_EQ(a.seed, b.seed);
+}
+
+TEST(Serialize, EveryConfigFieldSurvivesBothFormats) {
+  // Every ModelConfig field off its default, then the other value of
+  // each enum and flag. A SageConv model with cheb_k = 2 has the tensor
+  // shapes and weights fingerprint of a K = 2 Chebyshev model, so only
+  // the config itself can tell the two apart.
+  ModelConfig off_default;
+  off_default.in_features = 5;
+  off_default.num_classes = 3;
+  off_default.conv_kind = ConvKind::SageMean;
+  off_default.conv_channels = {6, 4};
+  off_default.cheb_k = 2;
+  off_default.fc_hidden = 7;
+  off_default.use_pooling = true;
+  off_default.pool_mode = GraclusPool::Mode::Mean;
+  off_default.dropout = 0.125;
+  off_default.batch_norm = false;
+  off_default.seed = 4242;
+  ModelConfig flipped = off_default;
+  flipped.conv_kind = ConvKind::Chebyshev;
+  flipped.cheb_k = 3;
+  flipped.use_pooling = false;
+  flipped.pool_mode = GraclusPool::Mode::Max;
+  flipped.batch_norm = true;
+  for (const ModelConfig& cfg : {off_default, flipped}) {
+    const GcnModel model(cfg);
+    std::stringstream buffer;
+    save_model(model, buffer);
+    auto text = load_model_result(buffer);
+    ASSERT_TRUE(text.ok()) << text.diag().render();
+    expect_same_config(text.value().config(), cfg);
+    EXPECT_EQ(text.value().weights_fingerprint(), model.weights_fingerprint());
+
+    const std::string path = ::testing::TempDir() + "/gana_config.bin";
+    ASSERT_TRUE(save_model_artifact(model, path).ok());
+    auto binary = load_model_artifact(path);
+    ASSERT_TRUE(binary.ok()) << binary.diag().render();
+    expect_same_config(binary.value().config(), cfg);
+    EXPECT_EQ(binary.value().weights_fingerprint(),
+              model.weights_fingerprint());
+  }
+}
+
+TEST(Serialize, RejectsUnknownConvKindAndPoolMode) {
+  const GcnModel model(tiny_config());
+  std::stringstream buffer;
+  save_model(model, buffer);
+  const std::string text = buffer.str();
+  for (const auto& [line, bad] :
+       {std::pair<std::string, std::string>{"conv_kind cheb\n",
+                                            "conv_kind chebyshev\n"},
+        {"pool_mode max\n", "pool_mode min\n"}}) {
+    SCOPED_TRACE(bad);
+    std::string edited = text;
+    const auto pos = edited.find(line);
+    ASSERT_NE(pos, std::string::npos);
+    edited.replace(pos, line.size(), bad);
+    std::stringstream in(edited);
+    auto r = load_model_result(in, "bad.ckpt");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.diag().code, DiagCode::BadValue) << r.diag().render();
+  }
 }
 
 TEST(Serialize, TrainedWeightsSurvive) {
