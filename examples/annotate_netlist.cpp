@@ -8,7 +8,7 @@
 //                      [--session] [--cache-capacity C]
 //                      [--timeout-seconds S]
 //                      [--perf-json perf.json]
-//                      [--save-model m.ckpt] [--load-model m.ckpt]
+//                      [--save-model m.bin] [--load-model m.bin]
 //
 // Without --train the pipeline runs model-free (cluster classes come from
 // the uniform vote), which still exercises primitive annotation and
@@ -31,9 +31,9 @@
 // primitive-annotation sweep. Outputs are bit-identical to uncached
 // runs; the hit counts go to --perf-json.
 //
-// --cache-capacity C: bound each cache to ~C entries with FIFO eviction
-// (0, the default, keeps them unbounded). Eviction costs recompute only;
-// outputs stay bit-identical.
+// --cache-capacity C: bound each cache, and a --session's structure
+// store, to ~C entries with FIFO eviction (0, the default, keeps them
+// unbounded). Eviction costs recompute only; outputs stay bit-identical.
 //
 // --session: treat the input files as successive *revisions* of one
 // evolving design and annotate them through an incremental
@@ -220,8 +220,8 @@ int main(int argc, char** argv) {
 
   std::unique_ptr<gana::gcn::GcnModel> model;
   if (args.has("load-model")) {
-    // Text checkpoint or binary artifact, sniffed by magic; the binary
-    // path maps the file and borrows the weights zero-copy.
+    // A model artifact: the loader maps the file and borrows the
+    // weights zero-copy.
     auto loaded = gana::gcn::load_model_any(args.get("load-model"));
     if (!loaded.ok()) {
       std::fprintf(stderr, "error: %s\n", loaded.diag().render().c_str());
@@ -234,7 +234,11 @@ int main(int argc, char** argv) {
     model = train_quick_model(domain, circuits, static_cast<int>(epochs));
   }
   if (model && args.has("save-model")) {
-    gana::gcn::save_model_file(*model, args.get("save-model"));
+    auto saved = gana::gcn::save_model_artifact(*model, args.get("save-model"));
+    if (!saved.ok()) {
+      std::fprintf(stderr, "error: %s\n", saved.diag().render().c_str());
+      return kExitIo;
+    }
     std::printf("model saved to %s\n", args.get("save-model").c_str());
   }
 

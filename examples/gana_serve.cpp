@@ -4,7 +4,7 @@
 // request) drains it.
 //
 //   ./gana_serve --socket /tmp/gana.sock
-//                [--domain ota|rf] [--load-model m.ckpt]
+//                [--domain ota|rf] [--load-model m.bin]
 //                [--jobs N] [--max-inflight M] [--max-sessions K]
 //                [--timeout-seconds S] [--write-timeout-seconds S]
 //                [--cache-capacity C]
@@ -27,9 +27,9 @@
 // reader can never wedge a worker or hang shutdown. 0 = unbounded.
 //
 // --cache-capacity C: bound each structural cache (sample prep, GCN
-// inference, VF2 annotation) to ~C entries with FIFO eviction; 0 keeps
-// them unbounded. Eviction costs recompute only -- responses stay
-// bit-identical.
+// inference, VF2 annotation), and each session's structure store, to
+// ~C entries with FIFO eviction; 0 keeps them unbounded. Eviction costs
+// recompute only -- responses stay bit-identical.
 //
 // --fault-*: arm the deterministic fault injector (soak testing): every
 // pipeline stage entry of every request draws alloc-failure / stage-
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   if (!args.has("socket")) {
     std::printf(
         "usage: gana_serve --socket /path/to.sock\n"
-        "                  [--domain ota|rf] [--load-model m.ckpt|m.bin]\n"
+        "                  [--domain ota|rf] [--load-model m.bin]\n"
         "                  [--load-library lib|standard]\n"
         "                  [--jobs N] [--max-inflight M]\n"
         "                  [--max-sessions K]\n"
@@ -125,8 +125,8 @@ int main(int argc, char** argv) {
   // its parsed primitive library.
   std::unique_ptr<gana::gcn::GcnModel> model;
   if (args.has("load-model")) {
-    // Text checkpoint or binary artifact, sniffed by magic; the binary
-    // path maps the file and borrows the weights zero-copy.
+    // A model artifact: the loader maps the file and borrows the
+    // weights zero-copy.
     auto loaded = gana::gcn::load_model_any(args.get("load-model"));
     if (!loaded.ok()) {
       std::fprintf(stderr, "gana-serve: %s\n",

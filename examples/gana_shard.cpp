@@ -1,6 +1,6 @@
 // gana-shard: corpus-scale sharded batch annotation driver.
 //
-// Three entry modes share one binary:
+// Four entry modes share one binary:
 //
 //   gana_shard --datagen --dir corpus [--count N] [--seed S]
 //       Generates a seeded netlist corpus plus its manifest
@@ -19,10 +19,9 @@
 //       Internal: one worker process, spawned by the driver; it reads
 //       grants on stdin and streams results to stdout.
 //
-//   gana_shard --pack-model ckpt.txt --out model.bin
 //   gana_shard --pack-library lib.txt|standard --out lib.bin
-//       Converts a text checkpoint / primitive-library file into the
-//       binary artifact format workers map zero-copy at startup.
+//       Converts a primitive-library file into the binary artifact
+//       format workers map zero-copy at startup.
 //
 // Exit codes follow annotate_netlist (0 ok, 1 usage, 2 io, 3 parse,
 // 4 annotate, 5 timeout) plus 6 when a worker process crashed or exited
@@ -38,7 +37,6 @@
 
 #include "datagen/corpus.hpp"
 #include "datagen/rf_gen.hpp"
-#include "gcn/serialize.hpp"
 #include "primitives/library_io.hpp"
 #include "shard/driver.hpp"
 #include "util/args.hpp"
@@ -65,7 +63,6 @@ void print_usage() {
       "             [--cache-capacity N]\n"
       "             [--load-model FILE] [--load-library FILE|standard]\n"
       "             [--perf-json FILE] [--worker-exe FILE] [--quiet]\n"
-      "  gana_shard --pack-model FILE --out FILE\n"
       "  gana_shard --pack-library FILE|standard --out FILE\n");
 }
 
@@ -123,34 +120,6 @@ int run_datagen(const gana::Args& args) {
                  "manifest %s\n",
                  stats.value().written, stats.value().reused,
                  stats.value().manifest_path.c_str());
-  }
-  return kExitOk;
-}
-
-int run_pack_model(const gana::Args& args) {
-  args.reject_unknown({"pack-model", "out", "quiet"});
-  const std::string in = args.get("pack-model");
-  const std::string out = args.get("out");
-  if (in.empty() || out.empty()) {
-    std::fprintf(stderr, "gana-shard: --pack-model requires IN and --out\n");
-    print_usage();
-    return kExitUsage;
-  }
-  auto model = gana::gcn::load_model_any(in);
-  if (!model.ok()) {
-    std::fprintf(stderr, "gana-shard: %s\n", model.diag().render().c_str());
-    return model.diag().code == gana::DiagCode::IoError ? kExitIo : kExitParse;
-  }
-  auto saved = gana::gcn::save_model_artifact(model.value(), out);
-  if (!saved.ok()) {
-    std::fprintf(stderr, "gana-shard: %s\n", saved.diag().render().c_str());
-    return kExitIo;
-  }
-  if (!args.has("quiet")) {
-    std::fprintf(stderr, "gana-shard: packed model %s -> %s (fingerprint %llx)\n",
-                 in.c_str(), out.c_str(),
-                 static_cast<unsigned long long>(
-                     model.value().weights_fingerprint()));
   }
   return kExitOk;
 }
@@ -289,7 +258,6 @@ int main(int argc, char** argv) {
   if (args.has("worker")) return gana::shard::worker_main(args);
   try {
     if (args.has("datagen")) return run_datagen(args);
-    if (args.has("pack-model")) return run_pack_model(args);
     if (args.has("pack-library")) return run_pack_library(args);
     return run_driver(args);
   } catch (const gana::ArgError& e) {

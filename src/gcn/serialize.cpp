@@ -1,11 +1,5 @@
 #include "gcn/serialize.hpp"
 
-#include <cstring>
-#include <fstream>
-#include <iomanip>
-#include <map>
-#include <sstream>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -14,8 +8,6 @@
 namespace gana::gcn {
 
 namespace {
-
-constexpr const char* kMagic = "gana-gcn-v1";
 
 Diag checkpoint_diag(DiagCode code, const std::string& name,
                      std::string message) {
@@ -26,24 +18,24 @@ Diag checkpoint_diag(DiagCode code, const std::string& name,
 
 /// The config's total scalar count, or a BadValue diag when the config
 /// cannot build a model (out-of-range K, zero widths) or the count
-/// overflows. Both loaders call this before constructing the model.
-Result<std::size_t> checked_scalar_count(const ModelConfig& cfg) {
+/// overflows. Checked before the model is constructed.
+Result<std::size_t> checked_scalar_count(const ModelConfig& cfg,
+                                         const std::string& name) {
   const std::string error = config_error(cfg);
   if (!error.empty()) {
-    return make_diag(DiagCode::BadValue, Stage::Io,
-                     "model config: " + error);
+    return checkpoint_diag(DiagCode::BadValue, name, "model config: " + error);
   }
   const auto count = tensor_scalar_count(cfg);
   if (!count) {
-    return make_diag(DiagCode::BadValue, Stage::Io,
-                     "model config: parameter count overflows");
+    return checkpoint_diag(DiagCode::BadValue, name,
+                           "model config: parameter count overflows");
   }
   return *count;
 }
 
 /// All parameter and buffer tensors in declaration order -- the single
-/// tensor ordering shared by the text format, the artifact "shapes" and
-/// "weights" sections, and weights_fingerprint(). GcnModel::params() is
+/// tensor ordering shared by the artifact "shapes" and "weights"
+/// sections and weights_fingerprint(). GcnModel::params() is
 /// non-const by design (the optimizer mutates through it);
 /// serialization only reads.
 std::vector<Matrix*> all_tensors(const GcnModel& model) {
@@ -53,211 +45,6 @@ std::vector<Matrix*> all_tensors(const GcnModel& model) {
   tensors.insert(tensors.end(), buffers.begin(), buffers.end());
   return tensors;
 }
-
-}  // namespace
-
-void save_model(const GcnModel& model, std::ostream& out) {
-  const ModelConfig& cfg = model.config();
-  out << kMagic << "\n";
-  out << "in_features " << cfg.in_features << "\n";
-  out << "num_classes " << cfg.num_classes << "\n";
-  out << "conv_kind "
-      << (cfg.conv_kind == ConvKind::SageMean ? "sage" : "cheb") << "\n";
-  out << "conv_channels";
-  for (std::size_t c : cfg.conv_channels) out << " " << c;
-  out << "\n";
-  out << "cheb_k " << cfg.cheb_k << "\n";
-  out << "fc_hidden " << cfg.fc_hidden << "\n";
-  out << "use_pooling " << (cfg.use_pooling ? 1 : 0) << "\n";
-  out << "pool_mode "
-      << (cfg.pool_mode == GraclusPool::Mode::Max ? "max" : "mean") << "\n";
-  out << "dropout " << cfg.dropout << "\n";
-  out << "batch_norm " << (cfg.batch_norm ? 1 : 0) << "\n";
-  out << "seed " << cfg.seed << "\n";
-
-  const auto tensors = all_tensors(model);
-  out << "tensors " << tensors.size() << "\n";
-  out << std::setprecision(17);
-  for (const Matrix* p : tensors) {
-    out << p->rows() << " " << p->cols() << "\n";
-    for (double v : p->data()) out << v << " ";
-    out << "\n";
-  }
-}
-
-void save_model_file(const GcnModel& model, const std::string& path) {
-  std::ofstream f(path);
-  if (!f) throw std::runtime_error("cannot write " + path);
-  save_model(model, f);
-}
-
-Result<GcnModel> load_model_result(std::istream& in,
-                                   const std::string& name) {
-  const auto fail = [&](DiagCode code, std::string message) {
-    return checkpoint_diag(code, name, std::move(message));
-  };
-  std::string magic;
-  in >> magic;
-  if (magic != kMagic) {
-    return fail(DiagCode::FormatError,
-                "not a gana-gcn checkpoint (bad magic)");
-  }
-
-  // Config keys in any order, each at most once: duplicates are
-  // rejected instead of last-write-wins so a checkpoint has exactly one
-  // meaning (text -> binary packing relies on this).
-  ModelConfig cfg;
-  std::map<std::string, bool> seen;
-  const auto claim = [&](const std::string& key) {
-    if (seen[key]) return false;
-    seen[key] = true;
-    return true;
-  };
-  std::string key;
-  bool have_tensors_header = false;
-  std::size_t tensor_count = 0;
-  while (in >> key) {
-    if (key == "tensors") {
-      if (!(in >> tensor_count)) {
-        return fail(DiagCode::BadValue, "checkpoint: bad tensor count");
-      }
-      have_tensors_header = true;
-      break;
-    }
-    if (!claim(key)) {
-      return fail(DiagCode::DuplicateName,
-                  "checkpoint: duplicate key '" + key + "'");
-    }
-    bool value_ok = true;
-    if (key == "in_features") {
-      value_ok = static_cast<bool>(in >> cfg.in_features);
-    } else if (key == "num_classes") {
-      value_ok = static_cast<bool>(in >> cfg.num_classes);
-    } else if (key == "conv_channels") {
-      cfg.conv_channels.clear();
-      // Channels run until the next (non-numeric) key.
-      while (in >> std::ws && in.peek() >= '0' && in.peek() <= '9') {
-        std::size_t c = 0;
-        if (!(in >> c)) break;
-        cfg.conv_channels.push_back(c);
-      }
-    } else if (key == "cheb_k") {
-      value_ok = static_cast<bool>(in >> cfg.cheb_k);
-    } else if (key == "fc_hidden") {
-      value_ok = static_cast<bool>(in >> cfg.fc_hidden);
-    } else if (key == "use_pooling" || key == "batch_norm") {
-      int flag = 0;
-      value_ok = static_cast<bool>(in >> flag);
-      (key == "use_pooling" ? cfg.use_pooling : cfg.batch_norm) = flag != 0;
-    } else if (key == "pool_mode") {
-      std::string mode;
-      value_ok = (in >> mode) && (mode == "max" || mode == "mean");
-      cfg.pool_mode =
-          mode == "max" ? GraclusPool::Mode::Max : GraclusPool::Mode::Mean;
-    } else if (key == "conv_kind") {
-      std::string kind;
-      value_ok = (in >> kind) && (kind == "cheb" || kind == "sage");
-      cfg.conv_kind =
-          kind == "sage" ? ConvKind::SageMean : ConvKind::Chebyshev;
-    } else if (key == "dropout") {
-      value_ok = static_cast<bool>(in >> cfg.dropout);
-    } else if (key == "seed") {
-      value_ok = static_cast<bool>(in >> cfg.seed);
-    } else {
-      return fail(DiagCode::SyntaxError,
-                  "checkpoint: unknown key '" + key + "'");
-    }
-    if (!value_ok) {
-      return fail(DiagCode::BadValue,
-                  "checkpoint: bad value for key '" + key + "'");
-    }
-  }
-  if (!have_tensors_header) {
-    return fail(DiagCode::FormatError,
-                "checkpoint: missing 'tensors' section");
-  }
-  auto expected = checked_scalar_count(cfg);
-  if (!expected.ok()) return fail(DiagCode::BadValue, expected.diag().message);
-
-  // Stage the tensors before the model exists: its allocations follow
-  // from the config, so the config must first agree with what the file
-  // holds. Reading stops as soon as the file claims more scalars than
-  // the config has, and staging grows only with data actually read.
-  std::vector<std::pair<std::size_t, std::size_t>> shapes;
-  std::vector<double> values;
-  for (std::size_t t = 0; t < tensor_count; ++t) {
-    std::size_t rows = 0, cols = 0, size = 0;
-    if (!(in >> rows >> cols)) {
-      return fail(DiagCode::FormatError, "checkpoint: truncated tensor header");
-    }
-    if (__builtin_mul_overflow(rows, cols, &size) ||
-        size > expected.value() - values.size()) {
-      return fail(DiagCode::BadValue,
-                  "checkpoint: more parameters than the config's " +
-                      std::to_string(expected.value()));
-    }
-    shapes.emplace_back(rows, cols);
-    for (std::size_t i = 0; i < size; ++i) {
-      double v = 0.0;
-      if (!(in >> v)) {
-        return fail(DiagCode::FormatError,
-                    "checkpoint: truncated tensor data");
-      }
-      values.push_back(v);
-    }
-  }
-  if (values.size() != expected.value()) {
-    return fail(DiagCode::BadValue,
-                "checkpoint: parameter count mismatch (file " +
-                    std::to_string(values.size()) + ", config " +
-                    std::to_string(expected.value()) + ")");
-  }
-
-  GcnModel model(cfg);
-  const auto tensors = all_tensors(model);
-  if (tensors.size() != shapes.size()) {
-    return fail(DiagCode::FormatError,
-                "checkpoint: tensor count mismatch (file " +
-                    std::to_string(shapes.size()) + ", model " +
-                    std::to_string(tensors.size()) + ")");
-  }
-  const double* cursor = values.data();
-  for (std::size_t t = 0; t < tensors.size(); ++t) {
-    Matrix* p = tensors[t];
-    if (shapes[t].first != p->rows() || shapes[t].second != p->cols()) {
-      return fail(DiagCode::FormatError,
-                  "checkpoint: tensor shape mismatch");
-    }
-    for (double& v : p->data()) v = *cursor++;
-  }
-  return model;
-}
-
-Result<GcnModel> load_model_file_result(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) {
-    return checkpoint_diag(DiagCode::IoError, path, "cannot read " + path);
-  }
-  return load_model_result(f, path);
-}
-
-GcnModel load_model(std::istream& in) {
-  auto loaded = load_model_result(in);
-  if (!loaded.ok()) throw DiagError(loaded.diag());
-  return loaded.take();
-}
-
-GcnModel load_model_file(const std::string& path) {
-  auto loaded = load_model_file_result(path);
-  if (!loaded.ok()) throw DiagError(loaded.diag());
-  return loaded.take();
-}
-
-// ---------------------------------------------------------------------------
-// Binary model artifact
-// ---------------------------------------------------------------------------
-
-namespace {
 
 constexpr const char* kConfigSection = "config";
 constexpr const char* kShapesSection = "shapes";
@@ -350,7 +137,7 @@ Result<bool> save_model_artifact(const GcnModel& model,
                       model.weights_fingerprint());
 }
 
-Result<GcnModel> load_model_artifact(const std::string& path) {
+Result<GcnModel> load_model_any(const std::string& path) {
   auto opened = util::ArtifactReader::open(path, util::ArtifactKind::Model);
   if (!opened.ok()) return opened.diag();
   const util::ArtifactReader reader = opened.take();
@@ -364,11 +151,8 @@ Result<GcnModel> load_model_artifact(const std::string& path) {
 
   auto cfg = decode_config(config_section.value(), path);
   if (!cfg.ok()) return cfg.diag();
-  auto expected = checked_scalar_count(cfg.value());
-  if (!expected.ok()) {
-    return checkpoint_diag(DiagCode::BadValue, path,
-                           expected.diag().message);
-  }
+  auto expected = checked_scalar_count(cfg.value(), path);
+  if (!expected.ok()) return expected.diag();
 
   // The shapes section must hold exactly the config's scalar count
   // before the model (whose allocations follow from the config) exists.
@@ -439,13 +223,6 @@ Result<GcnModel> load_model_artifact(const std::string& path) {
         "match tensor contents)");
   }
   return model;
-}
-
-Result<GcnModel> load_model_any(const std::string& path) {
-  if (util::file_looks_like_artifact(path)) {
-    return load_model_artifact(path);
-  }
-  return load_model_file_result(path);
 }
 
 }  // namespace gana::gcn

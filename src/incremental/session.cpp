@@ -96,7 +96,19 @@ bool subckts_equal(const std::map<std::string, spice::SubcktDef>& a,
   return true;
 }
 
+/// The whole-cache bound of `annotator`'s annotation cache, 0
+/// (unbounded) without one: a cache built with it has the same
+/// per-shard bound.
+std::size_t store_capacity(const core::Annotator& annotator) {
+  const auto& cache = annotator.annotation_cache();
+  return cache == nullptr ? 0
+                          : kCacheShardCount * cache->per_shard_capacity();
+}
+
 }  // namespace
+
+AnnotationSession::AnnotationSession(const core::Annotator* annotator)
+    : annotator_(annotator), annotations_(store_capacity(*annotator)) {}
 
 Result<AnnotateResult> AnnotationSession::reannotate(const Netlist& netlist,
                                                      const std::string& name) {

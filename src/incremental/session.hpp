@@ -75,9 +75,9 @@ class AnnotationSession {
  public:
   /// `annotator` is borrowed and must outlive the session. Its attached
   /// sample/inference caches carry the GCN reuse; the session adds its
-  /// own whole-structure annotation store on top.
-  explicit AnnotationSession(const core::Annotator* annotator)
-      : annotator_(annotator) {}
+  /// own whole-structure annotation store on top, bounded like the
+  /// annotation cache `annotator` holds now (unbounded without one).
+  explicit AnnotationSession(const core::Annotator* annotator);
 
   /// Annotates the next revision of the design. Never throws; failures
   /// come back as Diags exactly like Annotator::try_annotate. On
@@ -128,8 +128,8 @@ class AnnotationSession {
   std::vector<std::size_t> patch_changed_;
 
   /// Accepted primitives per structure, keyed like the cold path's
-  /// annotation cache. Unbounded: a session tracks one evolving design,
-  /// so the population is that design's distinct structures.
+  /// annotation cache and bounded by the same capacity: a session id fed
+  /// a stream of unrelated designs must not grow without bound.
   primitives::AnnotationCache annotations_;
 };
 

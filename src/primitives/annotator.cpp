@@ -183,12 +183,16 @@ std::uint64_t annotation_cache_key(const CircuitGraph& g,
                                    const PrimitiveLibrary& library,
                                    const AnnotateOptions& options) {
   std::uint64_t h = graph::structural_hash(g);
-  h = graph::hash_combine(h, library.size());
+  h = graph::hash_combine(h, library_fingerprint(library));
+  // The flags decide which matches a pattern accepts; library_fingerprint
+  // leaves them out.
+  const auto fold_flags = [&h](const std::vector<bool>& flags) {
+    h = graph::hash_combine(h, flags.size());
+    for (const bool f : flags) h = graph::hash_combine(h, f ? 1 : 0);
+  };
   for (std::size_t li : library.priority_order()) {
-    const PrimitiveSpec& spec = library.spec(li);
-    h = graph::hash_combine(h, graph::structural_hash(spec.graph));
-    h = graph::hash_combine(
-        h, static_cast<std::uint64_t>(static_cast<std::int64_t>(spec.priority)));
+    fold_flags(library.spec(li).forbid_rail);
+    fold_flags(library.spec(li).strict_degree);
   }
   h = graph::hash_combine(h, options.match.max_matches);
   h = graph::hash_combine(h, options.match.max_states);

@@ -148,11 +148,11 @@ void instantiate_annotation(const graph::CircuitGraph& g,
                             std::vector<PrimitiveInstance>& out);
 
 /// The AnnotationCache key for annotating `g` against `library` under
-/// `options`: the circuit's structural hash folded with a library
-/// fingerprint (per-spec pattern structural hashes and priorities, in
-/// priority order) and every option that can change the accepted set
-/// (VF2 budgets, dedup, engine). Thread count and
-/// cache attachment are deliberately excluded -- they never change
+/// `options`: the circuit's structural hash folded with
+/// `library_fingerprint(library)`, each pattern's forbid_rail and
+/// strict_degree flags (in priority order), and every option that can
+/// change the accepted set (VF2 budgets, dedup, engine). Thread count
+/// and cache attachment are deliberately excluded -- they never change
 /// results. Exposed for tests.
 [[nodiscard]] std::uint64_t annotation_cache_key(
     const graph::CircuitGraph& g, const PrimitiveLibrary& library,

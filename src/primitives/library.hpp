@@ -96,11 +96,13 @@ class PrimitiveLibrary {
   std::vector<std::unique_ptr<PrimitiveSpec>> specs_;
 };
 
-/// Content hash of a library: per-spec pattern structural hashes and
-/// priorities in priority order (the same folding annotation_cache_key
-/// applies), plus names and display names. Stamped into the library
-/// artifact header and re-derived on load, so a corrupt or regenerated
-/// library can never be mistaken for the one that was packed.
+/// Content hash of a library: per-spec names, display names, pattern
+/// structural hashes and priorities, in priority order. Stamped into the
+/// library artifact header and re-derived on load, so a corrupt or
+/// regenerated library is not mistaken for the one that was packed --
+/// except in the patterns' forbid_rail/strict_degree flags and
+/// constraint templates, which it does not cover (annotation_cache_key
+/// folds the flags on top of it).
 [[nodiscard]] std::uint64_t library_fingerprint(const PrimitiveLibrary& lib);
 
 }  // namespace gana::primitives

@@ -81,7 +81,9 @@ struct ServerConfig {
   std::size_t max_inflight = 0;
   double default_timeout_seconds = 0.0;  ///< per-request deadline when the
                                          ///< request names none; 0 = none
-  std::size_t cache_capacity = 0;  ///< per structural cache (0 = unbounded)
+  /// Per structural cache, and per session structure store (0 =
+  /// unbounded).
+  std::size_t cache_capacity = 0;
   /// Live reannotation sessions held at once; 0 derives a default (8).
   /// Opening session max_sessions+1 sheds the *oldest-created* session
   /// (FIFO) -- its cached artifacts are dropped and the next reannotate

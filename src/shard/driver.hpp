@@ -70,7 +70,7 @@ struct PipelineOptions {
   std::string domain = "ota";     ///< class vocabulary: "ota" or "rf"
   std::size_t cache_capacity = 0; ///< per-cache entry bound (0 unbounded)
   double timeout_seconds = 0.0;   ///< per-netlist deadline (0 disables)
-  /// Optional model path: text checkpoint or binary artifact (sniffed).
+  /// Optional model artifact path.
   std::string load_model;
   /// Optional primitive-library path (text or binary artifact, sniffed;
   /// "" or "standard" = the built-in library).

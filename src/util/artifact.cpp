@@ -54,18 +54,14 @@ std::uint64_t artifact_checksum(const std::uint8_t* data, std::size_t size) {
   return h;
 }
 
-bool looks_like_artifact(const std::uint8_t* data, std::size_t size) {
-  return size >= sizeof kArtifactMagic &&
-         std::memcmp(data, kArtifactMagic, sizeof kArtifactMagic) == 0;
-}
-
 bool file_looks_like_artifact(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return false;
   std::uint8_t head[sizeof kArtifactMagic] = {};
   const std::size_t got = std::fread(head, 1, sizeof head, f);
   std::fclose(f);
-  return looks_like_artifact(head, got);
+  return got == sizeof head &&
+         std::memcmp(head, kArtifactMagic, sizeof head) == 0;
 }
 
 void ArtifactWriter::add_section(std::string name,
@@ -128,14 +124,20 @@ Result<bool> ArtifactWriter::write(const std::string& path, ArtifactKind kind,
   put_u32(header, static_cast<std::uint32_t>(sections_.size()));
   put_u32(header, 0);  // reserved
 
-  std::FILE* f = std::fopen(path.c_str(), "wb");
+  // Written beside `path`, then renamed over it: a process that maps the
+  // old file (a loaded model borrows its weights from the mapping) keeps
+  // the old bytes instead of seeing them change or vanish.
+  const std::string staged = path + ".tmp";
+  std::FILE* f = std::fopen(staged.c_str(), "wb");
   if (f == nullptr) return io_diag(path, "cannot open artifact for write");
   bool ok = std::fwrite(header.data(), 1, header.size(), f) == header.size();
   ok = ok && (body.empty() ||
               std::fwrite(body.data(), 1, body.size(), f) == body.size());
   ok = std::fclose(f) == 0 && ok;
-  if (!ok) return io_diag(path, "short write while writing artifact");
-  return true;
+  if (ok && std::rename(staged.c_str(), path.c_str()) == 0) return true;
+  std::remove(staged.c_str());
+  return io_diag(path, ok ? "cannot replace artifact"
+                          : "short write while writing artifact");
 }
 
 Result<ArtifactReader> ArtifactReader::open(const std::string& path,

@@ -63,10 +63,8 @@ enum class ArtifactKind : std::uint32_t {
 [[nodiscard]] std::uint64_t artifact_checksum(const std::uint8_t* data,
                                               std::size_t size);
 
-/// True when the buffer starts with the artifact magic -- the sniff
-/// used by `load_model_any` to pick text vs binary loaders.
-[[nodiscard]] bool looks_like_artifact(const std::uint8_t* data,
-                                       std::size_t size);
+/// True when the file starts with the artifact magic -- the sniff used
+/// by `load_library_any` to pick the text or binary library loader.
 [[nodiscard]] bool file_looks_like_artifact(const std::string& path);
 
 /// A named payload slice inside a validated artifact. `data` points
@@ -85,8 +83,10 @@ class ArtifactWriter {
   /// reported from `write` (the single failure point).
   void add_section(std::string name, std::vector<std::uint8_t> bytes);
 
-  /// Serializes header + table + aligned payloads to `path`.
-  /// IoError on filesystem failure, FormatError on bad section names.
+  /// Serializes header + table + aligned payloads to `path`, replacing
+  /// any existing file by rename, so mappings of the old file keep their
+  /// bytes. IoError on filesystem failure, FormatError on bad section
+  /// names.
   [[nodiscard]] Result<bool> write(const std::string& path, ArtifactKind kind,
                                    std::uint64_t fingerprint) const;
 
@@ -135,8 +135,8 @@ class ArtifactReader {
 
 /// Little-endian section-payload encoder. Sections built with this and
 /// decoded with ByteReader round-trip exactly; doubles travel as their
-/// IEEE-754 bit pattern so text-loaded vs artifact-loaded models are
-/// bitwise identical.
+/// IEEE-754 bit pattern so a loaded model is bitwise identical to the
+/// saved one.
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { bytes_.push_back(v); }

@@ -2,7 +2,7 @@
 //
 // The artifact loaders (gcn/serialize, primitives/library_io) map model
 // and library files so N shard workers share one page-cache copy of the
-// weights instead of each parsing a text checkpoint. The wrapper owns
+// weights instead of each reading its own. The wrapper owns
 // the mapping RAII-style; every failure (missing file, permission,
 // mmap refusal) comes back as an `IoError` Diag, never UB or errno
 // guesswork at the call site.

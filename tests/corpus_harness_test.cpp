@@ -485,7 +485,7 @@ TEST(ArtifactCorpus, MutatedModelArtifactsNeverCrashTheLoader) {
   ASSERT_FALSE(base.empty());
   // The unmutated base must load; mutants must load or diagnose, never
   // crash or read out of bounds (the ASan/UBSan presets run this test).
-  ASSERT_TRUE(gcn::load_model_artifact(base_path).ok());
+  ASSERT_TRUE(gcn::load_model_any(base_path).ok());
 
   const std::string mutant_path =
       testing::TempDir() + "gana_corpus_model_mutant.bin";
@@ -516,7 +516,7 @@ TEST(ArtifactCorpus, MutatedModelArtifactsNeverCrashTheLoader) {
       std::ofstream out(mutant_path, std::ios::binary | std::ios::trunc);
       out << mutant;
     }
-    auto r = gcn::load_model_artifact(mutant_path);
+    auto r = gcn::load_model_any(mutant_path);
     if (!r.ok()) {
       ++rejected;
       EXPECT_FALSE(r.diag().message.empty());

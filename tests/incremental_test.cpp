@@ -3,8 +3,8 @@
 // Annotator run at 1/2/8 compute threads, the reuse/invalidation
 // accounting (a rename-only edit hits the whole-structure store; a
 // reorder or a one-device structural edit misses it, and reverting the
-// edit hits it again), the value-patch prepare fast path, and failure
-// parity with the cold path.
+// edit hits it again), the store's capacity bound, the value-patch
+// prepare fast path, and failure parity with the cold path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 
 #include "core/export.hpp"
 #include "core/pipeline.hpp"
+#include "datagen/corpus.hpp"
 #include "datagen/phased_array.hpp"
 #include "datagen/rf_gen.hpp"
 #include "gcn/model.hpp"
@@ -193,6 +194,26 @@ TEST(IncrementalSession, OneDeviceEditInvalidatesExactlyItsRegion) {
     EXPECT_EQ(delta.annotation_cache_misses, 0u);
     EXPECT_EQ(delta.vf2_states, 0u) << "a store hit runs no VF2";
   }
+}
+
+// --- Property: the store is bounded like the Annotator's cache ---------
+
+TEST(IncrementalSession, StoreIsBoundedByTheAnnotatorsCacheCapacity) {
+  // One session fed a stream of unrelated designs under one name: every
+  // revision is a new structure, so an unbounded store would keep all of
+  // them. The store takes the bound of the Annotator's annotation cache.
+  core::Annotator annotator(nullptr, {"ota", "bias"});
+  annotator.attach_caches(16);
+  incremental::AnnotationSession session(&annotator);
+  const datagen::CorpusOptions corpus;
+  const PerfSnapshot before = perf_snapshot();
+  for (std::size_t i = 0; i < 200; ++i) {
+    const spice::Netlist netlist =
+        spice::parse_netlist(datagen::corpus_netlist_text(corpus, i));
+    ASSERT_EQ(session_json(session, netlist), cold_json(netlist))
+        << "corpus circuit " << i;
+  }
+  EXPECT_GT((perf_snapshot() - before).cache_evictions, 0u);
 }
 
 // --- Property: the phased array's structural edits match cold ----------

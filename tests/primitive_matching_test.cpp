@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "primitives/annotator.hpp"
 #include "primitives/constraint.hpp"
 #include "primitives/library.hpp"
+#include "primitives/library_io.hpp"
 #include "spice/flatten.hpp"
 #include "spice/parser.hpp"
 #include "util/thread_pool.hpp"
@@ -396,6 +398,59 @@ TEST(AnnotationCacheAccounting, OptionsThatChangeResultsChangeTheKey) {
   AnnotateOptions pooled = base;
   pooled.pool = &pool;
   EXPECT_EQ(k0, primitives::annotation_cache_key(g, lib, pooled));
+}
+
+/// The standard library with `from` replaced by `to` in the cg_n stanza
+/// of its text form.
+primitives::PrimitiveLibrary edited_cg_n(const std::string& from,
+                                         const std::string& to) {
+  std::stringstream saved;
+  primitives::save_library_text(primitives::PrimitiveLibrary::standard(),
+                                saved);
+  std::string text = saved.str();
+  const std::size_t stanza = text.find("primitive cg_n ");
+  const std::size_t at = text.find(from, stanza);
+  if (stanza == std::string::npos || at == std::string::npos) {
+    throw std::runtime_error("no '" + from + "' in the cg_n stanza");
+  }
+  text.replace(at, from.size(), to);
+  std::stringstream in(text);
+  auto lib = primitives::load_library_text(in, "edited.lib");
+  if (!lib.ok()) throw DiagError(lib.diag());
+  return lib.take();
+}
+
+TEST(AnnotationCacheAccounting, PatternFlagsChangeTheKey) {
+  // A pattern's forbid_rail and strict_degree flags decide which of its
+  // matches are accepted, but leave its graph unchanged. Dropping cg_n's
+  // non-rail nets lets it bind a rail; dropping its port vb makes vb a
+  // strict internal net. Either edit must move the key.
+  const auto g = graph_of(read_file(std::string(GANA_TEST_FIXTURE_DIR) +
+                                    "/two_stage_ota.sp"));
+  const auto standard = primitives::PrimitiveLibrary::standard();
+  const auto rail_ok = edited_cg_n("non-rail out in\n", "");
+  const auto vb_internal =
+      edited_cg_n(".subckt cg_n in out vb\n", ".subckt cg_n in out\n");
+  const AnnotateOptions base;
+  const auto key = primitives::annotation_cache_key(g, standard, base);
+  EXPECT_NE(key, primitives::annotation_cache_key(g, rail_ok, base));
+  EXPECT_NE(key, primitives::annotation_cache_key(g, vb_internal, base));
+
+  // Through one shared cache, each library gets its own cold set.
+  using primitives::annotate_primitives_guarded;
+  const auto cold_standard = annotate_primitives_guarded(g, standard);
+  const auto cold_rail_ok = annotate_primitives_guarded(g, rail_ok);
+  ASSERT_FALSE(
+      same_instances(cold_standard.primitives, cold_rail_ok.primitives))
+      << "the edit must change the accepted set on this circuit";
+  primitives::AnnotationCache cache;
+  AnnotateOptions shared;
+  shared.cache = &cache;
+  const auto first = annotate_primitives_guarded(g, standard, shared);
+  const auto second = annotate_primitives_guarded(g, rail_ok, shared);
+  EXPECT_FALSE(second.cache_hit);
+  EXPECT_TRUE(same_instances(first.primitives, cold_standard.primitives));
+  EXPECT_TRUE(same_instances(second.primitives, cold_rail_ok.primitives));
 }
 
 TEST(AnnotationCacheAccounting, SharedCacheUnderConcurrentAnnotators) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -30,35 +31,39 @@ ModelConfig tiny_config() {
   return cfg;
 }
 
+std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + "/gana_serialize_" + name;
+}
+
+/// Saves `model` as an artifact at `path` and loads it back.
+GcnModel round_trip(const GcnModel& model, const std::string& path) {
+  const auto saved = save_model_artifact(model, path);
+  if (!saved.ok()) throw DiagError(saved.diag());
+  auto loaded = load_model_any(path);
+  if (!loaded.ok()) throw DiagError(loaded.diag());
+  return loaded.take();
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
 TEST(Serialize, RoundTripPreservesOutputs) {
   GcnModel model(tiny_config());
   const auto s = tiny_sample(1);
   const Matrix before = model.forward(s, false);
 
-  std::stringstream buffer;
-  save_model(model, buffer);
-  GcnModel loaded = load_model(buffer);
+  GcnModel loaded = round_trip(model, temp_path("outputs.bin"));
   const Matrix after = loaded.forward(s, false);
 
   ASSERT_EQ(before.rows(), after.rows());
   ASSERT_EQ(before.cols(), after.cols());
   for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_NEAR(before.data()[i], after.data()[i], 1e-12);
+    EXPECT_EQ(before.data()[i], after.data()[i]) << "bit drift at " << i;
   }
-}
-
-TEST(Serialize, RoundTripPreservesConfig) {
-  GcnModel model(tiny_config());
-  std::stringstream buffer;
-  save_model(model, buffer);
-  GcnModel loaded = load_model(buffer);
-  EXPECT_EQ(loaded.config().in_features, 4u);
-  EXPECT_EQ(loaded.config().num_classes, 2u);
-  EXPECT_EQ(loaded.config().conv_channels,
-            (std::vector<std::size_t>{6, 5}));
-  EXPECT_EQ(loaded.config().cheb_k, 3);
-  EXPECT_EQ(loaded.config().fc_hidden, 7u);
-  EXPECT_DOUBLE_EQ(loaded.config().dropout, 0.25);
 }
 
 void expect_same_config(const ModelConfig& a, const ModelConfig& b) {
@@ -100,41 +105,9 @@ TEST(Serialize, EveryConfigFieldSurvivesBothFormats) {
   flipped.batch_norm = true;
   for (const ModelConfig& cfg : {off_default, flipped}) {
     const GcnModel model(cfg);
-    std::stringstream buffer;
-    save_model(model, buffer);
-    auto text = load_model_result(buffer);
-    ASSERT_TRUE(text.ok()) << text.diag().render();
-    expect_same_config(text.value().config(), cfg);
-    EXPECT_EQ(text.value().weights_fingerprint(), model.weights_fingerprint());
-
-    const std::string path = ::testing::TempDir() + "/gana_config.bin";
-    ASSERT_TRUE(save_model_artifact(model, path).ok());
-    auto binary = load_model_artifact(path);
-    ASSERT_TRUE(binary.ok()) << binary.diag().render();
-    expect_same_config(binary.value().config(), cfg);
-    EXPECT_EQ(binary.value().weights_fingerprint(),
-              model.weights_fingerprint());
-  }
-}
-
-TEST(Serialize, RejectsUnknownConvKindAndPoolMode) {
-  const GcnModel model(tiny_config());
-  std::stringstream buffer;
-  save_model(model, buffer);
-  const std::string text = buffer.str();
-  for (const auto& [line, bad] :
-       {std::pair<std::string, std::string>{"conv_kind cheb\n",
-                                            "conv_kind chebyshev\n"},
-        {"pool_mode max\n", "pool_mode min\n"}}) {
-    SCOPED_TRACE(bad);
-    std::string edited = text;
-    const auto pos = edited.find(line);
-    ASSERT_NE(pos, std::string::npos);
-    edited.replace(pos, line.size(), bad);
-    std::stringstream in(edited);
-    auto r = load_model_result(in, "bad.ckpt");
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.diag().code, DiagCode::BadValue) << r.diag().render();
+    const GcnModel loaded = round_trip(model, temp_path("config.bin"));
+    expect_same_config(loaded.config(), cfg);
+    EXPECT_EQ(loaded.weights_fingerprint(), model.weights_fingerprint());
   }
 }
 
@@ -147,43 +120,72 @@ TEST(Serialize, TrainedWeightsSurvive) {
   train(model, data, {}, tc);
   const double acc_before = evaluate_accuracy(model, data);
 
-  std::stringstream buffer;
-  save_model(model, buffer);
-  GcnModel loaded = load_model(buffer);
+  GcnModel loaded = round_trip(model, temp_path("trained.bin"));
+  EXPECT_EQ(loaded.weights_fingerprint(), model.weights_fingerprint());
   EXPECT_DOUBLE_EQ(evaluate_accuracy(loaded, data), acc_before);
 }
 
-TEST(Serialize, RejectsBadMagic) {
-  std::stringstream buffer("not-a-checkpoint 42");
-  EXPECT_THROW(load_model(buffer), std::runtime_error);
-}
-
-TEST(Serialize, RejectsTruncated) {
-  GcnModel model(tiny_config());
-  std::stringstream buffer;
-  save_model(model, buffer);
-  std::string text = buffer.str();
-  text.resize(text.size() / 2);
-  std::stringstream half(text);
-  EXPECT_THROW(load_model(half), std::runtime_error);
-}
-
 TEST(Serialize, FileRoundTrip) {
+  // Saving a loaded model writes the file it was loaded from, byte for
+  // byte.
   GcnModel model(tiny_config());
-  const std::string path = ::testing::TempDir() + "/gana_model.ckpt";
-  save_model_file(model, path);
-  GcnModel loaded = load_model_file(path);
-  const auto s = tiny_sample(4);
-  const Matrix a = model.forward(s, false);
-  const Matrix b = loaded.forward(s, false);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(a.data()[i], b.data()[i], 1e-12);
-  }
+  const std::string first = temp_path("first.bin");
+  const std::string second = temp_path("second.bin");
+  const GcnModel loaded = round_trip(model, first);
+  ASSERT_TRUE(save_model_artifact(loaded, second).ok());
+  const std::string bytes = read_file(first);
+  EXPECT_FALSE(bytes.empty());
+  EXPECT_EQ(read_file(second), bytes);
 }
 
-TEST(Serialize, MissingFileThrows) {
-  EXPECT_THROW(load_model_file("/no/such/dir/model.ckpt"),
-               std::runtime_error);
+TEST(Serialize, MissingFileIsIoError) {
+  const auto r = load_model_any("/no/such/dir/model.bin");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.diag().code, DiagCode::IoError) << r.diag().render();
+  EXPECT_EQ(r.diag().loc.file, "/no/such/dir/model.bin");
+}
+
+TEST(Serialize, TextCheckpointIsAFormatError) {
+  // A 1-wide ChebConv model (in_features, num_classes, conv_channels,
+  // cheb_k and fc_hidden all 1) in the retired "gana-gcn-v1" text
+  // checkpoint format, as its writer laid it out. Text has no checksum
+  // or fingerprint, so it is not a model file: the loader must reject it
+  // before reading any weight.
+  const std::string text =
+      "gana-gcn-v1\n"
+      "in_features 1\n"
+      "num_classes 1\n"
+      "conv_kind cheb\n"
+      "conv_channels 1\n"
+      "cheb_k 1\n"
+      "fc_hidden 1\n"
+      "use_pooling 0\n"
+      "pool_mode max\n"
+      "dropout 0.5\n"
+      "batch_norm 1\n"
+      "seed 1\n"
+      "tensors 10\n"
+      "1 1\n0.7029418499922877 \n"
+      "1 1\n0 \n"
+      "1 1\n1 \n"
+      "1 1\n0 \n"
+      "1 1\n0.070794528138150792 \n"
+      "1 1\n0 \n"
+      "1 1\n0.25670967512923459 \n"
+      "1 1\n0 \n"
+      "1 1\n0 \n"
+      "1 1\n1 \n";
+  const std::string path = temp_path("one_wide.ckpt");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+  }
+  const auto r = load_model_any(path);
+  ASSERT_FALSE(r.ok()) << "a text checkpoint loaded";
+  EXPECT_EQ(r.diag().code, DiagCode::FormatError) << r.diag().render();
+  EXPECT_EQ(r.diag().stage, Stage::Io);
+  EXPECT_EQ(r.diag().loc.file, path);
 }
 
 }  // namespace
