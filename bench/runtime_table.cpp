@@ -63,7 +63,7 @@ int main() {
 
   // -------------------------------------------------------------------
   // Batch throughput: the same annotator fanned over a circuit batch
-  // sequentially vs. on the work-stealing pool. Outputs are bit-identical
+  // sequentially vs. on the thread pool. Outputs are bit-identical
   // by construction (see batch_determinism_test); verified again here.
   bench::print_header("Batch annotation: sequential vs parallel",
                       "BatchRunner speedup");

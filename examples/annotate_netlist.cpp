@@ -32,7 +32,7 @@
 // runs; the hit counts go to --perf-json.
 //
 // --cache-capacity C: bound each cache, and a --session's structure
-// store, to ~C entries with FIFO eviction (0, the default, keeps them
+// store, to C entries with FIFO eviction (0, the default, keeps them
 // unbounded). Eviction costs recompute only; outputs stay bit-identical.
 //
 // --session: treat the input files as successive *revisions* of one

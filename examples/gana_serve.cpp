@@ -28,7 +28,7 @@
 //
 // --cache-capacity C: bound each structural cache (sample prep, GCN
 // inference, VF2 annotation), and each session's structure store, to
-// ~C entries with FIFO eviction; 0 keeps them unbounded. Eviction costs
+// C entries with FIFO eviction; 0 keeps them unbounded. Eviction costs
 // recompute only -- responses stay bit-identical.
 //
 // --fault-*: arm the deterministic fault injector (soak testing): every

@@ -26,8 +26,9 @@
 // Exit codes follow annotate_netlist (0 ok, 1 usage, 2 io, 3 parse,
 // 4 annotate, 5 timeout) plus 6 when a worker process crashed or exited
 // nonzero; a worker killed at --shard-timeout-seconds (a wall-clock
-// budget per worker process, counted from its spawn) yields 5. A
-// malformed or out-of-range value (--shards 0, --count -5, an
+// budget per worker process, counted from its spawn) yields 5. A model
+// that cannot be loaded or does not fit --domain is 2 at any --shards,
+// as in annotate_netlist. A malformed or out-of-range value (--shards 0, --count -5, an
 // --ota-fraction or --rf-fraction outside [0, 1], or the two summing
 // past 1) is a usage error.
 
@@ -66,7 +67,8 @@ void print_usage() {
       "  gana_shard --pack-library FILE|standard --out FILE\n");
 }
 
-/// Exit code of the lowest-manifest-index failure.
+/// Exit code of a failure: the lowest-manifest-index record's, or a
+/// driver-level Diag's.
 int failure_exit_code(const gana::Diag& d) {
   switch (d.code) {
     case gana::DiagCode::DeadlineExceeded:
@@ -79,6 +81,7 @@ int failure_exit_code(const gana::Diag& d) {
       // report the run as worker-level.
       return kExitWorker;
     case gana::DiagCode::IoError:
+    case gana::DiagCode::ModelMismatch:  // start-up, as in annotate_netlist
       return kExitIo;
     default:
       break;
@@ -199,8 +202,7 @@ int run_driver(const gana::Args& args) {
   auto run = gana::shard::run_sharded(manifest, opt, out);
   if (!run.ok()) {
     std::fprintf(stderr, "gana-shard: %s\n", run.diag().render().c_str());
-    return run.diag().code == gana::DiagCode::IoError ? kExitIo
-                                                      : kExitAnnotate;
+    return failure_exit_code(run.diag());
   }
   out.flush();
   if (!out) {

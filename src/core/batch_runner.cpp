@@ -35,14 +35,16 @@ Diag skipped_diag(std::size_t index) {
                        " skipped: fail-fast after an earlier failure");
 }
 
-/// How many chunks per worker the parallel dispatch overpartitions into.
-/// One task per circuit (the old scheme) maximizes scheduling overhead on
-/// small circuits; one chunk per worker loses load balancing when circuit
-/// costs vary. A small constant factor keeps both in check while leaving
-/// chunk boundaries a pure function of (count, jobs) -- never of timing.
-constexpr std::size_t kBatchOverpartition = 4;
-
 }  // namespace
+
+void BatchTimings::add_stage_seconds(const AnnotateResult& r) {
+  prepare_seconds += r.cpu_seconds_prepare;
+  gcn_seconds += r.cpu_seconds_gcn;
+  post_seconds += r.cpu_seconds_post;
+  prepare_wall_seconds += r.seconds_prepare;
+  gcn_wall_seconds += r.seconds_gcn;
+  post_wall_seconds += r.seconds_post;
+}
 
 BatchTimings& BatchTimings::operator+=(const BatchTimings& o) {
   PerfSnapshot::operator+=(o);
@@ -89,19 +91,16 @@ const Diag* BatchOutcome::first_failure() const {
 }
 
 BatchRunner::BatchRunner(const Annotator& annotator, BatchOptions options)
-    : annotator_(&annotator), options_(options) {}
+    : annotator_(&annotator), options_(options) {
+  const std::size_t jobs = resolved_jobs();
+  if (jobs > 1) pool_ = std::make_unique<ThreadPool>(jobs);
+}
 
 BatchRunner::~BatchRunner() = default;
 
 std::size_t BatchRunner::resolved_jobs() const {
   if (options_.jobs != 0) return options_.jobs;
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
-}
-
-ThreadPool& BatchRunner::pool() const {
-  std::lock_guard<std::mutex> lock(pool_mutex_);
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(resolved_jobs());
-  return *pool_;
 }
 
 BatchOutcome BatchRunner::run_isolated(
@@ -133,77 +132,32 @@ BatchOutcome BatchRunner::run_isolated(
 
   Timer wall;
   const PerfSnapshot perf_before = perf_snapshot();
-  if (out.jobs <= 1 || count <= 1) {
-    out.outcomes.reserve(count);
-    bool aborted = false;
-    for (std::size_t i = 0; i < count; ++i) {
-      if (aborted) {
-        out.outcomes.push_back(skipped_diag(i));
-        continue;
-      }
-      out.outcomes.push_back(guarded(i));
-      aborted = fail_fast && !out.outcomes.back().ok();
-    }
-  } else {
-    // Chunked dispatch over the persistent pool: count circuits become at
-    // most jobs * kBatchOverpartition contiguous-range tasks, so per-task
-    // scheduling overhead (queue locking, future machinery) is paid per
-    // chunk instead of per circuit. Each index still writes only its own
-    // slot, so completion order is irrelevant to the result; the abort
-    // flag is the only cross-task state, checked per index so fail-fast
-    // stops mid-chunk, and only fail-fast reads it.
-    std::vector<std::optional<Result<AnnotateResult>>> slots(count);
-    std::atomic<bool> abort{false};
-    ThreadPool& workers = pool();
-    const std::size_t chunks =
-        std::min(count, out.jobs * kBatchOverpartition);
-    std::vector<std::future<void>> futures;
-    futures.reserve(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t begin = c * count / chunks;
-      const std::size_t end = (c + 1) * count / chunks;
-      futures.push_back(workers.submit(
-          [&slots, &guarded, &abort, fail_fast, begin, end]() {
-            for (std::size_t i = begin; i < end; ++i) {
-              if (fail_fast && abort.load(std::memory_order_relaxed)) {
-                slots[i] = skipped_diag(i);
-                continue;
-              }
-              slots[i] = guarded(i);
-              if (fail_fast && !slots[i]->ok()) {
-                abort.store(true, std::memory_order_relaxed);
-              }
-            }
-          }));
-    }
-    for (auto& f : futures) {
-      try {
-        workers.wait(f);
-      } catch (...) {
-        // The task body never throws; this would be an allocation failure
-        // inside the slot write. The slot stays empty and is filled below.
-      }
-    }
-    out.outcomes.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!slots[i].has_value()) {
-        slots[i] = make_diag(DiagCode::Internal, Stage::Batch,
-                             "task " + std::to_string(i) +
-                                 " produced no outcome");
-      }
-      out.outcomes.push_back(std::move(*slots[i]));
-    }
-  }
+  // One slot per claim. Each slot writes only its own outcome, so
+  // completion order is irrelevant to the result; the abort flag is the
+  // only cross-slot state, and only fail-fast reads it. Without a pool
+  // the loop runs in slot order on this thread.
+  std::vector<std::optional<Result<AnnotateResult>>> slots(count);
+  std::atomic<bool> abort{false};
+  parallel_for(pool_.get(), count, 1,
+               [&slots, &guarded, &abort, fail_fast](std::size_t begin,
+                                                     std::size_t end) {
+                 for (std::size_t i = begin; i < end; ++i) {
+                   if (fail_fast && abort.load(std::memory_order_relaxed)) {
+                     slots[i] = skipped_diag(i);
+                     continue;
+                   }
+                   slots[i] = guarded(i);
+                   if (fail_fast && !slots[i]->ok()) {
+                     abort.store(true, std::memory_order_relaxed);
+                   }
+                 }
+               });
+  out.outcomes.reserve(count);
+  for (auto& slot : slots) out.outcomes.push_back(std::move(*slot));
   out.timings.wall_seconds = wall.seconds();
   out.timings.apply_perf_delta(perf_snapshot() - perf_before);
   for (const auto& o : out.outcomes) {
-    if (!o.ok()) continue;
-    out.timings.prepare_seconds += o.value().cpu_seconds_prepare;
-    out.timings.gcn_seconds += o.value().cpu_seconds_gcn;
-    out.timings.post_seconds += o.value().cpu_seconds_post;
-    out.timings.prepare_wall_seconds += o.value().seconds_prepare;
-    out.timings.gcn_wall_seconds += o.value().seconds_gcn;
-    out.timings.post_wall_seconds += o.value().seconds_post;
+    if (o.ok()) out.timings.add_stage_seconds(o.value());
   }
   return out;
 }

@@ -1,10 +1,11 @@
 // Parallel batched annotation runtime.
 //
-// Fans a batch of netlists out across a work-stealing thread pool; each
-// worker runs the full pipeline (flatten -> preprocess -> graph ->
-// features -> GCN inference -> VF2 primitives -> postprocessing ->
-// hierarchy) independently against a shared read-only Annotator (model
-// weights + primitive library).
+// Fans a batch of netlists out across a thread pool, one circuit per
+// claim (util/thread_pool.hpp's parallel_for); each claim runs the full
+// pipeline (flatten -> preprocess -> graph -> features -> GCN inference
+// -> VF2 primitives -> postprocessing -> hierarchy) independently
+// against a shared read-only Annotator (model weights + primitive
+// library).
 //
 // Determinism guarantee: results are bit-identical to the sequential
 // path regardless of thread count --
@@ -31,7 +32,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -102,6 +102,10 @@ struct BatchTimings : PerfSnapshot {
     static_cast<PerfSnapshot&>(*this) = delta;
   }
 
+  /// Adds one successful annotation's six stage timings (CPU and wall
+  /// for prepare, GCN and post) to the stage sums.
+  void add_stage_seconds(const AnnotateResult& r);
+
   /// Field-wise accumulation, for callers that run a corpus as a
   /// sequence of batches (the shard worker's chunked streaming loop)
   /// and report one summed record. Every field adds -- including
@@ -142,11 +146,12 @@ struct BatchOutcome {
 
 /// Runs batches of circuits through a shared Annotator in parallel.
 ///
-/// The worker pool is created lazily on the first parallel run and then
-/// reused for the runner's lifetime: repeated batches pay no thread
-/// spawn/join, and worker thread_locals (the per-thread GCN inference
-/// workspace) stay warm across runs. Noncopyable because of that owned
-/// pool; construct one runner per (annotator, options) pair and reuse it.
+/// A runner with more than one job builds its worker pool in its
+/// constructor and reuses it for its lifetime: repeated batches pay no
+/// thread spawn/join, and worker thread_locals (the per-thread GCN
+/// inference workspace) stay warm across runs. Noncopyable because of
+/// that owned pool; construct one runner per (annotator, options) pair
+/// and reuse it.
 class BatchRunner {
  public:
   explicit BatchRunner(const Annotator& annotator, BatchOptions options = {});
@@ -190,14 +195,10 @@ class BatchRunner {
  private:
   BatchResult unwrap(BatchOutcome outcome) const;
 
-  /// Returns the persistent worker pool, creating it (with resolved_jobs()
-  /// threads) on first use. Only called when a parallel run is requested.
-  ThreadPool& pool() const;
-
   const Annotator* annotator_;  ///< not owned; must outlive the runner
   BatchOptions options_;
-  mutable std::mutex pool_mutex_;           ///< guards lazy pool creation
-  mutable std::unique_ptr<ThreadPool> pool_;  ///< persistent across runs
+  /// resolved_jobs() workers, persistent across runs; null at one job.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace gana::core

@@ -187,7 +187,7 @@ class Annotator {
                                            const StageHooks& hooks = {}) const;
 
   /// Attaches all three caches below (sample prep, GCN inference, VF2
-  /// annotation), each bounded to ~`capacity` entries with FIFO eviction
+  /// annotation), each bounded to `capacity` entries with FIFO eviction
   /// (0 = unbounded): the cache policy of every binary. Call it after the
   /// model's weights are final -- the inference cache keys on their
   /// fingerprint. Cached and uncached runs are bit-identical.

@@ -16,8 +16,8 @@
 // training step would otherwise serve stale probabilities. The Annotator
 // does this automatically; direct users compose the key themselves.
 //
-// Thread-safe and lock-sharded like the other structural caches; two
-// workers racing on the same miss both infer identical probabilities
+// Thread-safe like the other structural caches (util/bounded_cache.hpp);
+// two workers racing on the same miss both infer identical probabilities
 // and first-insert wins.
 #pragma once
 
@@ -25,7 +25,7 @@
 #include <memory>
 
 #include "linalg/dense.hpp"
-#include "util/sharded_cache.hpp"
+#include "util/bounded_cache.hpp"
 
 namespace gana::gcn {
 

@@ -10,18 +10,17 @@
 // so cache hits can never change an output (pinned by the
 // batch_determinism cache-on/off tests).
 //
-// Thread-safe and lock-sharded (util/sharded_cache.hpp): a probe locks
-// only the shard its key hashes to, so parallel workers stop convoying
-// on one cache-wide mutex. Prep computation happens outside any lock;
-// two workers racing on the same miss both compute identical preps and
-// first-insert wins -- duplicated work, never divergent results.
+// Thread-safe (util/bounded_cache.hpp): one lock guards each probe and
+// each insert. Prep computation happens outside the lock; two workers
+// racing on the same miss both compute identical preps and first-insert
+// wins -- duplicated work, never divergent results.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
 #include "gcn/sample.hpp"
-#include "util/sharded_cache.hpp"
+#include "util/bounded_cache.hpp"
 
 namespace gana::gcn {
 

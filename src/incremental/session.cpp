@@ -96,13 +96,11 @@ bool subckts_equal(const std::map<std::string, spice::SubcktDef>& a,
   return true;
 }
 
-/// The whole-cache bound of `annotator`'s annotation cache, 0
-/// (unbounded) without one: a cache built with it has the same
-/// per-shard bound.
+/// The bound of `annotator`'s annotation cache, 0 (unbounded) without
+/// one.
 std::size_t store_capacity(const core::Annotator& annotator) {
   const auto& cache = annotator.annotation_cache();
-  return cache == nullptr ? 0
-                          : kCacheShardCount * cache->per_shard_capacity();
+  return cache == nullptr ? 0 : cache->capacity();
 }
 
 }  // namespace

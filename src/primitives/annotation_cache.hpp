@@ -15,9 +15,8 @@
 // net/device name -> target vertex maps. Instantiation from the record
 // is pure and cheap (string assembly only).
 //
-// Same discipline as gcn::SamplePrepCache: lock-sharded probes
-// (util/sharded_cache.hpp) so parallel workers only contend when their
-// keys land on the same shard, computation happens outside any lock, and
+// Same discipline as gcn::SamplePrepCache (util/bounded_cache.hpp): one
+// lock guards each probe and insert, computation happens outside it, and
 // when two workers race on one miss the first insert wins -- both
 // computed identical records, so duplicated work never means divergent
 // results. Cache hits can never change an output (pinned by the
@@ -31,7 +30,7 @@
 #include <utility>
 #include <vector>
 
-#include "util/sharded_cache.hpp"
+#include "util/bounded_cache.hpp"
 
 namespace gana::primitives {
 

@@ -13,7 +13,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "core/batch_runner.hpp"
 #include "core/export.hpp"
 #include "incremental/session.hpp"
 #include "spice/parser.hpp"
@@ -408,6 +407,10 @@ void Server::run_annotate(const std::shared_ptr<Connection>& conn,
       }
       if (outcome.ok()) {
         response.ok = true;
+        {
+          std::lock_guard<std::mutex> lock(stage_mutex_);
+          stage_seconds_.add_stage_seconds(outcome.value());
+        }
         // Byte-for-byte the one-shot CLI's --json output: same function,
         // same class vocabulary -- the soak bit-identity contract.
         response.payload = core::annotation_to_json(
@@ -514,10 +517,15 @@ ServerStats Server::stats() const {
 
 std::string Server::metrics_json() const {
   // Reuses the --perf-json record format so existing tooling parses
-  // server metrics unchanged: counters are the deltas since start() and
-  // wall_seconds is the server uptime.
+  // server metrics unchanged: counters are the deltas since start(), the
+  // stage seconds sum every successful request, and wall_seconds is the
+  // server uptime.
   const PerfSnapshot perf = perf_snapshot() - perf_at_start_;
   core::BatchTimings t;
+  {
+    std::lock_guard<std::mutex> lock(stage_mutex_);
+    t = stage_seconds_;
+  }
   t.wall_seconds = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - started_at_)
                        .count();

@@ -65,6 +65,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/batch_runner.hpp"
 #include "core/pipeline.hpp"
 #include "serve/protocol.hpp"
 #include "util/perf.hpp"
@@ -154,7 +155,9 @@ class Server {
   [[nodiscard]] ServerStats stats() const;
 
   /// The metrics-response payload: batch_timings_to_json over the
-  /// perf-counter deltas since start, with ok/total request counts.
+  /// perf-counter deltas since start and the summed stage seconds of
+  /// every successful annotate and reannotate, with ok/total request
+  /// counts.
   [[nodiscard]] std::string metrics_json() const;
 
  private:
@@ -237,6 +240,8 @@ class Server {
 
   PerfSnapshot perf_at_start_;
   std::chrono::steady_clock::time_point started_at_;
+  mutable std::mutex stage_mutex_;
+  core::BatchTimings stage_seconds_;  ///< stage sums only; stage_mutex_
 };
 
 }  // namespace gana::serve

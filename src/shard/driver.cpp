@@ -188,6 +188,15 @@ std::string encode_done_payload() {
   return json::dump(v);
 }
 
+/// Worker -> parent: SliceRunner::init failed with `diag`; the worker
+/// exits next without asking for work.
+std::string encode_startup_failure_payload(const Diag& diag) {
+  json::Value v{std::vector<json::Member>{}};
+  v.set("kind", json::Value("startup-failure"));
+  v.set("diag", serve::diag_to_json(diag));
+  return json::dump(v);
+}
+
 std::optional<std::uint64_t> read_u53(const json::Value& obj,
                                       std::string_view key) {
   const json::Value* v = obj.get(key);
@@ -392,6 +401,9 @@ int worker_main(const Args& args) {
   if (!init.ok()) {
     std::fprintf(stderr, "gana-shard worker: %s\n",
                  init.diag().render().c_str());
+    const auto frame =
+        serve::encode_frame(encode_startup_failure_payload(init.diag()));
+    if (frame.has_value()) write_all(out_fd, frame->data(), frame->size());
     return 3;
   }
 
@@ -475,6 +487,7 @@ struct Worker {
   /// -- a granted range is never re-granted, so no slot is ever
   /// annotated twice (the Merger rejects duplicates as violations).
   std::vector<ShardRange> granted;
+  std::optional<Diag> startup_failure;  ///< its SliceRunner::init Diag
 };
 
 /// Grant writes hit the stdin pipe of workers that may have just died;
@@ -768,8 +781,14 @@ Result<ShardRunStats> run_sharded(const std::string& manifest,
             const auto index =
                 doc.has_value() ? read_u53(*doc, "index") : std::nullopt;
             if (!doc.has_value() || !index.has_value()) {
-              // Protocol violation: treat the stream as dead; the
-              // worker's remaining slots become WorkerFailed records.
+              // A start-up failure report, or a protocol violation:
+              // treat the stream as dead; the worker's remaining slots
+              // become WorkerFailed records.
+              if (kind != nullptr && kind->as_string() == "startup-failure") {
+                if (const json::Value* d = doc->get("diag")) {
+                  w.startup_failure = serve::diag_from_json(*d);
+                }
+              }
               kill_worker(w);
               break;
             }
@@ -820,6 +839,13 @@ Result<ShardRunStats> run_sharded(const std::string& manifest,
           --live;
         }
       }
+    }
+
+    // No worker started, so none was granted a slot: nothing was merged.
+    if (std::all_of(workers.begin(), workers.end(), [](const Worker& w) {
+          return w.startup_failure.has_value();
+        })) {
+      return *workers.front().startup_failure;
     }
 
     bool deadline_cut_queue = false;

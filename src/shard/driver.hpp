@@ -145,8 +145,10 @@ struct ShardRunStats {
 /// Runs the whole corpus, writing merged records to `out` in manifest
 /// order (streamed: a record is written as soon as every earlier slot
 /// has one). Returns a Diag only for driver-level faults (unreadable
-/// manifest, fork/pipe failure); per-netlist and per-worker failures
-/// are reported inside the stats and the merged records.
+/// manifest, fork/pipe failure) and for a start-up failure of every
+/// worker (the first worker's; no records are written, as when the
+/// in-process runner fails start-up); per-netlist and per-worker
+/// failures are reported inside the stats and the merged records.
 [[nodiscard]] Result<ShardRunStats> run_sharded(const std::string& manifest,
                                                 const ShardOptions& options,
                                                 std::ostream& out);

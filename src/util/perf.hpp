@@ -40,7 +40,7 @@ namespace gana {
   X(annotation_cache_hits)   /* AnnotationCache lookups served */          \
   X(annotation_cache_misses) /* lookups that ran the matcher */            \
   X(cache_evictions)         /* entries dropped by capacity-bounded        \
-                                sharded caches (any cache) */              \
+                                caches (any cache) */                      \
   X(parse_bytes)             /* netlist text bytes fed to a parser */      \
   X(intern_hits)             /* SymbolTable lookups of known names */      \
   X(intern_misses)           /* SymbolTable first-time interns */          \

@@ -3,10 +3,9 @@
 namespace gana {
 namespace {
 
-/// Worker identity of the calling thread: index into its pool's queues,
-/// or -1 on non-pool threads. Thread-local so nested pools compose.
-thread_local const ThreadPool* tl_pool = nullptr;
-thread_local std::size_t tl_worker_index = 0;
+/// Whether the calling thread is a worker of some pool. Thread-local so
+/// nested pools compose.
+thread_local bool tl_worker = false;
 
 }  // namespace
 
@@ -14,88 +13,57 @@ ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  queues_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    queues_.push_back(std::make_unique<Queue>());
-  }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i]() { worker_loop(i); });
+    workers_.emplace_back([this]() { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true, std::memory_order_release);
   {
-    // Fence against workers that checked stop_ but not yet gone to sleep.
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
   }
-  sleep_cv_.notify_all();
+  ready_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
-bool ThreadPool::inside_worker() { return tl_pool != nullptr; }
+bool ThreadPool::inside_worker() { return tl_worker; }
 
 void ThreadPool::push(std::function<void()> task) {
-  std::size_t target;
-  if (tl_pool == this) {
-    target = tl_worker_index;  // local push: LIFO for the owning worker
-  } else {
-    target = next_queue_.fetch_add(1, std::memory_order_relaxed) %
-             queues_.size();
-  }
   {
-    std::lock_guard<std::mutex> lock(queues_[target]->mutex);
-    queues_[target]->tasks.push_back(std::move(task));
+    std::lock_guard<std::mutex> lock(mutex_);
+    tasks_.push_back(std::move(task));
   }
-  sleep_cv_.notify_one();
-}
-
-bool ThreadPool::try_pop(std::size_t queue_index, bool steal,
-                         std::function<void()>& out) {
-  Queue& q = *queues_[queue_index];
-  std::lock_guard<std::mutex> lock(q.mutex);
-  if (q.tasks.empty()) return false;
-  if (steal) {
-    out = std::move(q.tasks.front());
-    q.tasks.pop_front();
-  } else {
-    out = std::move(q.tasks.back());
-    q.tasks.pop_back();
-  }
-  return true;
+  ready_.notify_one();
 }
 
 bool ThreadPool::run_pending_task() {
   std::function<void()> task;
-  const std::size_t k = queues_.size();
-  const std::size_t home = (tl_pool == this) ? tl_worker_index : 0;
-  // Own queue first (LIFO), then steal round-robin (FIFO).
-  if (try_pop(home, /*steal=*/tl_pool != this, task)) {
-    task();
-    return true;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (tasks_.empty()) return false;
+    task = std::move(tasks_.front());
+    tasks_.pop_front();
   }
-  for (std::size_t d = 1; d < k; ++d) {
-    if (try_pop((home + d) % k, /*steal=*/true, task)) {
-      task();
-      return true;
-    }
-  }
-  return false;
+  task();
+  return true;
 }
 
-void ThreadPool::worker_loop(std::size_t index) {
-  tl_pool = this;
-  tl_worker_index = index;
+void ThreadPool::worker_loop() {
+  tl_worker = true;
   while (true) {
-    if (run_pending_task()) continue;
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
-    if (stop_.load(std::memory_order_acquire)) break;
-    // Re-check for work racing with the notify, then sleep with a timeout
-    // as a safety net against lost wakeups.
-    sleep_cv_.wait_for(lock, std::chrono::milliseconds(10));
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      ready_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+      if (tasks_.empty()) break;  // stopping, and the queue is drained
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
+    }
+    task();
   }
-  tl_pool = nullptr;
+  tl_worker = false;
 }
 
 namespace {

@@ -1,14 +1,15 @@
-// Work-stealing thread pool for the parallel batch runtime.
+// Thread pool for the parallel batch runtime: one FIFO queue under one
+// lock.
 //
 // Design goals, in order: determinism of the *callers* (the pool never
 // reorders a computation's arithmetic -- parallel users partition their
 // output into disjoint ranges so results are bit-identical to the
 // sequential path), nested submission (a task may submit subtasks and
 // wait on them without deadlocking, because waiting threads help drain
-// the queues), and exception propagation through std::future.
+// the queue), and exception propagation through std::future.
 //
-// Each worker owns a deque: it pushes/pops its own tasks LIFO (cache
-// locality for nested fan-out) and steals FIFO from siblings when idle.
+// Workers sleep on a condition variable whose predicate is checked under
+// the lock submit() takes, so a queued task always wakes a worker.
 #pragma once
 
 #include <atomic>
@@ -30,6 +31,7 @@ class ThreadPool {
  public:
   /// Spawns `threads` workers; 0 means std::thread::hardware_concurrency().
   explicit ThreadPool(std::size_t threads = 0);
+  /// Runs every queued task, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -46,9 +48,6 @@ class ThreadPool {
     push([task]() { (*task)(); });
     return future;
   }
-
-  /// Runs one queued task on the calling thread if any is available.
-  bool run_pending_task();
 
   /// Blocks until `future` is ready, helping to execute queued tasks in
   /// the meantime (prevents deadlock when a worker waits on subtasks).
@@ -68,22 +67,16 @@ class ThreadPool {
   [[nodiscard]] static bool inside_worker();
 
  private:
-  struct Queue {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
-
   void push(std::function<void()> task);
-  bool try_pop(std::size_t queue_index, bool steal,
-               std::function<void()>& out);
-  void worker_loop(std::size_t index);
+  /// Runs the oldest queued task on the calling thread, if there is one.
+  bool run_pending_task();
+  void worker_loop();
 
-  std::vector<std::unique_ptr<Queue>> queues_;
-  std::vector<std::thread> workers_;
-  std::mutex sleep_mutex_;
-  std::condition_variable sleep_cv_;
-  std::atomic<bool> stop_{false};
-  std::atomic<std::size_t> next_queue_{0};
+  std::mutex mutex_;
+  std::condition_variable ready_;  ///< a task was queued, or stop_ set
+  std::deque<std::function<void()>> tasks_;
+  bool stop_ = false;
+  std::vector<std::thread> workers_;  ///< after what the workers use
 };
 
 /// Splits [0, n) into contiguous chunks of at most `grain` items and runs

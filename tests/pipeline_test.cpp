@@ -170,10 +170,9 @@ TEST(Annotator, AttachCachesAttachesAllThreeAtOneCapacity) {
   ASSERT_NE(annotator.sample_cache(), nullptr);
   ASSERT_NE(annotator.inference_cache(), nullptr);
   ASSERT_NE(annotator.annotation_cache(), nullptr);
-  const std::size_t per_shard = per_shard_capacity_for(7);
-  EXPECT_EQ(annotator.sample_cache()->per_shard_capacity(), per_shard);
-  EXPECT_EQ(annotator.inference_cache()->per_shard_capacity(), per_shard);
-  EXPECT_EQ(annotator.annotation_cache()->per_shard_capacity(), per_shard);
+  EXPECT_EQ(annotator.sample_cache()->capacity(), 7u);
+  EXPECT_EQ(annotator.inference_cache()->capacity(), 7u);
+  EXPECT_EQ(annotator.annotation_cache()->capacity(), 7u);
 }
 
 TEST(Annotator, AnnotateThrowsTheDiagTryAnnotateReturns) {

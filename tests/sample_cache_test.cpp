@@ -290,8 +290,8 @@ TEST(SamplePrep, CacheSharedAcrossConvKindsServesEachItsOwnRun) {
 }
 
 // --- The three structural caches: each counts one miss, then one hit,
-// into its own perf-counter pair and nowhere else, and splits a
-// whole-cache capacity into per_shard_capacity_for(C) entries per shard.
+// into its own perf-counter pair and nowhere else, and holds exactly its
+// capacity.
 
 /// Every counter of a snapshot, rendered in the stable perf JSON.
 std::string counters_json(const PerfSnapshot& p) {
@@ -319,16 +319,28 @@ void expect_counts_only_its_pair(std::uint64_t PerfSnapshot::*hits,
 }
 
 template <typename Cache, typename V>
-void expect_capacity_split(std::size_t capacity) {
+void expect_exact_capacity(std::size_t capacity) {
   SCOPED_TRACE("capacity " + std::to_string(capacity));
   Cache cache(capacity);
-  const std::size_t per_shard = per_shard_capacity_for(capacity);
-  // Keys that are multiples of 16 (below 2^32) all land on shard 0: one
-  // more than the per-shard cap evicts exactly one entry.
+  EXPECT_EQ(cache.capacity(), capacity);
+  // Multiples of 16 below 2^32: keys that a cache split into 16 lock
+  // shards by key bits would crowd into one shard.
+  const auto key = [](std::uint64_t i) { return 16 * i; };
   auto value = std::make_shared<const V>();
-  for (std::uint64_t k = 0; k <= per_shard; ++k) cache.insert(16 * k, value);
+  for (std::uint64_t i = 0; i < capacity; ++i) cache.insert(key(i), value);
+  EXPECT_EQ(cache.stats().entries, capacity);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  for (std::uint64_t i = 0; i < capacity; ++i) {
+    EXPECT_NE(cache.find(key(i)), nullptr) << i;
+  }
+  // One more insert evicts exactly the oldest.
+  cache.insert(key(capacity), value);
+  EXPECT_EQ(cache.stats().entries, capacity);
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.stats().entries, per_shard);
+  EXPECT_EQ(cache.find(key(0)), nullptr);
+  for (std::uint64_t i = 1; i <= capacity; ++i) {
+    EXPECT_NE(cache.find(key(i)), nullptr) << i;
+  }
 }
 
 TEST(CountedCaches, EachCountsOnlyItsOwnHitMissPair) {
@@ -343,11 +355,11 @@ TEST(CountedCaches, EachCountsOnlyItsOwnHitMissPair) {
       &PerfSnapshot::annotation_cache_misses);
 }
 
-TEST(CountedCaches, WholeCacheCapacityIsSplitAcrossShards) {
+TEST(CountedCaches, WholeCacheCapacityIsExact) {
   for (const std::size_t capacity : {1u, 16u, 17u, 100u}) {
-    expect_capacity_split<gcn::SamplePrepCache, gcn::SamplePrep>(capacity);
-    expect_capacity_split<gcn::InferenceCache, Matrix>(capacity);
-    expect_capacity_split<primitives::AnnotationCache,
+    expect_exact_capacity<gcn::SamplePrepCache, gcn::SamplePrep>(capacity);
+    expect_exact_capacity<gcn::InferenceCache, Matrix>(capacity);
+    expect_exact_capacity<primitives::AnnotationCache,
                           primitives::CachedAnnotation>(capacity);
   }
 }

@@ -217,6 +217,31 @@ TEST_F(ServeTest, PingAndMetricsAnswer) {
   EXPECT_FALSE(server->running());
 }
 
+TEST_F(ServeTest, MetricsSumStageSeconds) {
+  // The metrics name the stage seconds a --perf-json record carries, so
+  // they sum each successful annotate's and reannotate's stage timings.
+  serve::ServerConfig config;
+  config.jobs = 2;
+  auto server = start_server("stages", config);
+  auto client = make_client(*server);
+  for (int i = 0; i < 3; ++i) {
+    const auto r = client.annotate("tiny", kTinyNetlist);
+    ASSERT_TRUE(r.ok()) << r.diag().message;
+  }
+  const auto again = client.reannotate("s", "tiny", kTinyNetlist);
+  ASSERT_TRUE(again.ok()) << again.diag().message;
+  const auto metrics = client.metrics();
+  ASSERT_TRUE(metrics.ok()) << metrics.diag().message;
+  const auto parsed = json::parse(metrics.value());
+  ASSERT_TRUE(parsed.has_value()) << metrics.value();
+  for (const char* key : {"prepare_seconds", "prepare_wall_seconds"}) {
+    const json::Value* v = parsed->get(key);
+    ASSERT_NE(v, nullptr) << key;
+    EXPECT_GT(v->as_double(), 0.0) << key;
+  }
+  server->stop();
+}
+
 TEST_F(ServeTest, AnnotationIsBitIdenticalToLocalPipeline) {
   serve::ServerConfig config;
   config.jobs = 2;

@@ -90,6 +90,29 @@ TEST(ThreadPool, StressThousandsOfTinyTasks) {
   EXPECT_EQ(counter.load(), kTasks);
 }
 
+TEST(ThreadPool, DestructionRunsQueuedTasks) {
+  // The one worker blocks on a gate while 100 tasks queue behind it;
+  // destroying the pool once the gate is open runs all 101.
+  std::atomic<int> ran{0};
+  std::atomic<bool> started{false};
+  std::promise<void> open;
+  const std::shared_future<void> gate = open.get_future().share();
+  {
+    ThreadPool pool(1);
+    (void)pool.submit([gate, &started, &ran] {
+      started = true;
+      gate.wait();
+      ran.fetch_add(1);
+    });
+    while (!started.load()) std::this_thread::yield();
+    for (int i = 0; i < 100; ++i) {
+      (void)pool.submit([&ran] { ran.fetch_add(1); });
+    }
+    open.set_value();
+  }
+  EXPECT_EQ(ran.load(), 101);
+}
+
 TEST(ThreadPool, InsideWorkerFlag) {
   EXPECT_FALSE(ThreadPool::inside_worker());
   ThreadPool pool(2);

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <barrier>
 #include <cmath>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "util/args.hpp"
+#include "util/bounded_cache.hpp"
 #include "util/rng.hpp"
-#include "util/sharded_cache.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -338,13 +342,11 @@ TEST(Args, DeclaredValueAndBooleanFlagsAreAccepted) {
   EXPECT_THROW(args.reject_unknown({"jobs"}), ArgError);
 }
 
-// Bounded ShardedCache: FIFO eviction per shard, counted, with lookups
-// for evicted keys turning into ordinary misses. Keys that are multiples
-// of 16 (below 2^32) all map to shard 0, so one shard's FIFO can be
-// exercised deterministically.
-TEST(ShardedCache, UnboundedByDefaultNeverEvicts) {
-  ShardedCache<int> cache;
-  EXPECT_EQ(cache.per_shard_capacity(), 0u);
+// BoundedCache: FIFO eviction at an exact capacity, counted,
+// with lookups for evicted keys turning into ordinary misses.
+TEST(BoundedCache, UnboundedByDefaultNeverEvicts) {
+  BoundedCache<int> cache;
+  EXPECT_EQ(cache.capacity(), 0u);
   for (std::uint64_t k = 0; k < 4096; ++k) {
     cache.insert(k, std::make_shared<const int>(static_cast<int>(k)));
   }
@@ -353,9 +355,9 @@ TEST(ShardedCache, UnboundedByDefaultNeverEvicts) {
   EXPECT_EQ(stats.evictions, 0u);
 }
 
-TEST(ShardedCache, EvictsOldestInsertedFirstAtCapacity) {
-  ShardedCache<int> cache(3);  // per shard
-  const auto key = [](std::uint64_t i) { return i * 16; };  // all shard 0
+TEST(BoundedCache, EvictsOldestInsertedFirstAtCapacity) {
+  BoundedCache<int> cache(3);
+  const auto key = [](std::uint64_t i) { return i * 16; };
   for (std::uint64_t i = 0; i < 5; ++i) {
     cache.insert(key(i), std::make_shared<const int>(static_cast<int>(i)));
   }
@@ -378,8 +380,8 @@ TEST(ShardedCache, EvictsOldestInsertedFirstAtCapacity) {
   EXPECT_EQ(cache.stats().evictions, 3u);
 }
 
-TEST(ShardedCache, DuplicateInsertKeepsFirstValueAndEvictsNothing) {
-  ShardedCache<int> cache(2);
+TEST(BoundedCache, DuplicateInsertKeepsFirstValueAndEvictsNothing) {
+  BoundedCache<int> cache(2);
   cache.insert(16, std::make_shared<const int>(1));
   const auto winner = cache.insert(16, std::make_shared<const int>(2));
   EXPECT_EQ(*winner, 1);  // first-insert-wins, bounded or not
@@ -387,24 +389,49 @@ TEST(ShardedCache, DuplicateInsertKeepsFirstValueAndEvictsNothing) {
   EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
-TEST(ShardedCache, PerShardCapacityHelperRoundsUp) {
-  EXPECT_EQ(per_shard_capacity_for(0), 0u);    // unbounded stays unbounded
-  EXPECT_EQ(per_shard_capacity_for(1), 1u);    // never rounds to zero
-  EXPECT_EQ(per_shard_capacity_for(16), 1u);
-  EXPECT_EQ(per_shard_capacity_for(17), 2u);
-  EXPECT_EQ(per_shard_capacity_for(1024), 64u);
-}
-
-TEST(ShardedCache, CapacityHelperDerivesFromTheCacheShardCount) {
-  // The helper and the cache must agree on one shard-count constant; a
-  // hardcoded local copy once drifted and silently shrank total
-  // capacity below the request.
-  EXPECT_EQ(ShardedCache<int>::kShardCount, kCacheShardCount);
-  for (std::size_t total = 1; total <= 4 * kCacheShardCount + 3; ++total) {
-    EXPECT_GE(ShardedCache<int>::kShardCount * per_shard_capacity_for(total),
-              total)
-        << "requested total capacity " << total << " not covered";
+TEST(BoundedCache, ConcurrentInsertsKeepTheBoundAndTheFirstValue) {
+  // Four threads race in lockstep rounds: in round r every thread
+  // inserts key r with its own value, then finds key r and a resident
+  // older key. A key is inserted only in its own round, so none is ever
+  // re-inserted after its eviction, and the final counts are exact.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::uint64_t kKeys = 256;
+  constexpr std::size_t kCapacity = 64;
+  BoundedCache<int> cache(kCapacity);
+  std::barrier lockstep(static_cast<std::ptrdiff_t>(kThreads));
+  // winners[t][k]: the value thread t's insert of key k returned.
+  std::vector<std::vector<int>> winners(kThreads,
+                                        std::vector<int>(kKeys, -1));
+  std::atomic<int> bad_hits{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<int>& mine = winners[t];
+      for (std::uint64_t k = 0; k < kKeys; ++k) {
+        const int value = static_cast<int>(t * kKeys + k);
+        mine[k] = *cache.insert(k, std::make_shared<const int>(value));
+        const std::uint64_t older = k - k % (kCapacity - 1);
+        for (const std::uint64_t probe : {k, older}) {
+          const auto hit = cache.find(probe);
+          if (hit == nullptr || *hit != mine[probe]) bad_hits.fetch_add(1);
+        }
+        lockstep.arrive_and_wait();
+      }
+    });
   }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(bad_hits.load(), 0);
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    // One insert won; every thread got that first value back.
+    const int first = winners[0][k];
+    EXPECT_EQ(static_cast<std::uint64_t>(first) % kKeys, k);
+    for (std::size_t t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(winners[t][k], first) << "key " << k;
+    }
+  }
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.entries, kCapacity);
+  EXPECT_EQ(stats.evictions, kKeys - kCapacity);
 }
 
 }  // namespace
